@@ -59,7 +59,6 @@ dvfs::RunReport runOnce(const std::string& model_dir,
   }
   serve::ServerOptions server_options;
   server_options.model_dir = model_dir;
-  server_options.workers = 2;
   server_options.faults = &faults;
   serve::Server server(server_options);
   const util::Status started = server.start();

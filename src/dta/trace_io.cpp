@@ -1,5 +1,6 @@
 #include "dta/trace_io.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -65,6 +66,19 @@ void expectToken(std::istream& is, const char* literal) {
   }
 }
 
+/// Bytes left in `is`, or 0 when the stream cannot tell. Bounds
+/// reserve() by the input, so a corrupt count fails as truncation,
+/// never as bad_alloc.
+std::uint64_t bytesLeft(std::istream& is) {
+  const std::streampos here = is.tellg();
+  if (here < 0) return 0;
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.clear();
+  is.seekg(here);
+  return end > here ? static_cast<std::uint64_t>(end - here) : 0;
+}
+
 }  // namespace
 
 void writeTrace(std::ostream& os, const DtaTrace& trace) {
@@ -111,7 +125,9 @@ DtaTrace readTrace(std::istream& is) {
   expectToken(is, "samples");
   const std::uint64_t count =
       parseU64(nextToken(is, "sample count"), "sample count");
-  trace.samples.reserve(count);
+  // A sample is at least 8 one-char tokens with separators, a toggle 3.
+  const std::uint64_t input_left = bytesLeft(is);
+  trace.samples.reserve(std::min(count, input_left / 16));
   for (std::uint64_t i = 0; i < count; ++i) {
     DtaSample s;
     s.a = static_cast<std::uint32_t>(parseU64(nextToken(is, "a"), "a"));
@@ -125,7 +141,7 @@ DtaTrace readTrace(std::istream& is) {
     s.settled_word = parseU64(nextToken(is, "settled_word"), "settled_word");
     const std::uint64_t toggles =
         parseU64(nextToken(is, "toggle count"), "toggle count");
-    s.toggles.reserve(toggles);
+    s.toggles.reserve(std::min(toggles, input_left / 6));
     for (std::uint64_t t = 0; t < toggles; ++t) {
       sim::ToggleEvent event{};
       event.time_ps =

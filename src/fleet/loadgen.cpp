@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "serve/client.hpp"
+#include "serve/line_server.hpp"
 #include "serve/protocol.hpp"
 #include "util/rng.hpp"
 
@@ -21,10 +22,7 @@ using Clock = std::chrono::steady_clock;
 constexpr double kBurstCycleMs = 500.0;
 constexpr double kBurstOnFraction = 0.2;
 
-double msSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
+using serve::msSince;
 
 /// Next inter-arrival gap [ms] at `rate_per_ms`; exponential for the
 /// Poisson processes, fixed for uniform.

@@ -1,13 +1,8 @@
 #include "fleet/router.hpp"
 
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-
 #include <algorithm>
-#include <cerrno>
+#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "util/log.hpp"
@@ -17,19 +12,6 @@ namespace tevot::fleet {
 namespace {
 
 constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
-
-bool sendAll(int fd, const char* data, std::size_t len) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -54,9 +36,25 @@ bool parseShardPolicy(std::string_view text, ShardPolicy* out) {
 }
 
 Router::Router(RouterOptions options, std::vector<ShardEndpoint> shards)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      core_({options_.port, options_.max_connections,
+             options_.drain_deadline_ms},
+            [this](std::uint64_t) -> serve::LineServer::LineHandler {
+              auto backends = std::make_shared<Backends>();
+              return [this, backends](std::string_view line,
+                                      serve::Replies& out) {
+                // Malformed lines are rejected here; garbage never
+                // reaches a worker.
+                serve::Request request;
+                if (core_.parsePredict(line, &request, out,
+                                       [this](const serve::Request& r) {
+                                         return handleControl(r);
+                                       })) {
+                  routePredict(request, line, *backends, out);
+                }
+              };
+            }) {
   if (options_.forward_attempts < 1) options_.forward_attempts = 1;
-  if (options_.max_connections == 0) options_.max_connections = 1;
   shards_.reserve(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
     shards_.push_back(std::make_unique<Shard>(options_.breaker));
@@ -68,17 +66,10 @@ Router::Router(RouterOptions options, std::vector<ShardEndpoint> shards)
   }
 }
 
-Router::~Router() {
-  if (running_.load()) drainAndStop();
-}
-
-double Router::msSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
+Router::~Router() { drainAndStop(); }
 
 util::Status Router::start() {
-  if (running_.load()) {
+  if (running()) {
     return util::Status::invalidArgument("router already running");
   }
   if (shards_.empty()) {
@@ -88,50 +79,14 @@ util::Status Router::start() {
     return util::Status::invalidArgument(
         "per-fu policy needs shard fu assignments");
   }
-  util::UniqueFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  if (!fd.valid()) {
-    return util::Status::ioError(std::string("socket: ") +
-                                 std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return util::Status::ioError("bind 127.0.0.1:" +
-                                 std::to_string(options_.port) + ": " +
-                                 std::strerror(errno));
-  }
-  if (::listen(fd.get(), 128) != 0) {
-    return util::Status::ioError(std::string("listen: ") +
-                                 std::strerror(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd.get(), reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    return util::Status::ioError(std::string("getsockname: ") +
-                                 std::strerror(errno));
-  }
-  bound_port_ = static_cast<int>(ntohs(bound.sin_port));
-  listen_fd_ = std::move(fd);
-
-  draining_.store(false);
-  running_.store(true);
   // One synchronous probe round so freshly started fleets route
   // immediately instead of shedding until the first health tick.
-  {
-    std::vector<BackendConn> conns(shards_.size());
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (shards_[i]->breaker.allow()) probeShard(i, &conns[i]);
-    }
-  }
+  std::vector<BackendConn> conns(shards_.size());
+  probeRound(conns);
+  const util::Status started = core_.start();
+  if (!started.ok()) return started;
   health_ = std::thread([this] { healthLoop(); });
-  acceptor_ = std::thread([this] { acceptLoop(); });
-  util::logInfo() << "fleet: router listening on 127.0.0.1:" << bound_port_
+  util::logInfo() << "fleet: router listening on 127.0.0.1:" << port()
                   << " shards=" << shards_.size()
                   << " policy=" << shardPolicyName(options_.policy);
   return util::Status::okStatus();
@@ -158,7 +113,7 @@ void Router::setShardPort(std::size_t shard, int port) {
 }
 
 serve::MetricsSnapshot Router::stats() const {
-  serve::MetricsSnapshot snap = metrics_.snapshot();
+  serve::MetricsSnapshot snap = core_.metrics().snapshot();
   std::uint64_t min_generation = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (shard->breaker.state() != serve::CircuitBreaker::State::kClosed) {
@@ -229,160 +184,29 @@ bool Router::probeShard(std::size_t index, BackendConn* conn) {
   return true;
 }
 
+void Router::probeRound(std::vector<BackendConn>& conns) {
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    // allow() drives OPEN -> HALF_OPEN once the cooldown elapses;
+    // while it refuses, the shard rests and routing skips it.
+    if (shards_[i]->breaker.allow()) probeShard(i, &conns[i]);
+  }
+}
+
 void Router::healthLoop() {
   std::vector<BackendConn> conns(shards_.size());
   const auto interval =
       std::chrono::duration<double, std::milli>(options_.health_interval_ms);
-  while (!draining_.load()) {
-    for (std::size_t i = 0; i < shards_.size() && !draining_.load(); ++i) {
-      // allow() drives OPEN -> HALF_OPEN once the cooldown elapses;
-      // while it refuses, the shard rests and routing skips it.
-      if (shards_[i]->breaker.allow()) probeShard(i, &conns[i]);
-    }
+  while (!core_.draining()) {
+    probeRound(conns);
     // Sleep in small ticks so drain isn't held up by a long interval.
     auto remaining = interval;
-    while (remaining.count() > 0.0 && !draining_.load()) {
+    while (remaining.count() > 0.0 && !core_.draining()) {
       const auto tick = std::min(
           remaining, std::chrono::duration<double, std::milli>(10.0));
       std::this_thread::sleep_for(tick);
       remaining -= tick;
     }
   }
-}
-
-void Router::acceptLoop() {
-  while (!draining_.load()) {
-    pollfd pfd{listen_fd_.get(), POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 100);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      util::logWarn() << "fleet: poll: " << std::strerror(errno);
-      break;
-    }
-    reapFinishedConnections();
-    if (rc == 0 || (pfd.revents & POLLIN) == 0) continue;
-    util::UniqueFd conn(::accept4(listen_fd_.get(), nullptr, nullptr,
-                                  SOCK_CLOEXEC));
-    if (!conn.valid()) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;  // listener shut down under us (drain) or fatal
-    }
-    metrics_.connections.fetch_add(1, std::memory_order_relaxed);
-    std::size_t live = 0;
-    {
-      const std::lock_guard<std::mutex> lock(connections_mutex_);
-      live = connections_.size();
-    }
-    if (live >= options_.max_connections) {
-      const serve::Response shed =
-          serve::Response::shed("connection limit");
-      const std::string line = shed.serialize() + "\n";
-      sendAll(conn.get(), line.data(), line.size());
-      metrics_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.emplace_back();
-    Connection* entry = &connections_.back();
-    entry->fd = std::move(conn);
-    entry->thread = std::thread([this, entry] { connectionLoop(entry); });
-  }
-}
-
-void Router::reapFinishedConnections() {
-  const std::lock_guard<std::mutex> lock(connections_mutex_);
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if (it->done.load()) {
-      if (it->thread.joinable()) it->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void Router::connectionLoop(Connection* connection) {
-  // Same line framing as serve::Server::connectionLoop, so a client
-  // cannot distinguish the router from a single server.
-  std::string buffer;
-  bool discarding = false;
-  char chunk[4096];
-  for (;;) {
-    ssize_t n = ::recv(connection->fd.get(), chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    for (;;) {
-      const std::size_t nl = buffer.find('\n');
-      if (nl == std::string::npos) {
-        if (discarding) {
-          buffer.clear();
-        } else if (buffer.size() > serve::kMaxLineBytes) {
-          metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-          writeResponses(
-              connection,
-              {serve::Response::error(
-                   serve::ErrorCode::kOversized,
-                   "request line exceeds " +
-                       std::to_string(serve::kMaxLineBytes) + " bytes")
-                   .serialize()});
-          discarding = true;
-          buffer.clear();
-        }
-        break;
-      }
-      std::string line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
-      if (discarding) {
-        discarding = false;
-        continue;
-      }
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.size() > serve::kMaxLineBytes) {
-        metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-        writeResponses(
-            connection,
-            {serve::Response::error(
-                 serve::ErrorCode::kOversized,
-                 "request line exceeds " +
-                     std::to_string(serve::kMaxLineBytes) + " bytes")
-                 .serialize()});
-        continue;
-      }
-      if (line.find_first_not_of(" \t") == std::string::npos) continue;
-      handleLine(connection, line);
-    }
-  }
-  connection->done.store(true);
-}
-
-void Router::handleLine(Connection* connection, std::string_view line) {
-  metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-  serve::Request request;
-  const util::Status parsed = serve::parseRequest(line, &request);
-  if (!parsed.ok()) {
-    // The router rejects malformed lines itself; garbage never
-    // reaches a worker.
-    writeResponses(connection,
-                   {serve::responseForParseFailure(parsed).serialize()});
-    return;
-  }
-  const std::size_t lines = request.responseCount();
-  if (lines > 1) {
-    metrics_.requests.fetch_add(lines - 1, std::memory_order_relaxed);
-  }
-  if (request.kind != serve::RequestKind::kPredict &&
-      request.kind != serve::RequestKind::kPredictBatch) {
-    writeResponses(connection, {handleControl(request).serialize()});
-    return;
-  }
-  if (draining_.load()) {
-    std::vector<std::string> shed(
-        lines, serve::Response::shed("draining").serialize());
-    writeResponses(connection, shed);
-    return;
-  }
-  routePredict(connection, request, std::string(line));
 }
 
 serve::Response Router::handleControl(const serve::Request& request) {
@@ -397,7 +221,7 @@ serve::Response Router::handleControl(const serve::Request& request) {
           buf, sizeof(buf),
           "health status=%s shards=%zu healthy=%zu policy=%s "
           "generation=%llu",
-          draining_.load() ? "draining" : "serving", shards_.size(),
+          core_.draining() ? "draining" : "serving", shards_.size(),
           healthy, shardPolicyName(options_.policy),
           static_cast<unsigned long long>(stats().generation));
       return serve::Response::payload(buf);
@@ -445,25 +269,25 @@ std::size_t Router::pickShard(const serve::Request& request,
   return kNoShard;
 }
 
-void Router::routePredict(Connection* connection,
-                          const serve::Request& request,
-                          const std::string& line) {
+void Router::routePredict(const serve::Request& request,
+                          std::string_view line, Backends& backends,
+                          serve::Replies& out) {
   const std::size_t lines = request.responseCount();
-  const Clock::time_point arrival = Clock::now();
+  const auto arrival = std::chrono::steady_clock::now();
 
   // Per-FU requests for a FU no shard owns are refused up front with
   // the same typed error a worker would produce.
   if (options_.policy == ShardPolicy::kPerFu &&
       fu_owner_.find(request.fu) == fu_owner_.end()) {
-    std::vector<std::string> responses(
-        lines, serve::Response::error(serve::ErrorCode::kUnknownFu,
-                                      "unknown fu '" + request.fu + "'")
-                   .serialize());
-    writeResponses(connection, responses);
+    out.add(serve::Response::error(serve::ErrorCode::kUnknownFu,
+                                   "unknown fu '" + request.fu + "'"),
+            lines);
     return;
   }
 
+  const std::string forward(line);
   std::vector<bool> tried(shards_.size(), false);
+  std::vector<std::string> responses;
   for (int attempt = 0; attempt < options_.forward_attempts; ++attempt) {
     const std::size_t index = pickShard(request, tried);
     if (index == kNoShard) break;
@@ -472,11 +296,9 @@ void Router::routePredict(Connection* connection,
     if (options_.policy == ShardPolicy::kReplicated) tried[index] = true;
     Shard& shard = *shards_[index];
     shard.in_flight.fetch_add(1, std::memory_order_acq_rel);
-    BackendConn& backend = connection->backends[index];
+    BackendConn& backend = backends[index];
     const int port = shard.port.load();
-    bool forwarded = false;
-    std::vector<std::string> responses;
-    responses.reserve(lines);
+    responses.clear();
     if (!backend.client.connected() || backend.port != port) {
       backend.port = port;
       if (!backend.client.connectTo(port, options_.backend_timeout_ms)
@@ -484,33 +306,27 @@ void Router::routePredict(Connection* connection,
         backend.client.close();
       }
     }
-    if (backend.client.connected() && backend.client.sendLine(line)) {
+    if (backend.client.connected() && backend.client.sendLine(forward)) {
       while (responses.size() < lines) {
         std::optional<std::string> response = backend.client.readLine();
         if (!response.has_value()) break;
         responses.push_back(std::move(*response));
       }
-      if (responses.size() == lines) {
-        forwarded = true;
-      } else if (!responses.empty()) {
+    }
+    shard.in_flight.fetch_sub(1, std::memory_order_acq_rel);
+    if (!responses.empty()) {
+      for (const std::string& response : responses) out.relay(response);
+      if (responses.size() < lines) {
         // The shard died mid-batch: the relayed prefix cannot be
         // retried (duplicates), so the remainder degrades to typed
         // errors and the batch still answers with exactly n lines.
         backend.client.close();
         shard.breaker.recordFailure();
-        while (responses.size() < lines) {
-          responses.push_back(
-              serve::Response::error(serve::ErrorCode::kInternal,
-                                     "shard connection lost mid-batch")
-                  .serialize());
-        }
-        forwarded = true;
+        out.add(serve::Response::error(serve::ErrorCode::kInternal,
+                                       "shard connection lost mid-batch"),
+                lines - responses.size());
       }
-    }
-    shard.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    if (forwarded) {
-      metrics_.recordLatencyMs(msSince(arrival));
-      writeResponses(connection, responses);
+      core_.metrics().recordLatencyMs(serve::msSince(arrival));
       return;
     }
     // Nothing was relayed: safe to reroute/retry this idempotent
@@ -518,40 +334,7 @@ void Router::routePredict(Connection* connection,
     backend.client.close();
     shard.breaker.recordFailure();
   }
-  std::vector<std::string> shed(
-      lines, serve::Response::shed("no eligible shard").serialize());
-  writeResponses(connection, shed);
-}
-
-void Router::writeResponses(Connection* connection,
-                            const std::vector<std::string>& lines) {
-  std::string wire;
-  for (const std::string& line : lines) {
-    serve::Response response;
-    if (serve::parseResponse(line, &response)) {
-      switch (response.status) {
-        case serve::ResponseStatus::kOk:
-          metrics_.ok.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case serve::ResponseStatus::kShed:
-          metrics_.shed.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case serve::ResponseStatus::kDeadline:
-          metrics_.deadline.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case serve::ResponseStatus::kError:
-          metrics_.errors.fetch_add(1, std::memory_order_relaxed);
-          break;
-      }
-    } else {
-      // A worker emitting an unparseable line is a worker bug; it is
-      // still relayed (the oracle flags it), but counted as an error.
-      metrics_.errors.fetch_add(1, std::memory_order_relaxed);
-    }
-    wire += line;
-    wire += '\n';
-  }
-  sendAll(connection->fd.get(), wire.data(), wire.size());
+  out.add(serve::Response::shed("no eligible shard"), lines);
 }
 
 util::Status Router::rollingReload() {
@@ -563,93 +346,44 @@ util::Status Router::rollingReload() {
     // loads the new models anyway.
     if (port <= 0 || !shard.probed_up.load()) continue;
     shard.admin_down.store(true);
-    const Clock::time_point drain_start = Clock::now();
+    const auto drain_start = std::chrono::steady_clock::now();
     while (shard.in_flight.load() > 0 &&
-           msSince(drain_start) < options_.reload_drain_ms) {
+           serve::msSince(drain_start) < options_.reload_drain_ms) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     serve::LineClient admin;
-    util::Status failure = util::Status::okStatus();
-    if (!admin.connectTo(port, options_.backend_timeout_ms).ok()) {
-      failure = util::Status::ioError("shard " + std::to_string(i) +
-                                      ": reload connect failed");
-    } else if (!admin.sendLine("reload")) {
-      failure = util::Status::ioError("shard " + std::to_string(i) +
-                                      ": reload send failed");
-    } else {
-      const std::optional<std::string> raw = admin.readLine();
-      serve::Response response;
-      if (!raw.has_value() ||
-          !serve::parseResponse(*raw, &response)) {
-        failure = util::Status::ioError("shard " + std::to_string(i) +
-                                        ": no reload response");
-      } else if (response.status != serve::ResponseStatus::kOk) {
-        failure = util::Status::ioError("shard " + std::to_string(i) +
-                                        ": " + *raw);
-      }
+    std::optional<std::string> raw;
+    if (admin.connectTo(port, options_.backend_timeout_ms).ok() &&
+        admin.sendLine("reload")) {
+      raw = admin.readLine();
     }
+    serve::Response response;
+    const bool reloaded = raw.has_value() &&
+                          serve::parseResponse(*raw, &response) &&
+                          response.status == serve::ResponseStatus::kOk;
     shard.admin_down.store(false);
-    if (!failure.ok()) {
-      metrics_.reload_failures.fetch_add(1, std::memory_order_relaxed);
+    if (!reloaded) {
+      const util::Status failure = util::Status::ioError(
+          "shard " + std::to_string(i) +
+          ": reload failed: " + raw.value_or("no response"));
+      core_.metrics().reload_failures.fetch_add(1,
+                                                std::memory_order_relaxed);
       util::logWarn() << "fleet: rolling reload aborted: "
                       << failure.message;
       return failure;
     }
-    metrics_.reloads.fetch_add(1, std::memory_order_relaxed);
+    core_.metrics().reloads.fetch_add(1, std::memory_order_relaxed);
   }
   util::logInfo() << "fleet: rolling reload complete";
   return util::Status::okStatus();
 }
 
 serve::MetricsSnapshot Router::drainAndStop() {
-  bool was_running = true;
-  if (!running_.compare_exchange_strong(was_running, false)) {
-    return stats();
+  if (core_.drainAndStop()) {
+    if (health_.joinable()) health_.join();
+    util::logInfo() << "fleet: router drained; " << stats().toLine();
   }
-  draining_.store(true);
-  if (listen_fd_.valid()) ::shutdown(listen_fd_.get(), SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
-  if (health_.joinable()) health_.join();
-  // Half-close client connections: readers see EOF after the response
-  // for their in-flight request (if any) has been relayed.
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (Connection& connection : connections_) {
-      if (connection.fd.valid()) {
-        ::shutdown(connection.fd.get(), SHUT_RD);
-      }
-    }
-  }
-  const Clock::time_point drain_start = Clock::now();
-  for (;;) {
-    bool all_done = true;
-    {
-      const std::lock_guard<std::mutex> lock(connections_mutex_);
-      for (const Connection& connection : connections_) {
-        if (!connection.done.load()) {
-          all_done = false;
-          break;
-        }
-      }
-    }
-    if (all_done) break;
-    if (options_.drain_deadline_ms > 0.0 &&
-        msSince(drain_start) > options_.drain_deadline_ms) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (Connection& connection : connections_) {
-      if (connection.thread.joinable()) connection.thread.join();
-    }
-    connections_.clear();
-  }
-  listen_fd_.reset();
-  const serve::MetricsSnapshot final_stats = stats();
-  util::logInfo() << "fleet: router drained; " << final_stats.toLine();
-  return final_stats;
+  return stats();
 }
 
 }  // namespace tevot::fleet

@@ -7,7 +7,11 @@
 // line still gets exactly one well-formed typed response (predictN: n
 // lines), and relayed OK lines pass through byte-for-byte, so the
 // hexfloat bit-identity contract of the single-server oracle holds
-// end to end through the fleet.
+// end to end through the fleet. The router is a line handler over the
+// same serve::LineServer core as serve::Server (accept, connection
+// cap, framing, batched writes, drain), answering each client line
+// inline on its connection thread; every client connection keeps its
+// own cached backend connection per shard.
 //
 // Sharding policies:
 //   kReplicated  every shard serves every FU; requests round-robin
@@ -43,9 +47,7 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -56,9 +58,9 @@
 
 #include "serve/breaker.hpp"
 #include "serve/client.hpp"
+#include "serve/line_server.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
-#include "util/fd.hpp"
 #include "util/status.hpp"
 
 namespace tevot::fleet {
@@ -110,11 +112,12 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Binds the front port and starts the acceptor + health threads.
+  /// Probes every shard once, binds the front port and starts the
+  /// acceptor + health threads.
   util::Status start();
 
-  bool running() const { return running_.load(); }
-  int port() const { return bound_port_; }
+  bool running() const { return core_.running(); }
+  int port() const { return core_.port(); }
   std::size_t shardCount() const { return shards_.size(); }
 
   /// Router-side accounting: requests == ok+shed+deadline+errors over
@@ -149,8 +152,6 @@ class Router {
   serve::MetricsSnapshot drainAndStop();
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   struct Shard {
     std::atomic<int> port{0};
     std::vector<std::string> fus;
@@ -177,53 +178,34 @@ class Router {
     int port = 0;
     serve::LineClient client;
   };
+  /// One client connection's backend connections, keyed by shard and
+  /// used only from that connection's thread.
+  using Backends = std::map<std::size_t, BackendConn>;
 
-  struct Connection {
-    util::UniqueFd fd;
-    std::thread thread;
-    std::atomic<bool> done{false};
-    /// Cached backend connections, one per shard, owned by this
-    /// client connection's thread (no cross-thread sharing).
-    std::map<std::size_t, BackendConn> backends;
-  };
-
-  void acceptLoop();
-  void connectionLoop(Connection* connection);
   void healthLoop();
-  void handleLine(Connection* connection, std::string_view line);
+  /// Probes every shard whose breaker allows it, over `conns`.
+  void probeRound(std::vector<BackendConn>& conns);
   serve::Response handleControl(const serve::Request& request);
-  /// Routes one parsed predict/predictN; writes exactly
-  /// request.responseCount() lines to the client.
-  void routePredict(Connection* connection, const serve::Request& request,
-                    const std::string& line);
+  /// Routes one parsed predict/predictN; answers with exactly
+  /// request.responseCount() lines.
+  void routePredict(const serve::Request& request, std::string_view line,
+                    Backends& backends, serve::Replies& out);
   /// The next eligible shard for `request`, or npos. `exclude` skips
   /// shards already tried this request (reroute path).
   std::size_t pickShard(const serve::Request& request,
                         const std::vector<bool>& exclude) const;
   bool probeShard(std::size_t index, BackendConn* conn);
-  void writeResponses(Connection* connection,
-                      const std::vector<std::string>& lines);
-  void reapFinishedConnections();
-  static double msSince(Clock::time_point start);
 
   RouterOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::map<std::string, std::size_t> fu_owner_;  ///< kPerFu routing map
-  serve::ServeMetrics metrics_;
 
-  util::UniqueFd listen_fd_;
-  int bound_port_ = 0;
-
-  std::thread acceptor_;
-  std::thread health_;
-
-  std::mutex connections_mutex_;
-  std::list<Connection> connections_;
   std::mutex reload_mutex_;  ///< serializes rollingReload()s
-
-  std::atomic<bool> running_{false};
-  std::atomic<bool> draining_{false};
   mutable std::atomic<std::uint64_t> round_robin_{0};
+  /// Declared after the members its threads call into, so it is
+  /// destroyed (and joined) before them.
+  serve::LineServer core_;
+  std::thread health_;
 };
 
 }  // namespace tevot::fleet

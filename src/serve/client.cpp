@@ -72,19 +72,7 @@ util::Status LineClient::reconnect(const ReconnectPolicy& policy) {
 }
 
 bool LineClient::sendLine(const std::string& line) {
-  if (!fd_.valid()) return false;
-  const std::string wire = line + "\n";
-  std::size_t off = 0;
-  while (off < wire.size()) {
-    const ssize_t n =
-        ::send(fd_.get(), wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
+  return fd_.valid() && util::sendAll(fd_.get(), line + "\n");
 }
 
 std::optional<std::string> LineClient::readLine() {

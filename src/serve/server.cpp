@@ -1,13 +1,8 @@
 #include "serve/server.hpp"
 
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <utility>
+#include <vector>
 
 #include "circuits/fu.hpp"
 #include "liberty/corner.hpp"
@@ -15,31 +10,20 @@
 
 namespace tevot::serve {
 
-namespace {
-
-/// Writes the whole buffer, retrying on EINTR / short writes.
-/// MSG_NOSIGNAL turns a dead peer into EPIPE instead of SIGPIPE.
-bool sendAll(int fd, const char* data, std::size_t len) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
-
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      registry_(options_.model_dir, options_.strict_verify) {
-  if (options_.workers == 0) options_.workers = 1;
+      registry_(options_.model_dir, options_.strict_verify),
+      core_({options_.port, options_.max_connections,
+             options_.drain_deadline_ms},
+            [this](std::uint64_t id) -> LineServer::LineHandler {
+              // Injected accept fault: the connection is dropped
+              // before any request is read.
+              if (faultAt("serve.accept", id)) return {};
+              return [this](std::string_view line, Replies& out) {
+                handleLine(line, out);
+              };
+            }) {
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
-  if (options_.max_connections == 0) options_.max_connections = 1;
   faults_ = options_.faults != nullptr ? options_.faults
                                        : &util::FaultInjector::global();
   for (const circuits::FuKind kind : circuits::kAllFus) {
@@ -49,74 +33,32 @@ Server::Server(ServerOptions options)
   }
 }
 
-Server::~Server() {
-  if (running_.load()) drainAndStop();
-}
+Server::~Server() { drainAndStop(); }
 
-double Server::msSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
+bool Server::faultAt(std::string_view point, std::uint64_t id) {
+  return faults_->armed() && faults_->shouldFail(point, std::to_string(id));
 }
 
 util::Status Server::start() {
-  if (running_.load()) {
+  if (running()) {
     return util::Status::invalidArgument("server already running");
   }
   const util::Status loaded = registry_.reload(nullptr);
   if (!loaded.ok()) return loaded;
-
-  util::UniqueFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  if (!fd.valid()) {
-    return util::Status::ioError(std::string("socket: ") +
-                                 std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return util::Status::ioError("bind 127.0.0.1:" +
-                                 std::to_string(options_.port) + ": " +
-                                 std::strerror(errno));
-  }
-  if (::listen(fd.get(), 128) != 0) {
-    return util::Status::ioError(std::string("listen: ") +
-                                 std::strerror(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd.get(), reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    return util::Status::ioError(std::string("getsockname: ") +
-                                 std::strerror(errno));
-  }
-  bound_port_ = static_cast<int>(ntohs(bound.sin_port));
-  listen_fd_ = std::move(fd);
-
-  queue_ = std::make_unique<BoundedQueue<Task>>(options_.queue_capacity);
-  draining_.store(false);
-  shed_all_.store(false);
-  running_.store(true);
-  workers_.reserve(options_.workers);
-  for (std::size_t i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { workerLoop(); });
-  }
-  acceptor_ = std::thread([this] { acceptLoop(); });
-  util::logInfo() << "serve: listening on 127.0.0.1:" << bound_port_
-                  << " workers=" << options_.workers
+  const util::Status started = core_.start();
+  if (!started.ok()) return started;
+  util::logInfo() << "serve: listening on 127.0.0.1:" << port()
                   << " queue=" << options_.queue_capacity;
   return util::Status::okStatus();
 }
 
 util::Status Server::reload() {
   const util::Status status = registry_.reload(faults_);
+  ServeMetrics& metrics = core_.metrics();
   if (status.ok()) {
-    metrics_.reloads.fetch_add(1, std::memory_order_relaxed);
+    metrics.reloads.fetch_add(1, std::memory_order_relaxed);
   } else {
-    metrics_.reload_failures.fetch_add(1, std::memory_order_relaxed);
+    metrics.reload_failures.fetch_add(1, std::memory_order_relaxed);
     util::logWarn() << "serve: reload failed (previous models kept): "
                     << status.message;
   }
@@ -124,8 +66,8 @@ util::Status Server::reload() {
 }
 
 MetricsSnapshot Server::stats() const {
-  MetricsSnapshot snap = metrics_.snapshot();
-  snap.queue_depth = queue_ != nullptr ? queue_->size() : 0;
+  MetricsSnapshot snap = core_.metrics().snapshot();
+  snap.queue_depth = admitted_.load();
   snap.queue_capacity = options_.queue_capacity;
   snap.generation = registry_.generation();
   for (const auto& [name, breaker] : breakers_) {
@@ -137,167 +79,28 @@ MetricsSnapshot Server::stats() const {
   return snap;
 }
 
-void Server::acceptLoop() {
-  while (!draining_.load()) {
-    pollfd pfd{listen_fd_.get(), POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 100);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      util::logWarn() << "serve: poll: " << std::strerror(errno);
-      break;
-    }
-    reapFinishedConnections();
-    if (rc == 0 || (pfd.revents & POLLIN) == 0) continue;
-    util::UniqueFd conn(::accept4(listen_fd_.get(), nullptr, nullptr,
-                                  SOCK_CLOEXEC));
-    if (!conn.valid()) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;  // listener shut down under us (drain) or fatal
-    }
-    const std::uint64_t conn_id =
-        next_connection_id_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.connections.fetch_add(1, std::memory_order_relaxed);
-    if (faults_->shouldFail("serve.accept", std::to_string(conn_id))) {
-      // Injected accept fault: the connection is dropped before any
-      // request is read. Clients observe a clean EOF, never a hang.
-      metrics_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    std::size_t live = 0;
-    {
-      const std::lock_guard<std::mutex> lock(connections_mutex_);
-      live = connections_.size();
-    }
-    if (live >= options_.max_connections) {
-      const Response shed = Response::shed("connection limit");
-      const std::string line = shed.serialize() + "\n";
-      sendAll(conn.get(), line.data(), line.size());
-      metrics_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.emplace_back();
-    Connection* entry = &connections_.back();
-    entry->fd = std::move(conn);
-    entry->thread = std::thread([this, entry] { connectionLoop(entry); });
-  }
-}
-
-void Server::reapFinishedConnections() {
-  const std::lock_guard<std::mutex> lock(connections_mutex_);
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if (it->done.load()) {
-      if (it->thread.joinable()) it->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void Server::connectionLoop(Connection* connection) {
-  std::string buffer;
-  bool discarding = false;  // inside an oversized line, until '\n'
-  char chunk[4096];
-  for (;;) {
-    ssize_t n = ::recv(connection->fd.get(), chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // EOF, error, or drain's shutdown(SHUT_RD)
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    for (;;) {
-      const std::size_t nl = buffer.find('\n');
-      if (nl == std::string::npos) {
-        if (discarding) {
-          buffer.clear();
-        } else if (buffer.size() > kMaxLineBytes) {
-          // The line already exceeds the cap without a terminator:
-          // answer once, then swallow until the newline arrives.
-          metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-          writeResponse(connection,
-                        Response::error(ErrorCode::kOversized,
-                                        "request line exceeds " +
-                                            std::to_string(kMaxLineBytes) +
-                                            " bytes"));
-          discarding = true;
-          buffer.clear();
-        }
-        break;
-      }
-      std::string line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
-      if (discarding) {
-        discarding = false;  // tail of the oversized line; already answered
-        continue;
-      }
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.size() > kMaxLineBytes) {
-        metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-        writeResponse(connection,
-                      Response::error(ErrorCode::kOversized,
-                                      "request line exceeds " +
-                                          std::to_string(kMaxLineBytes) +
-                                          " bytes"));
-        continue;
-      }
-      if (line.find_first_not_of(" \t") == std::string::npos) continue;
-      handleLine(connection, line);
-    }
-  }
-  connection->done.store(true);
-}
-
-void Server::handleLine(Connection* connection, std::string_view line) {
-  metrics_.requests.fetch_add(1, std::memory_order_relaxed);
+void Server::handleLine(std::string_view line, Replies& out) {
   const std::uint64_t id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  if (faults_->shouldFail("serve.parse", std::to_string(id))) {
-    writeResponse(connection,
-                  Response::error(ErrorCode::kFaultInjected,
-                                  "injected fault at serve.parse"));
+  if (faultAt("serve.parse", id)) {
+    out.add(Response::error(ErrorCode::kFaultInjected,
+                            "injected fault at serve.parse"));
     return;
   }
   Request request;
-  const util::Status parsed = parseRequest(line, &request);
-  if (!parsed.ok()) {
-    // Parse failures are per-line: one BAD_REQUEST/PARSE even for a
-    // malformed predictN (there is no trustworthy tuple count yet).
-    writeResponse(connection, responseForParseFailure(parsed));
+  if (!core_.parsePredict(line, &request, out, [this](const Request& r) {
+        return handleControl(r);
+      })) {
     return;
   }
-  // From here the line is a well-formed request answered with
-  // responseCount() lines; count each tuple toward the
-  // requests == ok+shed+deadline+errors invariant.
-  const std::size_t lines = request.responseCount();
-  if (lines > 1) {
-    metrics_.requests.fetch_add(lines - 1, std::memory_order_relaxed);
-  }
-  if (request.kind != RequestKind::kPredict &&
-      request.kind != RequestKind::kPredictBatch) {
-    writeResponse(connection, handleControl(request));
+  const auto arrival = std::chrono::steady_clock::now();
+  if (admitted_.fetch_add(1) >= options_.queue_capacity) {
+    admitted_.fetch_sub(1);
+    out.add(Response::shed("queue full"), request.responseCount());
     return;
   }
-  if (draining_.load()) {
-    const std::vector<Response> shed(lines, Response::shed("draining"));
-    writeResponses(connection, shed);
-    return;
-  }
-  Task task;
-  task.request = std::move(request);
-  task.arrival = Clock::now();
-  task.deadline_ms = task.request.deadline_ms > 0.0
-                         ? task.request.deadline_ms
-                         : options_.default_deadline_ms;
-  task.id = id;
-  // Admission-time model snapshot: this request is served entirely
-  // from one generation even if a reload lands while it is queued.
-  task.models = registry_.snapshot();
-  std::future<std::vector<Response>> future = task.promise.get_future();
-  if (!queue_->tryPush(std::move(task))) {
-    const std::vector<Response> shed(lines, Response::shed("queue full"));
-    writeResponses(connection, shed);
-    return;
-  }
-  writeResponses(connection, future.get());
+  predict(request, id, arrival, out);
+  admitted_.fetch_sub(1);
 }
 
 Response Server::handleControl(const Request& request) {
@@ -308,7 +111,7 @@ Response Server::handleControl(const Request& request) {
       std::snprintf(buf, sizeof(buf),
                     "health status=%s generation=%llu models=%zu "
                     "queue=%zu/%zu breakers_open=%zu",
-                    draining_.load() ? "draining" : "serving",
+                    core_.draining() ? "draining" : "serving",
                     static_cast<unsigned long long>(snap.generation),
                     registry_.snapshot()->models.size(), snap.queue_depth,
                     snap.queue_capacity, snap.breakers_open);
@@ -333,176 +136,95 @@ Response Server::handleControl(const Request& request) {
   return Response::error(ErrorCode::kInternal, "bad control dispatch");
 }
 
-void Server::workerLoop() {
-  while (std::optional<Task> task = queue_->pop()) {
-    in_flight_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<Response> responses = processTask(*task);
-    task->promise.set_value(std::move(responses));
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-std::vector<Response> Server::processTask(Task& task) {
-  // A batch fails or succeeds as a unit up to the predict call: shed,
+void Server::predict(const Request& request, std::uint64_t id,
+                     std::chrono::steady_clock::time_point arrival,
+                     Replies& out) {
+  // A batch fails or succeeds as a unit up to the predict call:
   // deadline, breaker, and fault outcomes are replicated per tuple so
   // the client still receives exactly n lines. Fault points and the
-  // breaker fire once per batch (keyed by task id), not per tuple.
-  const std::size_t lines = task.request.responseCount();
-  const auto replicate = [lines](Response response) {
-    return std::vector<Response>(lines, std::move(response));
+  // breaker fire once per batch (keyed by request id), not per tuple.
+  const std::size_t lines = request.responseCount();
+  const auto fail = [&](ErrorCode code, const std::string& detail) {
+    out.add(Response::error(code, detail), lines);
   };
-  if (shed_all_.load()) return replicate(Response::shed("draining"));
-  const double waited_ms = msSince(task.arrival);
-  if (task.deadline_ms > 0.0 && waited_ms > task.deadline_ms) {
+  const double deadline_ms = request.deadline_ms > 0.0
+                                 ? request.deadline_ms
+                                 : options_.default_deadline_ms;
+  double elapsed_ms = 0.0;
+  const auto expired = [&](const char* stage) {
+    elapsed_ms = msSince(arrival);
+    if (deadline_ms <= 0.0 || elapsed_ms <= deadline_ms) return false;
     char buf[96];
-    std::snprintf(buf, sizeof(buf), "queued %.3f ms > deadline %.3f ms",
-                  waited_ms, task.deadline_ms);
-    return replicate(Response::deadline(buf));
-  }
-  const auto breaker_it = breakers_.find(task.request.fu);
+    std::snprintf(buf, sizeof(buf), "%s %.3f ms > deadline %.3f ms", stage,
+                  elapsed_ms, deadline_ms);
+    out.add(Response::deadline(buf), lines);
+    return true;
+  };
+  // Admission-time model snapshot: this request is served entirely
+  // from one generation even if a reload lands while it runs.
+  const std::shared_ptr<const ModelSet> models = registry_.snapshot();
+  if (expired("admitted")) return;
+  const auto breaker_it = breakers_.find(request.fu);
   if (breaker_it == breakers_.end()) {
-    return replicate(Response::error(
-        ErrorCode::kUnknownFu, "unknown fu '" + task.request.fu + "'"));
+    return fail(ErrorCode::kUnknownFu, "unknown fu '" + request.fu + "'");
   }
   const core::TevotModel* model =
-      task.models != nullptr ? task.models->find(task.request.fu) : nullptr;
+      models != nullptr ? models->find(request.fu) : nullptr;
   if (model == nullptr) {
-    return replicate(Response::error(
-        ErrorCode::kModelUnavailable,
-        "no model loaded for '" + task.request.fu + "'"));
+    return fail(ErrorCode::kModelUnavailable,
+                "no model loaded for '" + request.fu + "'");
   }
   CircuitBreaker& breaker = breaker_it->second;
   if (!breaker.allow()) {
-    return replicate(Response::error(
-        ErrorCode::kBreakerOpen,
-        "breaker open for '" + task.request.fu + "'"));
+    return fail(ErrorCode::kBreakerOpen,
+                "breaker open for '" + request.fu + "'");
   }
-  const bool is_batch = task.request.kind == RequestKind::kPredictBatch;
   std::vector<double> delays(lines, 0.0);
   try {
-    // serve.slow (delay) is a separate point from serve.predict
-    // (failure) so tests can arm slow backends without also arming
-    // failures — the deterministic way to fill the admission queue.
-    faults_->maybeDelay("serve.slow", std::to_string(task.id));
-    faults_->maybeThrow("serve.predict", std::to_string(task.id));
-    const liberty::Corner corner{task.request.voltage,
-                                 task.request.temperature};
-    if (is_batch) {
-      std::vector<core::DelayQuery> queries(task.request.batch.size());
+    if (faults_->armed()) {
+      // serve.slow (delay) is a separate point from serve.predict
+      // (failure) so tests can arm slow backends without also arming
+      // failures — the deterministic way to fill the admission cap.
+      const std::string key = std::to_string(id);
+      faults_->maybeDelay("serve.slow", key);
+      faults_->maybeThrow("serve.predict", key);
+    }
+    const liberty::Corner corner{request.voltage, request.temperature};
+    if (request.kind == RequestKind::kPredictBatch) {
+      std::vector<core::DelayQuery> queries(request.batch.size());
       for (std::size_t i = 0; i < queries.size(); ++i) {
-        const BatchOperand& operand = task.request.batch[i];
+        const BatchOperand& operand = request.batch[i];
         queries[i] = {operand.a, operand.b, operand.prev_a, operand.prev_b,
                       corner};
       }
       model->predictDelayBatch(queries, delays);
     } else {
-      delays[0] = model->predictDelay(task.request.a, task.request.b,
-                                      task.request.prev_a,
-                                      task.request.prev_b, corner);
+      delays[0] = model->predictDelay(request.a, request.b, request.prev_a,
+                                      request.prev_b, corner);
     }
   } catch (const util::StatusError& error) {
     breaker.recordFailure();
-    const ErrorCode code =
-        error.status().code == util::StatusCode::kFaultInjected
-            ? ErrorCode::kFaultInjected
-            : ErrorCode::kInternal;
-    return replicate(Response::error(code, error.status().message));
+    return fail(error.status().code == util::StatusCode::kFaultInjected
+                    ? ErrorCode::kFaultInjected
+                    : ErrorCode::kInternal,
+                error.status().message);
   } catch (const std::exception& error) {
     breaker.recordFailure();
-    return replicate(Response::error(ErrorCode::kInternal, error.what()));
+    return fail(ErrorCode::kInternal, error.what());
   }
   breaker.recordSuccess();
-  const double total_ms = msSince(task.arrival);
-  if (task.deadline_ms > 0.0 && total_ms > task.deadline_ms) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "served in %.3f ms > deadline %.3f ms",
-                  total_ms, task.deadline_ms);
-    return replicate(Response::deadline(buf));
-  }
-  metrics_.recordLatencyMs(total_ms);
-  std::vector<Response> responses;
-  responses.reserve(lines);
+  if (expired("served in")) return;
+  core_.metrics().recordLatencyMs(elapsed_ms);
   for (const double delay_ps : delays) {
-    responses.push_back(
-        Response::ok(delay_ps, delay_ps > task.request.tclk_ps));
+    out.add(Response::ok(delay_ps, delay_ps > request.tclk_ps));
   }
-  return responses;
-}
-
-void Server::writeResponse(Connection* connection,
-                           const Response& response) {
-  writeResponses(connection, std::span<const Response>(&response, 1));
-}
-
-void Server::writeResponses(Connection* connection,
-                            std::span<const Response> responses) {
-  std::string lines;
-  for (const Response& response : responses) {
-    switch (response.status) {
-      case ResponseStatus::kOk:
-        metrics_.ok.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case ResponseStatus::kShed:
-        metrics_.shed.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case ResponseStatus::kDeadline:
-        metrics_.deadline.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case ResponseStatus::kError:
-        metrics_.errors.fetch_add(1, std::memory_order_relaxed);
-        break;
-    }
-    lines += response.serialize();
-    lines += '\n';
-  }
-  sendAll(connection->fd.get(), lines.data(), lines.size());
 }
 
 MetricsSnapshot Server::drainAndStop() {
-  bool was_running = true;
-  if (!running_.compare_exchange_strong(was_running, false)) {
-    return stats();  // already stopped (or never started)
+  if (core_.drainAndStop()) {
+    util::logInfo() << "serve: drained; " << stats().toLine();
   }
-  draining_.store(true);
-  // Wake the acceptor out of poll and stop new connections.
-  if (listen_fd_.valid()) ::shutdown(listen_fd_.get(), SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
-  // Half-close every live connection: readers see EOF once the
-  // in-flight request (if any) has been answered; writes still flow.
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (Connection& connection : connections_) {
-      if (connection.fd.valid()) {
-        ::shutdown(connection.fd.get(), SHUT_RD);
-      }
-    }
-  }
-  // Give admitted work the drain budget, then shed the remainder.
-  const Clock::time_point drain_start = Clock::now();
-  while (queue_->size() > 0 || in_flight_.load() > 0) {
-    if (options_.drain_deadline_ms > 0.0 &&
-        msSince(drain_start) > options_.drain_deadline_ms) {
-      shed_all_.store(true);
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  queue_->close();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (Connection& connection : connections_) {
-      if (connection.thread.joinable()) connection.thread.join();
-    }
-    connections_.clear();
-  }
-  listen_fd_.reset();
-  const MetricsSnapshot final_stats = stats();
-  util::logInfo() << "serve: drained; " << final_stats.toLine();
-  return final_stats;
+  return stats();
 }
 
 }  // namespace tevot::serve

@@ -1,28 +1,31 @@
 // Long-running, multi-threaded TEVoT prediction server.
 //
-// Thread model: one acceptor, one thread per live connection (bounded
-// by max_connections), and a fixed worker pool. A connection thread
-// reads request lines, admits predict work into the bounded queue
-// (full queue => typed SHED, never a silent drop), and blocks for that
-// request's response before reading the next line, so responses are
-// trivially ordered and every request gets exactly one — a predictN
-// batch occupies one queue slot and is answered with exactly n typed
-// lines in tuple order (a shed/expired batch yields n SHED/DEADLINE
-// lines; the metrics invariant requests == ok+shed+deadline+errors
-// counts each tuple as a request). Workers pop
-// tasks, enforce the end-to-end deadline (admission wait + compute),
-// route through the per-FU circuit breaker, and predict against the
-// immutable model snapshot captured at admission (reload atomicity).
+// Thread model: the request handler over serve::LineServer (one
+// acceptor, one thread per live connection, bounded by
+// max_connections). Each connection thread answers its own requests
+// inline, one line at a time, so responses are trivially ordered and
+// every request gets exactly one; a predictN batch is answered with
+// exactly n typed lines in tuple order (a shed/expired batch yields n
+// SHED/DEADLINE lines; the metrics invariant
+// requests == ok+shed+deadline+errors counts each tuple as a
+// request). A predict is admitted only while fewer than
+// queue_capacity predicts are in flight (otherwise a typed SHED, never
+// a silent drop); the in-flight count is the `queue_depth` gauge. An
+// admitted predict takes the immutable model snapshot current at
+// admission (reload atomicity), enforces the end-to-end deadline
+// (checked at admission and after compute) and routes through the
+// per-FU circuit breaker.
 //
 // Robustness surface:
-//  * load shedding   bounded queue + connection cap, SHED responses
+//  * load shedding   admission cap + connection cap, SHED responses
 //  * deadlines       per-request (or server default), checked at
-//                    dequeue and after compute
+//                    admission and after compute
 //  * circuit breaker per model backend; OPEN => typed BREAKER_OPEN
 //  * hot reload      ModelRegistry validate-then-swap (control
 //                    `reload` request; tevot_serve also maps SIGHUP)
-//  * graceful drain  drainAndStop(): stop accepting, complete or shed
-//                    queued work within the drain deadline, join all
+//  * graceful drain  drainAndStop(): stop accepting, finish the
+//                    requests in hand (buffered predicts are shed)
+//                    within the drain deadline, join all
 //  * fault injection serve.accept / serve.parse / serve.predict /
 //                    serve.reload (failures) and serve.slow (delay)
 //                    sites, armed via TEVOT_FAULTS or a
@@ -33,22 +36,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <future>
-#include <list>
 #include <map>
-#include <memory>
-#include <span>
 #include <string>
-#include <thread>
-#include <vector>
+#include <string_view>
 
 #include "serve/breaker.hpp"
+#include "serve/line_server.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
-#include "serve/queue.hpp"
 #include "serve/registry.hpp"
 #include "util/fault_injection.hpp"
-#include "util/fd.hpp"
 
 namespace tevot::serve {
 
@@ -56,7 +53,8 @@ struct ServerOptions {
   std::string model_dir;
   /// Listen port on 127.0.0.1; 0 binds an ephemeral port (see port()).
   int port = 0;
-  std::size_t workers = 2;
+  /// Cap on admitted predicts in flight; reported as queue_depth /
+  /// queue_capacity.
   std::size_t queue_capacity = 64;
   std::size_t max_connections = 64;
   /// Applied when a request carries no deadline; 0 = none.
@@ -66,8 +64,7 @@ struct ServerOptions {
   /// validation; an uncertifiable model is refused and the previous
   /// set keeps serving.
   bool strict_verify = false;
-  /// Budget for drainAndStop() to complete queued work before
-  /// shedding the remainder.
+  /// Budget for drainAndStop() to finish the requests in hand.
   double drain_deadline_ms = 2000.0;
   BreakerConfig breaker;
   /// Fault injector for the serve.* points; nullptr uses
@@ -87,84 +84,44 @@ class Server {
   /// error (and starts nothing) on load/bind failure.
   util::Status start();
 
-  bool running() const { return running_.load(); }
+  bool running() const { return core_.running(); }
   /// The bound port (after start()).
-  int port() const { return bound_port_; }
+  int port() const { return core_.port(); }
 
   /// Hot reload from the model directory; on failure the previous
   /// models keep serving.
   util::Status reload();
 
-  /// Counters plus live gauges (queue depth, breaker states,
-  /// generation).
+  /// Counters plus live gauges (predicts in flight as queue depth,
+  /// breaker states, generation).
   MetricsSnapshot stats() const;
 
-  /// Graceful drain: stop accepting, complete or shed queued work
+  /// Graceful drain: stop accepting, finish the requests in hand
   /// within drain_deadline_ms, join every thread. Idempotent.
   /// Returns the final stats snapshot.
   MetricsSnapshot drainAndStop();
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  struct Task {
-    Request request;
-    Clock::time_point arrival{};
-    double deadline_ms = 0.0;
-    std::uint64_t id = 0;
-    std::shared_ptr<const ModelSet> models;
-    /// One entry per response line: batch tuples for kPredictBatch,
-    /// a single entry otherwise.
-    std::promise<std::vector<Response>> promise;
-  };
-
-  struct Connection {
-    util::UniqueFd fd;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  void acceptLoop();
-  void connectionLoop(Connection* connection);
-  void workerLoop();
-  void handleLine(Connection* connection, std::string_view line);
+  void handleLine(std::string_view line, Replies& out);
   Response handleControl(const Request& request);
-  /// One Response per expected line (request.responseCount() of them);
-  /// batch predicts run through TevotModel::predictDelayBatch, batch
-  /// shed/deadline/error outcomes are replicated per tuple.
-  std::vector<Response> processTask(Task& task);
-  /// Serializes, appends '\n', writes, and bumps the per-status
-  /// counter. A failed write (client gone) is not an error.
-  void writeResponse(Connection* connection, const Response& response);
-  /// writeResponse for every line of a batch, one send() so a batch
-  /// answer is never interleaved with another write.
-  void writeResponses(Connection* connection,
-                      std::span<const Response> responses);
-  void reapFinishedConnections();
-  static double msSince(Clock::time_point start);
+  /// Answers an admitted predict/predictN with request.responseCount()
+  /// lines; batch predicts run through TevotModel::predictDelayBatch,
+  /// and batch shed/deadline/error outcomes are replicated per tuple.
+  void predict(const Request& request, std::uint64_t id,
+               std::chrono::steady_clock::time_point arrival, Replies& out);
+  /// Whether the armed injector fails `point` for request `id`; the
+  /// key string is built only when a plan is armed.
+  bool faultAt(std::string_view point, std::uint64_t id);
 
   ServerOptions options_;
   ModelRegistry registry_;
-  ServeMetrics metrics_;
   util::FaultInjector* faults_ = nullptr;
   std::map<std::string, CircuitBreaker> breakers_;
-
-  util::UniqueFd listen_fd_;
-  int bound_port_ = 0;
-
-  std::unique_ptr<BoundedQueue<Task>> queue_;
-  std::vector<std::thread> workers_;
-  std::thread acceptor_;
-
-  std::mutex connections_mutex_;
-  std::list<Connection> connections_;
-
-  std::atomic<bool> running_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> shed_all_{false};
-  std::atomic<std::size_t> in_flight_{0};
+  std::atomic<std::size_t> admitted_{0};  ///< predicts in flight
   std::atomic<std::uint64_t> next_request_id_{1};
-  std::atomic<std::uint64_t> next_connection_id_{1};
+  /// Declared after the members its threads call into, so it is
+  /// destroyed (and joined) before them.
+  LineServer core_;
 };
 
 }  // namespace tevot::serve

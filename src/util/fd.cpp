@@ -1,7 +1,9 @@
 #include "util/fd.hpp"
 
-#include <cerrno>
+#include <sys/socket.h>
 #include <unistd.h>
+
+#include <cerrno>
 
 namespace tevot::util {
 
@@ -12,6 +14,16 @@ void UniqueFd::reset(int fd) {
     ::close(fd_);
   }
   fd_ = fd;
+}
+
+bool sendAll(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
 }
 
 }  // namespace tevot::util

@@ -6,6 +6,8 @@
 // std::unique_ptr for fds.
 #pragma once
 
+#include <string_view>
+
 namespace tevot::util {
 
 class UniqueFd {
@@ -39,5 +41,10 @@ class UniqueFd {
  private:
   int fd_ = -1;
 };
+
+/// Writes all of `bytes` to socket `fd`, retrying on EINTR and short
+/// writes. MSG_NOSIGNAL turns a dead peer into a false return instead
+/// of SIGPIPE.
+bool sendAll(int fd, std::string_view bytes);
 
 }  // namespace tevot::util

@@ -10,6 +10,10 @@ namespace {
 // VCD identifier codes use the printable ASCII range 33..126.
 constexpr int kIdBase = 94;
 constexpr char kIdFirst = '!';
+// Largest signal id a parsed file may use. signal_names is sized by
+// the largest id, so the cap bounds what one $var line can allocate;
+// real netlists stay far below it.
+constexpr std::uint64_t kMaxSignalId = (1u << 20) - 1;
 
 }  // namespace
 
@@ -86,6 +90,8 @@ void VcdWriter::finish(std::uint64_t end_time_ps) {
 VcdData parseVcd(std::istream& is) {
   VcdData data;
   std::vector<SignalId> id_map;  // dense decode table is built lazily
+  // Every step stays <= kMaxSignalId * kIdBase + 93, so the decode
+  // cannot wrap.
   auto decodeId = [](const std::string& code) -> std::uint64_t {
     std::uint64_t v = 0;
     for (auto it = code.rbegin(); it != code.rend(); ++it) {
@@ -95,6 +101,10 @@ VcdData parseVcd(std::istream& is) {
                                  "'");
       }
       v = v * kIdBase + static_cast<std::uint64_t>(c - kIdFirst);
+      if (v > kMaxSignalId) {
+        throw std::runtime_error("VCD parse error: id code '" + code +
+                                 "' exceeds the signal cap");
+      }
     }
     return v;
   };

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <type_traits>
 
 #include "netlist/wordbus.hpp"
 #include "util/bitvec.hpp"
@@ -65,10 +66,14 @@ TEST(HalfFullAdderTest, TruthTables) {
   }
 }
 
+// gtest names each instance after the bytes of its AdderCase, so the
+// struct must have no padding: padding bytes are indeterminate and would
+// give the same case a different test name from one run to the next.
 struct AdderCase {
-  int width;
-  bool kogge_stone;
+  std::int32_t width;
+  std::int32_t kogge_stone;  // 0 = ripple carry, 1 = Kogge-Stone
 };
+static_assert(std::has_unique_object_representations_v<AdderCase>);
 
 class AdderParamTest : public ::testing::TestWithParam<AdderCase> {};
 

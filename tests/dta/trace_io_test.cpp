@@ -87,6 +87,18 @@ TEST(TraceIoTest, GarbageAndNonFiniteAreParseErrors) {
             StatusCode::kParseError);
 }
 
+TEST(TraceIoTest, HugeCountsOnShortInputAreTruncationNotBadAlloc) {
+  // 2^60 samples or toggles: reserving the count up front threw
+  // bad_alloc instead of reporting the truncated file.
+  const std::string header =
+      "tevot-dtatrace v1\ncorner 0x1p0 0x1p0\nworkload w\nsim_events 0\n";
+  EXPECT_EQ(parseCodeOf(header + "samples 1152921504606846976\n1 2 3 4\n"),
+            StatusCode::kParseError);
+  EXPECT_EQ(parseCodeOf(header + "samples 1\n1 2 3 4 0x1p0 0 0 "
+                                 "1152921504606846976 0x1p0 0 1\nend\n"),
+            StatusCode::kParseError);
+}
+
 TEST(TraceIoTest, MissingFileIsIoErrorWithPathAndErrno) {
   const std::string path = testing::TempDir() + "tevot_no_such.trace";
   try {

@@ -39,7 +39,6 @@ TEST(LoadgenSigintTest, SigtermMidStormFlushesPartialJsonAndExits130) {
   const check::OracleModel oracle = check::oracleModel();
   serve::ServerOptions server_options;
   server_options.model_dir = oracle.model_dir;
-  server_options.workers = 2;
   serve::Server server(server_options);
   ASSERT_TRUE(server.start().ok());
 
@@ -91,7 +90,6 @@ TEST(LoadgenSigintTest, UninterruptedRunReportsInterruptedZero) {
   const check::OracleModel oracle = check::oracleModel();
   serve::ServerOptions server_options;
   server_options.model_dir = oracle.model_dir;
-  server_options.workers = 2;
   serve::Server server(server_options);
   ASSERT_TRUE(server.start().ok());
 

@@ -2,10 +2,14 @@
 // shard eviction/re-admission, and cross-process stats aggregation —
 // against real serve::Server shards on loopback.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -14,6 +18,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
+#include "util/fd.hpp"
 
 namespace tevot::fleet {
 namespace {
@@ -27,7 +32,6 @@ using serve_test::serveTestModels;
 std::unique_ptr<serve::Server> bootShard(std::size_t queue_capacity = 16) {
   serve::ServerOptions options;
   options.model_dir = serveTestModels().dir;
-  options.workers = 2;
   options.queue_capacity = queue_capacity;
   auto server = std::make_unique<serve::Server>(options);
   EXPECT_TRUE(server->start().ok());
@@ -50,6 +54,50 @@ Response request(LineClient& client, const std::string& line) {
   EXPECT_TRUE(serve::parseResponse(raw.value_or(""), &response));
   return response;
 }
+
+/// A loopback connection that sends bytes exactly as given (no
+/// implied terminator) and reads responses one line at a time.
+class RawConnection {
+ public:
+  explicit RawConnection(int port)
+      : fd_(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
+    timeval timeout{5, 0};  // a missing response fails, never hangs
+    ::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                 sizeof(timeout));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    connected_ = ::connect(fd_.get(), reinterpret_cast<sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+  }
+
+  bool connected() const { return connected_; }
+
+  bool send(std::string_view bytes) {
+    while (!bytes.empty()) {
+      const ssize_t n =
+          ::send(fd_.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      bytes.remove_prefix(static_cast<std::size_t>(n));
+    }
+    return true;
+  }
+
+  std::optional<std::string> readLine() {
+    std::string line;
+    char c = 0;
+    while (::recv(fd_.get(), &c, 1, 0) == 1) {
+      if (c == '\n') return line;
+      line.push_back(c);
+    }
+    return std::nullopt;
+  }
+
+ private:
+  util::UniqueFd fd_;
+  bool connected_ = false;
+};
 
 bool awaitAllEligible(const Router& router, double timeout_ms = 5000.0) {
   for (int i = 0; i < static_cast<int>(timeout_ms / 10.0); ++i) {
@@ -114,6 +162,67 @@ TEST(RouterTest, ReplicatedRelaysBitIdenticalResponses) {
 
   router.drainAndStop();
   for (auto& shard : shards) shard->drainAndStop();
+}
+
+TEST(RouterTest, WireAbuseGetsOneTypedLineAndConnectionSurvives) {
+  std::vector<std::unique_ptr<serve::Server>> shards;
+  shards.push_back(bootShard());
+  Router router(fastRouterOptions(), {{shards[0]->port(), {}}});
+  ASSERT_TRUE(router.start().ok());
+  ASSERT_TRUE(awaitAllEligible(router));
+  RawConnection conn(router.port());
+  ASSERT_TRUE(conn.connected());
+  const auto expectError = [&](ErrorCode code, const char* what) {
+    const std::optional<std::string> raw = conn.readLine();
+    ASSERT_TRUE(raw.has_value()) << what;
+    Response response;
+    ASSERT_TRUE(serve::parseResponse(*raw, &response)) << what << ": " << *raw;
+    EXPECT_EQ(response.status, ResponseStatus::kError) << what;
+    EXPECT_EQ(response.code, code) << what << ": " << *raw;
+  };
+
+  // Oversized with a terminator.
+  ASSERT_TRUE(conn.send(std::string(serve::kMaxLineBytes + 100, 'x') + "\n"));
+  expectError(ErrorCode::kOversized, "terminated oversized line");
+  // Oversized without one: answered before the terminator arrives,
+  // and the tail up to the next newline is swallowed.
+  ASSERT_TRUE(conn.send(std::string(serve::kMaxLineBytes + 100, 'y')));
+  expectError(ErrorCode::kOversized, "unterminated oversized line");
+  ASSERT_TRUE(conn.send("tail of the oversized line\n"));
+
+  // Blank lines get no response at all, so the next response line
+  // belongs to the next non-blank request.
+  ASSERT_TRUE(conn.send("\n \t\n\r\n  \r\n"));
+  ASSERT_TRUE(conn.send("predict int_add 0.9 25\r\n"));
+  expectError(ErrorCode::kParse, "CRLF truncated predict");
+  ASSERT_TRUE(conn.send("frobnicate int_add 0.9 25 300 1 2 3 4\n"));
+  expectError(ErrorCode::kParse, "garbage verb");
+  ASSERT_TRUE(conn.send("predict int_add nan 25 300 1 2 3 4\n"));
+  expectError(ErrorCode::kBadRequest, "NaN operand");
+
+  // The same connection answers a valid CRLF predict bit-identically
+  // to the in-process model.
+  const double v = 0.9, t = 25.0, tclk = 300.0;
+  char line[160];
+  std::snprintf(line, sizeof(line), "predict int_add %a %a %a 7 9 1 2\r\n",
+                v, t, tclk);
+  ASSERT_TRUE(conn.send(line));
+  const std::optional<std::string> raw = conn.readLine();
+  ASSERT_TRUE(raw.has_value());
+  Response ok;
+  ASSERT_TRUE(serve::parseResponse(*raw, &ok)) << *raw;
+  ASSERT_EQ(ok.status, ResponseStatus::kOk) << *raw;
+  const double expected =
+      serveTestModels().model_a.predictDelay(7, 9, 1, 2, {v, t});
+  EXPECT_EQ(std::memcmp(&ok.delay_ps, &expected, sizeof(double)), 0);
+
+  const serve::MetricsSnapshot stats = router.drainAndStop();
+  EXPECT_EQ(stats.requests, 6u);
+  EXPECT_EQ(stats.errors, 5u);
+  EXPECT_EQ(stats.ok, 1u);
+  EXPECT_EQ(stats.requests,
+            stats.ok + stats.shed + stats.deadline + stats.errors);
+  shards[0]->drainAndStop();
 }
 
 TEST(RouterTest, PerFuPolicyRoutesToOwnerOnly) {

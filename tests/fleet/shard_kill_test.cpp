@@ -122,8 +122,8 @@ TEST(ShardKillStormTest, KillAtRandomPointPreservesFleetContract) {
   Process router = Process::spawn(
       TEVOT_ROUTER_BINARY,
       {"--model-dir", serveTestModels().dir, "--serve-binary",
-       TEVOT_SERVE_BINARY, "--shards", "3", "--workers", "2", "--queue",
-       "32", "--health-interval-ms", "20"});
+       TEVOT_SERVE_BINARY, "--shards", "3", "--queue", "32",
+       "--health-interval-ms", "20"});
   ASSERT_TRUE(router.awaitReady()) << router.readStderr();
   ASSERT_GT(router.port(), 0);
   ASSERT_EQ(router.shards().size(), 3u) << "expected 3 shard announcements";

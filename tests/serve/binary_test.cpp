@@ -126,8 +126,7 @@ Response request(LineClient& client, const std::string& line) {
 }
 
 TEST(ServeBinaryTest, ServesPredictionsAndDrainsOnSigterm) {
-  ServeProcess process =
-      spawnServe({"--model-dir", serveTestModels().dir, "--workers", "2"});
+  ServeProcess process = spawnServe({"--model-dir", serveTestModels().dir});
   ASSERT_GT(process.port, 0);
 
   LineClient client;
@@ -150,8 +149,7 @@ TEST(ServeBinaryTest, ServesPredictionsAndDrainsOnSigterm) {
 }
 
 TEST(ServeBinaryTest, SighupHotReloadsModels) {
-  ServeProcess process =
-      spawnServe({"--model-dir", serveTestModels().dir});
+  ServeProcess process = spawnServe({"--model-dir", serveTestModels().dir});
   ASSERT_GT(process.port, 0);
   LineClient client;
   ASSERT_TRUE(client.connectTo(process.port).ok());
@@ -179,8 +177,7 @@ TEST(ServeBinaryTest, FinalStatsLineIsMachineParseable) {
   // The drain summary on stderr is the fleet supervisor's only view
   // of a dead worker's counters, so it must round-trip through
   // parseMetricsLine and satisfy the accounting invariant.
-  ServeProcess process =
-      spawnServe({"--model-dir", serveTestModels().dir, "--workers", "2"});
+  ServeProcess process = spawnServe({"--model-dir", serveTestModels().dir});
   ASSERT_GT(process.port, 0);
 
   LineClient client;
@@ -224,8 +221,7 @@ TEST(ServeBinaryTest, FinalStatsLineIsMachineParseable) {
 }
 
 TEST(ServeBinaryTest, SigintAlsoDrainsCleanly) {
-  ServeProcess process =
-      spawnServe({"--model-dir", serveTestModels().dir});
+  ServeProcess process = spawnServe({"--model-dir", serveTestModels().dir});
   ASSERT_GT(process.port, 0);
   ASSERT_EQ(::kill(process.pid, SIGINT), 0);
   EXPECT_EQ(process.wait(), 0);

@@ -46,7 +46,6 @@ Response roundTrip(LineClient& client, const std::string& line) {
 ServerOptions baseOptions() {
   ServerOptions options;
   options.model_dir = serveTestModels().dir;
-  options.workers = 2;
   options.queue_capacity = 16;
   // Local injector (disarmed by default) so an outer TEVOT_FAULTS
   // never leaks into these deterministic tests.
@@ -211,14 +210,13 @@ TEST(ServerTest, FullQueueSheds) {
   faults.arm(plan);
 
   ServerOptions options = baseOptions();
-  options.workers = 1;
   options.queue_capacity = 1;
   options.faults = &faults;
   Server server(options);
   ASSERT_TRUE(server.start().ok());
 
-  // c1's request occupies the single worker; c2's fills the single
-  // queue slot; c3's has nowhere to go => SHED.
+  // c1's request takes the single admission slot; c2's and c3's find
+  // the cap reached => SHED.
   LineClient c1, c2, c3;
   ASSERT_TRUE(c1.connectTo(server.port()).ok());
   ASSERT_TRUE(c2.connectTo(server.port()).ok());
@@ -239,6 +237,70 @@ TEST(ServerTest, FullQueueSheds) {
   EXPECT_EQ(c1.readLine().has_value(), true);
   EXPECT_EQ(c2.readLine().has_value(), true);
   EXPECT_GE(server.stats().shed, 1u);
+}
+
+TEST(ServerTest, AdmissionCounterNeverLeaksAcrossOutcomes) {
+  util::FaultInjector faults;
+  ServerOptions options = baseOptions();
+  options.queue_capacity = 1;
+  options.breaker.failure_threshold = 2;
+  options.breaker.cooldown_ms = 500.0;
+  options.faults = &faults;
+  Server server(options);
+  ASSERT_TRUE(server.start().ok());
+  LineClient client;
+  ASSERT_TRUE(client.connectTo(server.port()).ok());
+  const std::string line = predictLine(0.9, 25, 300, 1, 2, 0, 0);
+  const auto expectOutcome = [&](const std::string& request,
+                                 ResponseStatus status, ErrorCode code) {
+    const Response response = roundTrip(client, request);
+    EXPECT_EQ(response.status, status) << response.detail;
+    EXPECT_EQ(response.code, code) << response.detail;
+    EXPECT_EQ(server.stats().queue_depth, 0u);
+  };
+  const auto arm = [&](const char* point) {
+    util::FaultPlan plan;
+    plan.rate = 1.0;
+    plan.points = {point};
+    plan.fail_attempts = 1000;
+    plan.slow_ms = 300.0;
+    faults.arm(plan);
+  };
+
+  expectOutcome(line, ResponseStatus::kOk, ErrorCode::kNone);
+  expectOutcome(predictLine(0.9, 25, 300, 1, 2, 0, 0, "1e-12"),
+                ResponseStatus::kDeadline, ErrorCode::kNone);
+  arm("serve.predict");
+  for (int i = 0; i < 2; ++i) {
+    expectOutcome(line, ResponseStatus::kError, ErrorCode::kFaultInjected);
+  }
+  expectOutcome(line, ResponseStatus::kError, ErrorCode::kBreakerOpen);
+
+  // SHED: a slowed predict holds the only admission slot while a
+  // second client's predict finds the cap reached. The breaker's
+  // cooldown has passed, so the slowed predict is its half-open probe
+  // and closes it again.
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  arm("serve.slow");
+  ASSERT_TRUE(client.sendLine(line));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  LineClient second;
+  ASSERT_TRUE(second.connectTo(server.port()).ok());
+  const Response shed = roundTrip(second, line);
+  EXPECT_EQ(shed.status, ResponseStatus::kShed) << shed.detail;
+  Response slow;
+  ASSERT_TRUE(parseResponse(client.readLine().value_or(""), &slow));
+  EXPECT_EQ(slow.status, ResponseStatus::kOk) << slow.detail;
+  EXPECT_EQ(server.stats().queue_depth, 0u);
+
+  // A fresh predict is admitted on either connection.
+  faults.disarm();
+  expectOutcome(line, ResponseStatus::kOk, ErrorCode::kNone);
+  EXPECT_EQ(roundTrip(second, line).status, ResponseStatus::kOk);
+  const MetricsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.requests,
+            stats.ok + stats.shed + stats.deadline + stats.errors);
 }
 
 TEST(ServerTest, HotReloadUnderLoadIsAtomic) {
@@ -322,7 +384,6 @@ TEST(ServerTest, DrainAndStopIsGracefulAndIdempotent) {
 
 TEST(ServerTest, ExactlyOneResponsePerRequestUnderConcurrentLoad) {
   ServerOptions options = baseOptions();
-  options.workers = 3;
   Server server(options);
   ASSERT_TRUE(server.start().ok());
 

@@ -83,7 +83,6 @@ TEST(StrictVerifyTest, ServerReloadRefusesCorruptModelAndKeepsServing) {
 
   ServerOptions options;
   options.model_dir = dir;
-  options.workers = 1;
   options.strict_verify = true;
   Server server(options);
   ASSERT_TRUE(server.start().ok());

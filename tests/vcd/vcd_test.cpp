@@ -85,6 +85,27 @@ TEST(VcdTest, ParserRejectsGarbage) {
                std::runtime_error);  // change for unknown signal
 }
 
+TEST(VcdTest, ParserRejectsIdCodesAboveTheSignalCap) {
+  // Five '~' decode to 94^5 - 1: sized by id, signal_names once asked
+  // resize() for ~270 GB.
+  EXPECT_THROW(parseVcdString("$var wire 1 ~~~~~ huge $end"),
+               std::runtime_error);
+  // Decodes to UINT64_MAX: id + 1 wrapped to resize(0), followed by an
+  // out-of-bounds write.
+  EXPECT_THROW(parseVcdString("$var wire 1 hQqj-&?33A wrap $end"),
+               std::runtime_error);
+  EXPECT_THROW(parseVcdString("$var wire 1 ! a $end\n$enddefinitions $end\n"
+                              "1hQqj-&?33A"),
+               std::runtime_error);
+  try {
+    parseVcdString("$var wire 1 ~~~~~ huge $end");
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("VCD parse error"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(VcdTest, UnknownSignalLookupThrows) {
   const VcdData data = parseVcdString(
       "$timescale 1ps $end\n$var wire 1 ! a $end\n"

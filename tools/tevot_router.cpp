@@ -2,7 +2,7 @@
 //
 //   tevot_router --model-dir DIR --serve-binary PATH [--port P]
 //                [--shards N] [--policy replicated|per-fu]
-//                [--fus "a,b;c;d"] [--workers N] [--queue N]
+//                [--fus "a,b;c;d"] [--queue N]
 //                [--deadline-ms MS] [--max-restarts N]
 //                [--shed-queue-fraction F] [--health-interval-ms MS]
 //
@@ -14,7 +14,9 @@
 //   tevot_router listening on 127.0.0.1:<port>
 //
 // --fus assigns FU ownership under per-fu policy: shard lists are
-// ';'-separated, FU names within a shard ','-separated.
+// ';'-separated, FU names within a shard ','-separated. --queue and
+// --deadline-ms pass through to every shard's tevot_serve (--queue
+// caps that shard's predicts in flight).
 //
 // Signals:
 //   SIGHUP          rolling zero-downtime reload, one shard at a time
@@ -42,7 +44,7 @@ int usage() {
       "usage: tevot_router --model-dir DIR --serve-binary PATH\n"
       "                    [--port P] [--shards N]\n"
       "                    [--policy replicated|per-fu] [--fus LISTS]\n"
-      "                    [--workers N] [--queue N] [--deadline-ms MS]\n"
+      "                    [--queue N] [--deadline-ms MS]\n"
       "                    [--max-restarts N] [--shed-queue-fraction F]\n"
       "                    [--health-interval-ms MS]\n"
       "LISTS: per-fu shard ownership, e.g. \"int_add,int_mul;alu\"\n"
@@ -110,10 +112,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--fus") {
       if ((v = value()) == nullptr) return usage();
       fus_text = v;
-    } else if (arg == "--workers") {
-      if ((v = value()) == nullptr) return usage();
-      supervisor_options.worker_threads =
-          static_cast<std::size_t>(std::atol(v));
     } else if (arg == "--queue") {
       if ((v = value()) == nullptr) return usage();
       supervisor_options.queue_capacity =

@@ -1,8 +1,12 @@
 // tevot_serve — resilient TEVoT prediction server.
 //
-//   tevot_serve --model-dir DIR [--port P] [--workers N] [--queue N]
-//               [--max-conns N] [--deadline-ms MS] [--drain-ms MS]
+//   tevot_serve --model-dir DIR [--port P] [--queue N] [--max-conns N]
+//               [--deadline-ms MS] [--drain-ms MS]
 //               [--breaker-failures N] [--breaker-cooldown-ms MS]
+//
+// Each connection is served on its own thread (--max-conns caps them);
+// --queue caps the predicts in flight across all connections, and a
+// predict over the cap is answered with a typed SHED.
 //
 // Serves the newline-delimited protocol of src/serve/protocol.hpp on
 // 127.0.0.1 (port 0 = ephemeral; the bound port is printed on stdout
@@ -14,9 +18,9 @@
 //   SIGHUP          hot reload (validate-then-swap; failure keeps the
 //                   previous models serving) — also available as the
 //                   in-band `reload` request
-//   SIGTERM/SIGINT  graceful drain: stop accepting, finish or shed
-//                   queued work within --drain-ms, print final stats
-//                   to stderr, exit 0
+//   SIGTERM/SIGINT  graceful drain: stop accepting, finish the
+//                   requests in hand within --drain-ms, print final
+//                   stats to stderr, exit 0
 //
 // TEVOT_FAULTS arms the serve.accept / serve.parse / serve.predict /
 // serve.reload fault-injection points (util/fault_injection.hpp) for
@@ -41,11 +45,12 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: tevot_serve --model-dir DIR [--port P] [--workers N]\n"
-      "                   [--queue N] [--max-conns N] [--deadline-ms MS]\n"
+      "usage: tevot_serve --model-dir DIR [--port P] [--queue N]\n"
+      "                   [--max-conns N] [--deadline-ms MS]\n"
       "                   [--drain-ms MS] [--breaker-failures N]\n"
       "                   [--breaker-cooldown-ms MS] [--strict-verify]\n"
       "DIR: one <fu>.model per served unit (from `tevot_cli train`)\n"
+      "--queue: cap on predicts in flight; over it a predict is SHED\n"
       "--strict-verify: refuse models that fail interval certification\n"
       "  (tevot_cli verify-model) at load and at every reload\n"
       "SIGHUP reloads models; SIGTERM/SIGINT drains and exits 0\n");
@@ -76,9 +81,6 @@ int main(int argc, char** argv) {
       if ((v = value()) == nullptr) return usage();
       options.port = static_cast<int>(std::atol(v));
       if (options.port < 0 || options.port > 65535) return usage();
-    } else if (arg == "--workers") {
-      if ((v = value()) == nullptr) return usage();
-      options.workers = static_cast<std::size_t>(std::atol(v));
     } else if (arg == "--queue") {
       if ((v = value()) == nullptr) return usage();
       options.queue_capacity = static_cast<std::size_t>(std::atol(v));
