@@ -123,8 +123,9 @@ std::vector<dta::DtaTrace> randomTraces(util::Rng& rng) {
   return traces;
 }
 
-/// Model-level: predictDelayBatch vs predictDelay over random
-/// operand/corner batches spanning the Liberty grid envelope.
+/// Model-level: predictDelayBatch and predictDelay vs the CART walk on
+/// the encoded query, over random operand/corner batches spanning the
+/// Liberty grid envelope.
 void checkModelLevel(std::uint64_t seed, util::Rng& rng, int batches) {
   core::TevotConfig config;
   config.include_history = rng.nextBool();
@@ -136,6 +137,7 @@ void checkModelLevel(std::uint64_t seed, util::Rng& rng, int batches) {
   model.train(traces, train_rng);
 
   const core::OperatingGrid grid = core::OperatingGrid::paper();
+  std::vector<float> row(model.encoder().featureCount());
   for (int batch = 0; batch < batches; ++batch) {
     const std::size_t n = static_cast<std::size_t>(rng.nextInRange(1, 32));
     std::vector<core::DelayQuery> queries(n);
@@ -151,15 +153,21 @@ void checkModelLevel(std::uint64_t seed, util::Rng& rng, int batches) {
     model.predictDelayBatch(queries, batch_out);
     for (std::size_t i = 0; i < n; ++i) {
       const core::DelayQuery& query = queries[i];
-      const double scalar = model.predictDelay(
-          query.a, query.b, query.prev_a, query.prev_b, query.corner);
-      if (std::memcmp(&batch_out[i], &scalar, sizeof(double)) != 0) {
+      model.encoder().encode(query.a, query.b, query.prev_a, query.prev_b,
+                             query.corner, row);
+      const double want = scalarAsBatchDouble(model.forest(), row);
+      const auto expect_walk = [&](const char* path, double got) {
+        if (std::memcmp(&got, &want, sizeof(double)) == 0) return;
         std::ostringstream msg;
         msg << "flat-bit-identity seed " << seed << " model batch "
-            << batch << " query " << i << ": predictDelayBatch "
-            << batch_out[i] << " != predictDelay " << scalar;
+            << batch << " query " << i << ": " << path << " " << got
+            << " != tree-walk " << want;
         fail(msg);
-      }
+      };
+      expect_walk("predictDelayBatch", batch_out[i]);
+      expect_walk("predictDelay",
+                  model.predictDelay(query.a, query.b, query.prev_a,
+                                     query.prev_b, query.corner));
     }
   }
 }

@@ -1,16 +1,18 @@
 // Flat-forest bit-identity oracle.
 //
-// Contract being checked (the tentpole invariant of the batched
-// inference engine): for ANY fitted forest and ANY batch of rows,
+// Contract being checked (the invariant of the one inference engine,
+// ml::FlatForest, against its reference, the CART tree walk): for ANY
+// fitted forest and ANY batch of rows,
 //
 //   1. ml::FlatForest::predict(row) is bit-identical (float memcmp)
 //      to ml::RandomForestRegressor::predict(row), and
 //   2. ml::FlatForest::predictBatch out[i] is bit-identical (double
 //      memcmp) to double(RandomForestRegressor::predict(row_i)) —
-//      i.e. the batch kernel replicates the scalar walk's exact
-//      accumulation order (per-tree double sum, float narrowing,
-//      double widening), and
-//   3. core::TevotModel::predictDelayBatch matches predictDelay
+//      i.e. the batch kernel replicates the walk's exact accumulation
+//      order (per-tree double sum, float narrowing, double widening),
+//      and
+//   3. core::TevotModel::predictDelayBatch and predictDelay both
+//      match double(model.forest().predict(encoded query))
 //      element-for-element over random operand/corner batches across
 //      the full Liberty grid envelope.
 //
@@ -31,7 +33,7 @@ namespace tevot::check {
 inline constexpr int kBatchesPerSeed = 8;
 
 /// Property for check::forAllSeeds; throws PropertyViolation on any
-/// flat-vs-scalar divergence.
+/// flat-vs-walk divergence.
 void checkFlatForestBitIdentity(std::uint64_t seed, util::Rng& rng);
 
 }  // namespace tevot::check

@@ -5,7 +5,8 @@
 //   1. Containment — for ANY fitted forest and ANY feature box, the
 //      certified interval verify::forestBounds returns contains the
 //      empirical min/max of >= 1000 points sampled inside the box
-//      (predictions via the scalar tree-walk, the serving reference).
+//      (predictions via the CART tree walk, the reference the served
+//      flat engine is bit-identical to).
 //   2. Counterexample truth — when a certifier returns kViolated, the
 //      counterexample box is not a heuristic: EVERY sampled point of
 //      it reproduces a concrete violation (delay above the limit, or

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "util/status.hpp"
+#include "util/stream.hpp"
 
 namespace tevot::dta {
 
@@ -66,19 +67,6 @@ void expectToken(std::istream& is, const char* literal) {
   }
 }
 
-/// Bytes left in `is`, or 0 when the stream cannot tell. Bounds
-/// reserve() by the input, so a corrupt count fails as truncation,
-/// never as bad_alloc.
-std::uint64_t bytesLeft(std::istream& is) {
-  const std::streampos here = is.tellg();
-  if (here < 0) return 0;
-  is.seekg(0, std::ios::end);
-  const std::streampos end = is.tellg();
-  is.clear();
-  is.seekg(here);
-  return end > here ? static_cast<std::uint64_t>(end - here) : 0;
-}
-
 }  // namespace
 
 void writeTrace(std::ostream& os, const DtaTrace& trace) {
@@ -126,7 +114,7 @@ DtaTrace readTrace(std::istream& is) {
   const std::uint64_t count =
       parseU64(nextToken(is, "sample count"), "sample count");
   // A sample is at least 8 one-char tokens with separators, a toggle 3.
-  const std::uint64_t input_left = bytesLeft(is);
+  const std::uint64_t input_left = util::bytesLeft(is);
   trace.samples.reserve(std::min(count, input_left / 16));
   for (std::uint64_t i = 0; i < count; ++i) {
     DtaSample s;

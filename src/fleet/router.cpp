@@ -239,7 +239,6 @@ serve::Response Router::handleControl(const serve::Request& request) {
           " shards=" + std::to_string(shards_.size()));
     }
     case serve::RequestKind::kPredict:
-    case serve::RequestKind::kPredictBatch:
       break;
   }
   return serve::Response::error(serve::ErrorCode::kInternal,

@@ -22,10 +22,10 @@ FlatForest FlatForest::compile(std::span<const DecisionTree> trees) {
 
   for (const DecisionTree& tree : trees) {
     const auto nodes = tree.nodes();
-    if (nodes.empty()) {
-      throw std::invalid_argument("FlatForest::compile: empty tree");
+    const util::Status shape = validateTreeShape(nodes);
+    if (!shape.ok()) {
+      throw std::invalid_argument("FlatForest::compile: " + shape.message);
     }
-    const auto count = static_cast<std::int32_t>(nodes.size());
     const auto base = static_cast<std::int32_t>(flat.nodes_.size());
     flat.roots_.push_back(base);
 
@@ -33,9 +33,8 @@ FlatForest FlatForest::compile(std::span<const DecisionTree> trees) {
     // visit order and a split's two children always get consecutive
     // ones, so the kernels can address the right child as left + 1.
     // `order[k]` is the source index of the node in packed slot k;
-    // `depth_at[k]` its root distance in edges — depth is derived here,
-    // after each child index is range-checked, never by walking the
-    // raw (untrusted) child pointers first.
+    // `depth_at[k]` its root distance in edges. validateTreeShape has
+    // already proven every node is visited exactly once.
     std::vector<std::int32_t> slot_of(nodes.size(), -1);
     std::vector<std::int32_t> order;
     std::vector<int> depth_at;
@@ -49,17 +48,6 @@ FlatForest FlatForest::compile(std::span<const DecisionTree> trees) {
       const DecisionTree::Node& node =
           nodes[static_cast<std::size_t>(order[k])];
       if (node.feature < 0) continue;
-      if (node.left < 0 || node.left >= count || node.right < 0 ||
-          node.right >= count) {
-        throw std::invalid_argument(
-            "FlatForest::compile: child index out of range");
-      }
-      if (slot_of[static_cast<std::size_t>(node.left)] != -1 ||
-          slot_of[static_cast<std::size_t>(node.right)] != -1) {
-        throw std::invalid_argument(
-            "FlatForest::compile: node with two parents (cycle or "
-            "shared child)");
-      }
       const int child_depth = depth_at[k] + 1;
       if (child_depth > depth) depth = child_depth;
       slot_of[static_cast<std::size_t>(node.left)] =
@@ -71,12 +59,7 @@ FlatForest FlatForest::compile(std::span<const DecisionTree> trees) {
       order.push_back(node.right);
       depth_at.push_back(child_depth);
     }
-    if (order.size() != nodes.size()) {
-      throw std::invalid_argument(
-          "FlatForest::compile: unreachable nodes in tree");
-    }
     flat.depths_.push_back(depth);
-    if (depth > flat.max_depth_) flat.max_depth_ = depth;
     for (const std::int32_t source : order) {
       const DecisionTree::Node& node =
           nodes[static_cast<std::size_t>(source)];

@@ -56,9 +56,9 @@ class FlatForest {
   FlatForest() = default;
 
   /// Compiles a fitted tree ensemble. Throws std::invalid_argument on
-  /// an empty ensemble or a structurally broken tree (child index out
-  /// of range, node unreachable from the root, or a shared/cyclic
-  /// child) — compile only what validateForestStructure accepts.
+  /// an empty ensemble or a tree failing validateTreeShape (child index
+  /// out of range, node unreachable from the root, or a shared/cyclic
+  /// child).
   static FlatForest compile(std::span<const DecisionTree> trees);
   static FlatForest fromRegressor(const RandomForestRegressor& forest) {
     return compile(forest.trees());
@@ -67,8 +67,6 @@ class FlatForest {
   bool compiled() const { return !roots_.empty(); }
   std::size_t treeCount() const { return roots_.size(); }
   std::size_t nodeCount() const { return nodes_.size(); }
-  /// Deepest root-to-leaf edge count over all trees.
-  int maxDepth() const { return max_depth_; }
 
   /// Single-row prediction, bit-identical to
   /// RandomForestRegressor::predict on the source ensemble (including
@@ -109,7 +107,6 @@ class FlatForest {
   std::vector<float> value_;          ///< leaf value (0 at internals)
   std::vector<std::int32_t> roots_;   ///< root node index per tree
   std::vector<std::int32_t> depths_;  ///< max root-to-leaf edges per tree
-  int max_depth_ = 0;
 };
 
 }  // namespace tevot::ml

@@ -113,6 +113,40 @@ std::vector<double> forestFeatureImportance(
   return total;
 }
 
+util::Status validateTreeShape(std::span<const DecisionTree::Node> nodes) {
+  if (nodes.empty()) return util::Status::invalidArgument("tree is empty");
+  // Depth-first from the root: a child seen twice has two parents.
+  std::vector<bool> seen(nodes.size(), false);
+  std::vector<std::size_t> pending = {0};
+  seen[0] = true;
+  std::size_t reached = 1;
+  while (!pending.empty()) {
+    const std::size_t n = pending.back();
+    pending.pop_back();
+    if (nodes[n].feature < 0) continue;  // leaf
+    for (const std::int32_t child : {nodes[n].left, nodes[n].right}) {
+      const auto c = static_cast<std::size_t>(child);
+      const bool in_range = child >= 0 && c < nodes.size();
+      if (!in_range || seen[c]) {
+        return util::Status::invalidArgument(
+            "node " + std::to_string(n) + ": child " +
+            std::to_string(child) +
+            (in_range ? " has two parents (cycle or shared child)"
+                      : " out of range"));
+      }
+      seen[c] = true;
+      ++reached;
+      pending.push_back(c);
+    }
+  }
+  if (reached != nodes.size()) {
+    return util::Status::invalidArgument(
+        std::to_string(nodes.size() - reached) +
+        " node(s) unreachable from the root");
+  }
+  return util::Status::okStatus();
+}
+
 util::Status validateForestStructure(std::span<const DecisionTree> trees,
                                      std::size_t n_features) {
   if (trees.empty()) {
@@ -120,32 +154,23 @@ util::Status validateForestStructure(std::span<const DecisionTree> trees,
   }
   for (std::size_t t = 0; t < trees.size(); ++t) {
     const auto nodes = trees[t].nodes();
-    const auto where = [t](std::size_t n) {
-      return "tree " + std::to_string(t) + " node " + std::to_string(n);
-    };
-    if (nodes.empty()) {
+    const auto where = [t](const std::string& what) {
       return util::Status::invalidArgument("tree " + std::to_string(t) +
-                                           " is empty");
-    }
+                                           " " + what);
+    };
+    const util::Status shape = validateTreeShape(nodes);
+    if (!shape.ok()) return where(shape.message);
     for (std::size_t n = 0; n < nodes.size(); ++n) {
       const DecisionTree::Node& node = nodes[n];
       if (!std::isfinite(node.threshold) || !std::isfinite(node.value)) {
-        return util::Status::invalidArgument(where(n) +
-                                             ": non-finite threshold/value");
+        return where("node " + std::to_string(n) +
+                     ": non-finite threshold/value");
       }
-      if (node.feature < 0) continue;  // leaf
-      if (static_cast<std::size_t>(node.feature) >= n_features) {
-        return util::Status::invalidArgument(
-            where(n) + ": feature " + std::to_string(node.feature) +
-            " out of range for " + std::to_string(n_features) +
-            " features");
-      }
-      const auto in_range = [&](std::int32_t child) {
-        return child >= 0 && static_cast<std::size_t>(child) < nodes.size();
-      };
-      if (!in_range(node.left) || !in_range(node.right)) {
-        return util::Status::invalidArgument(where(n) +
-                                             ": child index out of range");
+      if (node.feature >= 0 &&
+          static_cast<std::size_t>(node.feature) >= n_features) {
+        return where("node " + std::to_string(n) + ": feature " +
+                     std::to_string(node.feature) + " out of range for " +
+                     std::to_string(n_features) + " features");
       }
     }
   }

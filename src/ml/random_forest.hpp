@@ -73,10 +73,17 @@ class RandomForestRegressor {
 std::vector<double> forestFeatureImportance(
     std::span<const DecisionTree> trees, std::size_t n_features);
 
-/// Structural validation for model hot-reload: every tree non-empty,
-/// every split's feature index < n_features, child indices in range,
-/// and every threshold/leaf value finite. The serialize.hpp loaders
-/// enforce most of this on the way in; this re-checks an in-memory
+/// Tree shape check, the rule FlatForest::compile relies on: the node
+/// list is non-empty, every split's children are in range, every
+/// non-root node has exactly one parent, and every node is reachable
+/// from node 0. A cyclic or shared child would send the tree walk
+/// round forever; the serialize.hpp loaders reject such trees.
+util::Status validateTreeShape(std::span<const DecisionTree::Node> nodes);
+
+/// Structural validation for model hot-reload: every tree passes
+/// validateTreeShape, every split's feature index < n_features, and
+/// every threshold/leaf value is finite. The serialize.hpp loaders
+/// enforce the shape on the way in; this re-checks an in-memory
 /// forest right before a serving swap, so a model built any other way
 /// (or corrupted in memory) can never be published to workers.
 util::Status validateForestStructure(std::span<const DecisionTree> trees,

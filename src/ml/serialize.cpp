@@ -1,11 +1,14 @@
 #include "ml/serialize.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
+
+#include "util/stream.hpp"
 
 namespace tevot::ml {
 namespace {
@@ -25,22 +28,20 @@ DecisionTree readTreeBlock(std::istream& is, const char* who) {
   if (!(is >> keyword >> n_nodes) || keyword != "tree") {
     throw std::runtime_error(std::string(who) + ": expected tree header");
   }
-  std::vector<DecisionTree::Node> nodes(n_nodes);
-  for (DecisionTree::Node& node : nodes) {
+  // A node line is at least 10 bytes ("0 0 0 0 0\n").
+  std::vector<DecisionTree::Node> nodes;
+  nodes.reserve(std::min<std::uint64_t>(n_nodes, util::bytesLeft(is) / 10));
+  for (std::size_t n = 0; n < n_nodes; ++n) {
+    DecisionTree::Node node;
     if (!(is >> node.feature >> node.threshold >> node.left >>
           node.right >> node.value)) {
       throw std::runtime_error(std::string(who) + ": truncated node list");
     }
-    const auto count = static_cast<std::int32_t>(n_nodes);
-    const bool leaf = node.feature < 0;
-    if (!leaf && (node.left < 0 || node.left >= count ||
-                  node.right < 0 || node.right >= count)) {
-      throw std::runtime_error(std::string(who) +
-                               ": child index out of range");
-    }
+    nodes.push_back(node);
   }
-  if (nodes.empty()) {
-    throw std::runtime_error(std::string(who) + ": empty tree");
+  const util::Status shape = validateTreeShape(nodes);
+  if (!shape.ok()) {
+    throw std::runtime_error(std::string(who) + ": " + shape.message);
   }
   DecisionTree tree;
   tree.setNodes(std::move(nodes));
@@ -66,8 +67,9 @@ std::vector<DecisionTree> readTrees(std::istream& is,
     throw std::runtime_error("loadForest: task mismatch (file holds a " +
                              task + ")");
   }
+  // A tree block is at least 17 bytes ("tree 1\n" plus one node).
   std::vector<DecisionTree> trees;
-  trees.reserve(n_trees);
+  trees.reserve(std::min<std::uint64_t>(n_trees, util::bytesLeft(is) / 17));
   for (std::size_t t = 0; t < n_trees; ++t) {
     trees.push_back(readTreeBlock(is, "loadForest"));
   }

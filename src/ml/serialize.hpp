@@ -6,7 +6,8 @@
 // and the linear classifiers), so trained models can be saved and
 // reloaded without retraining. All loaders reject malformed input with
 // std::runtime_error (bad magic, version skew, truncation, task or
-// kind mismatch, out-of-range indices).
+// kind mismatch, trees failing validateTreeShape). Counts in a header
+// never size an allocation beyond what the remaining input can hold.
 //
 // Forest format:
 //   tevot-forest v1 <classifier|regressor> <n_trees>

@@ -198,8 +198,7 @@ bool LineServer::parsePredict(
   if (lines > 1) {
     metrics_.requests.fetch_add(lines - 1, std::memory_order_relaxed);
   }
-  if (request->kind != RequestKind::kPredict &&
-      request->kind != RequestKind::kPredictBatch) {
+  if (request->kind != RequestKind::kPredict) {
     out.add(control(*request));
     return false;
   }

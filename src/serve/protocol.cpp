@@ -163,7 +163,7 @@ util::Status parseRequest(std::string_view line, Request* out) {
                                     " is missing arguments, got " +
                                     std::to_string(tokens.size() - 1));
   }
-  out->kind = is_batch ? RequestKind::kPredictBatch : RequestKind::kPredict;
+  out->kind = RequestKind::kPredict;
   out->fu = std::string(tokens[1]);
   out->batch.clear();
   struct Field {
@@ -224,14 +224,7 @@ util::Status parseRequest(std::string_view line, Request* out) {
             " is not a 32-bit operand");
       }
     }
-    if (is_batch) {
-      out->batch.push_back(operand);
-    } else {
-      out->a = operand.a;
-      out->b = operand.b;
-      out->prev_a = operand.prev_a;
-      out->prev_b = operand.prev_b;
-    }
+    out->batch.push_back(operand);
   }
   out->deadline_ms = 0.0;
   if (tokens.size() == after_tuples + 1 &&

@@ -17,15 +17,13 @@
 //
 // predictN is the batch form: n operand tuples sharing one corner,
 // clock, and deadline, answered with exactly n typed response lines
-// in tuple order (each drawn from the same taxonomy as a single
-// predict — a shed or expired batch yields n SHED/DEADLINE lines,
-// never silence). n must be in [1, kMaxBatchTuples]; n = 0, oversized
-// n, and a malformed tuple anywhere in the batch are one BAD_REQUEST
-// for the whole line (parse failures are per-line, tuple responses
-// are per-tuple). Batches amortize per-request parse/dispatch cost
-// and are served by the flat batched engine
-// (TevotModel::predictDelayBatch), which is bit-identical to the
-// scalar path.
+// in tuple order (a shed or expired batch yields n SHED/DEADLINE
+// lines, never silence). n must be in [1, kMaxBatchTuples]; n = 0,
+// oversized n, and a malformed tuple anywhere in the batch are one
+// BAD_REQUEST for the whole line (parse failures are per-line, tuple
+// responses are per-tuple). A single predict parses to the same
+// Request as predictN with n = 1, so both verbs take one path from
+// parse to response: TevotModel::predictDelayBatch over the tuples.
 //
 // Response grammar (always a single line; the first token is the
 // response status, the full taxonomy a client must handle):
@@ -61,10 +59,9 @@ inline constexpr std::size_t kMaxLineBytes = 4096;
 /// kMaxLineBytes is OVERSIZED.)
 inline constexpr std::size_t kMaxBatchTuples = 256;
 
-enum class RequestKind { kPredict, kPredictBatch, kHealth, kStats,
-                         kReload };
+enum class RequestKind { kPredict, kHealth, kStats, kReload };
 
-/// One operand tuple of a predictN batch.
+/// One operand tuple of a predict/predictN request.
 struct BatchOperand {
   std::uint32_t a = 0;
   std::uint32_t b = 0;
@@ -78,18 +75,15 @@ struct Request {
   double voltage = 0.0;      ///< [V]
   double temperature = 0.0;  ///< [deg C]
   double tclk_ps = 0.0;      ///< clock period to classify against
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-  std::uint32_t prev_a = 0;
-  std::uint32_t prev_b = 0;
   double deadline_ms = 0.0;  ///< 0 = server default
-  /// predictN tuples (kPredictBatch only), size in [1,kMaxBatchTuples].
+  /// Operand tuples (kPredict only), size in [1, kMaxBatchTuples]; a
+  /// single predict is a batch of one.
   std::vector<BatchOperand> batch;
 
-  /// Tuples this request is answered with: batch size for
-  /// kPredictBatch, 1 otherwise.
+  /// Lines this request is answered with: one per tuple for kPredict,
+  /// 1 otherwise.
   std::size_t responseCount() const {
-    return kind == RequestKind::kPredictBatch ? batch.size() : 1;
+    return kind == RequestKind::kPredict ? batch.size() : 1;
   }
 };
 

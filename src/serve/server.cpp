@@ -130,7 +130,6 @@ Response Server::handleControl(const Request& request) {
           " models=" + std::to_string(set->models.size()));
     }
     case RequestKind::kPredict:
-    case RequestKind::kPredictBatch:
       break;
   }
   return Response::error(ErrorCode::kInternal, "bad control dispatch");
@@ -190,18 +189,13 @@ void Server::predict(const Request& request, std::uint64_t id,
       faults_->maybeThrow("serve.predict", key);
     }
     const liberty::Corner corner{request.voltage, request.temperature};
-    if (request.kind == RequestKind::kPredictBatch) {
-      std::vector<core::DelayQuery> queries(request.batch.size());
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        const BatchOperand& operand = request.batch[i];
-        queries[i] = {operand.a, operand.b, operand.prev_a, operand.prev_b,
-                      corner};
-      }
-      model->predictDelayBatch(queries, delays);
-    } else {
-      delays[0] = model->predictDelay(request.a, request.b, request.prev_a,
-                                      request.prev_b, corner);
+    std::vector<core::DelayQuery> queries;
+    queries.reserve(lines);
+    for (const BatchOperand& operand : request.batch) {
+      queries.push_back(
+          {operand.a, operand.b, operand.prev_a, operand.prev_b, corner});
     }
+    model->predictDelayBatch(queries, delays);
   } catch (const util::StatusError& error) {
     breaker.recordFailure();
     return fail(error.status().code == util::StatusCode::kFaultInjected

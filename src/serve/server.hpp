@@ -105,8 +105,9 @@ class Server {
   void handleLine(std::string_view line, Replies& out);
   Response handleControl(const Request& request);
   /// Answers an admitted predict/predictN with request.responseCount()
-  /// lines; batch predicts run through TevotModel::predictDelayBatch,
-  /// and batch shed/deadline/error outcomes are replicated per tuple.
+  /// lines from one TevotModel::predictDelayBatch call (a predict is a
+  /// batch of one); shed/deadline/error outcomes are replicated per
+  /// tuple.
   void predict(const Request& request, std::uint64_t id,
                std::chrono::steady_clock::time_point arrival, Replies& out);
   /// Whether the armed injector fails `point` for request `id`; the

@@ -57,7 +57,7 @@ void TevotModel::train(std::span<const dta::DtaTrace> traces,
 namespace {
 
 /// Non-finite V/T would poison the feature row (the flat batch kernel
-/// requires finite features to match the scalar walk); reject with the
+/// requires finite features to match the CART walk); reject with the
 /// taxonomy code the sweep/serve layers classify on.
 void requireFiniteCorner(const liberty::Corner& corner) {
   if (std::isfinite(corner.voltage) && std::isfinite(corner.temperature)) {
@@ -82,7 +82,7 @@ double TevotModel::predictDelay(std::uint32_t a, std::uint32_t b,
   std::array<float, FeatureEncoder::kMaxFeatures> features;
   const std::span<float> row(features.data(), encoder_.featureCount());
   encoder_.encode(a, b, prev_a, prev_b, corner, row);
-  return forest_.predict(row);
+  return flat_.predict(row);
 }
 
 void TevotModel::predictDelayBatch(std::span<const DelayQuery> queries,
@@ -92,7 +92,6 @@ void TevotModel::predictDelayBatch(std::span<const DelayQuery> queries,
     throw std::invalid_argument(
         "TevotModel::predictDelayBatch: queries/out size mismatch");
   }
-  if (queries.empty()) return;
   const std::size_t cols = encoder_.featureCount();
   std::vector<float> rows(queries.size() * cols);
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -116,11 +115,11 @@ util::Status TevotModel::validateForServing() const {
         "flat engine not compiled from the served forest");
   }
   // Canary predictions at the nominal corner plus the Liberty grid
-  // extremes: the whole predict path must produce finite, physically
+  // extremes: the served engine must produce finite, physically
   // plausible (non-negative) delays across the full operating
-  // envelope, and the flat engine must agree with the scalar walk bit
-  // for bit. A model that only misbehaves at low voltage is caught
-  // here, at reload, instead of mid-serve.
+  // envelope, bit-identical to the CART walk it was compiled from. A
+  // model that only misbehaves at low voltage is caught here, at
+  // reload, instead of mid-serve.
   const OperatingGrid grid = OperatingGrid::paper();
   const liberty::Corner canary_corners[] = {
       {1.00, 25.0},  // nominal
@@ -143,11 +142,11 @@ util::Status TevotModel::validateForServing() const {
             std::to_string(delay) + where);
       }
       encoder_.encode(word, ~word, 0, 0, corner, row);
-      const double flat = static_cast<double>(flat_.predict(row));
-      if (std::memcmp(&flat, &delay, sizeof(double)) != 0) {
+      const double walk = static_cast<double>(forest_.predict(row));
+      if (std::memcmp(&walk, &delay, sizeof(double)) != 0) {
         return util::Status::invalidArgument(
-            "flat engine diverges from scalar walk on canary: " +
-            std::to_string(flat) + " vs " + std::to_string(delay));
+            "flat engine diverges from CART walk on canary: " +
+            std::to_string(delay) + " vs " + std::to_string(walk));
       }
     }
   }

@@ -8,11 +8,12 @@
 // erroneous} across all clock speeds. The paper's Eq. 3 delay matrix
 // corresponds to buildDelayDataset().
 //
-// Two inference paths, one answer: predictDelay walks the CART trees
-// (the reference), predictDelayBatch runs the compiled ml::FlatForest
-// over N queries at once. The flat path is bit-identical to the
-// scalar walk — check::checkFlatForestBitIdentity enforces it, and
-// validateForServing cross-checks the two engines on its canaries.
+// One inference engine: every prediction (predictDelay, and
+// predictDelayBatch over N queries at once) runs on the compiled
+// ml::FlatForest. The CART trees it is compiled from serve training,
+// and are the reference the engine must match bit for bit:
+// check::checkFlatForestBitIdentity enforces that, and
+// validateForServing checks it on its canaries before every swap.
 #pragma once
 
 #include <functional>
@@ -69,18 +70,17 @@ class TevotModel {
              util::ThreadPool* pool = nullptr);
 
   /// Predicted dynamic delay [ps] for one input transition at a
-  /// corner. Thread-safe: concurrent callers on one model are fine
-  /// (the serving layer fans prediction out across workers). Throws
-  /// util::StatusError (kInvalidArgument) on a NaN/inf corner — the
-  /// flat engine's finite-features precondition is enforced here, at
-  /// the boundary.
+  /// corner, from the flat engine. Thread-safe: concurrent callers on
+  /// one model are fine (the serving layer fans prediction out across
+  /// connections). Throws util::StatusError (kInvalidArgument) on a
+  /// NaN/inf corner — the flat engine's finite-features precondition
+  /// is enforced here, at the boundary.
   double predictDelay(std::uint32_t a, std::uint32_t b,
                       std::uint32_t prev_a, std::uint32_t prev_b,
                       const liberty::Corner& corner) const;
 
-  /// Batched prediction through the flat engine: out[i] receives the
-  /// delay for queries[i], bit-identical to predictDelay on the same
-  /// operands. Thread-safe like predictDelay. Throws
+  /// Batched prediction: out[i] receives the delay for queries[i],
+  /// bit-identical to predictDelay on the same operands. Thread-safe like predictDelay. Throws
   /// std::invalid_argument when the spans disagree in length and
   /// util::StatusError (kInvalidArgument) on a NaN/inf query corner.
   void predictDelayBatch(std::span<const DelayQuery> queries,
@@ -97,8 +97,10 @@ class TevotModel {
   const FeatureEncoder& encoder() const { return encoder_; }
   const TevotConfig& config() const { return config_; }
   bool trained() const { return forest_.fitted(); }
+  /// The CART trees: the training output and the test-side reference.
   const ml::RandomForestRegressor& forest() const { return forest_; }
-  /// The compiled flat engine (valid whenever trained()).
+  /// The compiled flat engine that answers every prediction (valid
+  /// whenever trained()).
   const ml::FlatForest& flatForest() const { return flat_; }
 
   /// Normalized impurity-decrease importance per feature (encoder
@@ -112,8 +114,8 @@ class TevotModel {
   /// values), and finite, non-negative canary predictions at the
   /// nominal corner AND the Liberty grid extremes (0.81/1.00 V x
   /// 0/100 C) — a model that goes non-finite at low voltage must be
-  /// rejected at reload, not discovered mid-serve. Each canary also
-  /// cross-checks the flat engine against the scalar walk bit for
+  /// rejected at reload, not discovered mid-serve. Each served canary
+  /// answer must also equal the CART walk (forest().predict) bit for
   /// bit. ok() when the model is safe to serve.
   util::Status validateForServing() const;
 
@@ -127,7 +129,8 @@ class TevotModel {
             util::FaultInjector* faults = nullptr) const;
 
   /// Loads a saved model. Rejects, with typed util::StatusError:
-  /// malformed or truncated payloads (kParseError), trailing bytes
+  /// malformed or truncated payloads, including cyclic, shared or
+  /// unreachable tree nodes (kParseError), trailing bytes
   /// after the forest (kParseError), and forests whose feature
   /// indices exceed the header's encoder width — e.g. a model trained
   /// with history under a header claiming none (kInvalidArgument),

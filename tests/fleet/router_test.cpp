@@ -266,7 +266,11 @@ TEST(RouterTest, PerFuPolicyRoutesToOwnerOnly) {
 TEST(RouterTest, NoEligibleShardIsTypedShedNeverSilence) {
   std::vector<std::unique_ptr<serve::Server>> shards;
   shards.push_back(bootShard());
-  Router router(fastRouterOptions(), {{shards[0]->port(), {}}});
+  // Only the first probe (at start) may run: a later one would re-admit
+  // the live shard after markShardDown and turn SHED into OK.
+  RouterOptions options = fastRouterOptions();
+  options.health_interval_ms = 600'000.0;
+  Router router(options, {{shards[0]->port(), {}}});
   ASSERT_TRUE(router.start().ok());
   ASSERT_TRUE(awaitAllEligible(router));
 

@@ -95,6 +95,44 @@ TEST(SerializeTest, MalformedInputRejected) {
   }
 }
 
+TEST(SerializeTest, CyclicSharedAndUnreachableTreesRejected) {
+  const char* trees[] = {
+      "tree 1\n0 0.5 0 0 0\n",  // node 0 is its own child
+      "tree 3\n0 0.5 1 2 0\n1 0.5 0 2 0\n-1 0 -1 -1 1\n",  // back edge
+      "tree 2\n0 0.5 1 1 0\n-1 0 -1 -1 1\n",  // one child, two parents
+      "tree 2\n-1 0 -1 -1 1\n-1 0 -1 -1 2\n",  // node 1 unreachable
+  };
+  for (const char* tree : trees) {
+    std::istringstream forest(std::string("tevot-forest v1 regressor 1\n") +
+                              tree);
+    EXPECT_THROW(loadForestRegressor(forest), std::runtime_error) << tree;
+    std::istringstream single(std::string("tevot-tree v1\n") + tree);
+    EXPECT_THROW(loadTree(single), std::runtime_error) << tree;
+  }
+  // The in-memory check applies the same rule before a serving swap.
+  DecisionTree self_loop;
+  self_loop.setNodes({{0, 0.5f, 0, 0, 0.0f}});
+  const util::Status status = validateForestStructure({&self_loop, 1}, 1);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message.find("two parents"), std::string::npos)
+      << status.message;
+}
+
+TEST(SerializeTest, HugeCountsOnShortInputFailAsTruncation) {
+  // 2^62 nodes or trees promised, a few bytes present: the loader
+  // must report truncation, not try to allocate for the count.
+  const char* payloads[] = {
+      "tevot-forest v1 regressor 1\ntree 4611686018427387904\n"
+      "-1 0 -1 -1 1\n",
+      "tevot-forest v1 regressor 4611686018427387904\ntree 1\n"
+      "-1 0 -1 -1 1\n",
+  };
+  for (const char* payload : payloads) {
+    std::istringstream is(payload);
+    EXPECT_THROW(loadForestRegressor(is), std::runtime_error) << payload;
+  }
+}
+
 TEST(SerializeTest, SingleTreeRoundTripIsByteIdentical) {
   const Dataset data = smallTask(48);
   DecisionTree original;

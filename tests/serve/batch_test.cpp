@@ -46,7 +46,7 @@ TEST(BatchProtocolTest, ParsesFormattedBatchRoundTrip) {
       formatBatchRequest("int_add", 0.87, 42.5, 310.25, tuples, 12.5);
   Request request;
   ASSERT_TRUE(parseRequest(line, &request).ok()) << line;
-  EXPECT_EQ(request.kind, RequestKind::kPredictBatch);
+  EXPECT_EQ(request.kind, RequestKind::kPredict);
   EXPECT_EQ(request.fu, "int_add");
   EXPECT_EQ(request.voltage, 0.87);  // hexfloat wire round-trip
   EXPECT_EQ(request.temperature, 42.5);

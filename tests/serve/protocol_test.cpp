@@ -21,10 +21,13 @@ TEST(ProtocolTest, ParsesPredict) {
   EXPECT_DOUBLE_EQ(request.voltage, 0.9);
   EXPECT_DOUBLE_EQ(request.temperature, 25.0);
   EXPECT_DOUBLE_EQ(request.tclk_ps, 300.5);
-  EXPECT_EQ(request.a, 7u);
-  EXPECT_EQ(request.b, 9u);
-  EXPECT_EQ(request.prev_a, 0u);
-  EXPECT_EQ(request.prev_b, 0xffffffffu);
+  // A single predict is a one-tuple batch.
+  ASSERT_EQ(request.batch.size(), 1u);
+  EXPECT_EQ(request.responseCount(), 1u);
+  EXPECT_EQ(request.batch[0].a, 7u);
+  EXPECT_EQ(request.batch[0].b, 9u);
+  EXPECT_EQ(request.batch[0].prev_a, 0u);
+  EXPECT_EQ(request.batch[0].prev_b, 0xffffffffu);
   EXPECT_DOUBLE_EQ(request.deadline_ms, 0.0);
 }
 

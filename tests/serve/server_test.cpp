@@ -73,6 +73,32 @@ TEST(ServerTest, PredictMatchesOfflineModelBitExactly) {
   }
 }
 
+TEST(ServerTest, PredictAndOneTuplePredictNAnswerByteIdentically) {
+  Server server(baseOptions());
+  ASSERT_TRUE(server.start().ok());
+  LineClient client;
+  ASSERT_TRUE(client.connectTo(server.port()).ok());
+  const auto raw_reply = [&](const std::string& line) {
+    EXPECT_TRUE(client.sendLine(line));
+    return client.readLine().value_or("<eof>");
+  };
+  for (int i = 0; i < 8; ++i) {
+    const double v = 0.81 + 0.02 * i, t = 12.5 * i, tclk = 150.0 + 20.0 * i;
+    const std::uint32_t a = 0x9e3779b9u * (i + 1), b = 0x7f4a7c15u ^ i;
+    char operands[160];
+    std::snprintf(operands, sizeof(operands), "int_add %a %a %a", v, t,
+                  tclk);
+    char tuple[64];
+    std::snprintf(tuple, sizeof(tuple), "%u %u %u %u", a, b, b, a);
+    const std::string single =
+        raw_reply(std::string("predict ") + operands + " " + tuple);
+    const std::string batch =
+        raw_reply(std::string("predictN ") + operands + " 1 " + tuple);
+    EXPECT_EQ(single.rfind("OK delay=", 0), 0u) << single;
+    EXPECT_EQ(single, batch);
+  }
+}
+
 TEST(ServerTest, ControlSurface) {
   Server server(baseOptions());
   ASSERT_TRUE(server.start().ok());

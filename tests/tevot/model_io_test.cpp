@@ -2,8 +2,8 @@
 // truncated model behind (write-temp + flush-check + atomic rename,
 // with io.open/io.write fault injection), and the load path must
 // reject every corrupt-file shape with a typed error — truncation,
-// garbage, trailing bytes, and forests inconsistent with the header's
-// encoder width.
+// garbage, trailing bytes, cyclic trees, and forests inconsistent with
+// the header's encoder width.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -190,6 +190,22 @@ TEST_F(ModelIoTest, ForestInconsistentWithHeaderRejected) {
   const util::Status status = loadStatus(path);
   EXPECT_EQ(status.code, util::StatusCode::kInvalidArgument);
   EXPECT_NE(status.message.find("history"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST_F(ModelIoTest, CyclicTreeIsTypedParseError) {
+  // Node 0 is its own child: the tree walk would never reach a leaf.
+  const std::string path = ::testing::TempDir() + "/cyclic.model";
+  for (const char* tree : {"tree 1\n0 0.5 0 0 0\n",
+                           "tree 2\n0 0.5 1 1 0\n-1 0 -1 -1 1\n"}) {
+    writeFile(path, std::string("tevot-model v1 history 1\n"
+                                "tevot-forest v1 regressor 1\n") +
+                        tree);
+    const util::Status status = loadStatus(path);
+    EXPECT_EQ(status.code, util::StatusCode::kParseError) << tree;
+    EXPECT_NE(status.message.find("two parents"), std::string::npos)
+        << status.message;
+  }
   std::remove(path.c_str());
 }
 
