@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "util/json.hpp"
+
 namespace tevot::bench {
 
 BenchScale BenchScale::fromEnvironment(int argc, char** argv) {
@@ -174,14 +176,11 @@ void writeBenchJson(
                  path.string().c_str());
     return;
   }
-  os << "{\n"
-     << "  \"bench\": \"" << bench_name << "\",\n"
-     << "  \"jobs\": " << jobs << ",\n"
-     << "  \"wall_clock_s\": " << wall_seconds;
-  for (const auto& [key, value] : metrics) {
-    os << ",\n  \"" << key << "\": " << value;
-  }
-  os << "\n}\n";
+  util::json::Writer json;
+  json.beginObject().field("bench", bench_name).field("jobs", jobs);
+  json.field("wall_clock_s", wall_seconds);
+  for (const auto& [key, value] : metrics) json.field(key, value);
+  os << json.endObject().str() << "\n";
   std::printf("wrote %s (jobs=%zu, wall=%.2fs)\n", path.string().c_str(),
               jobs, wall_seconds);
 }

@@ -92,9 +92,9 @@ core::EvalOutcome evaluateDataset(core::ErrorModel& model,
 std::string formatPercent(double fraction, int width = 8);
 
 /// Writes `<dir>/<bench_name>.json` (dir from TEVOT_BENCH_OUT,
-/// default "bench_out") recording wall-clock seconds, the thread
-/// count and any extra metrics, so the speedup trajectory stays
-/// visible across PRs.
+/// default "bench_out"): one compact JSON object recording wall-clock
+/// seconds, the thread count and any extra metrics, so the speedup
+/// trajectory stays visible across PRs.
 void writeBenchJson(
     const std::string& bench_name, std::size_t jobs, double wall_seconds,
     const std::vector<std::pair<std::string, double>>& metrics = {});

@@ -36,6 +36,7 @@
 #include "tevot/model.hpp"
 #include "tevot/pipeline.hpp"
 #include "util/fault_injection.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -156,8 +157,9 @@ int main(int argc, char** argv) {
   // The committed repo-root copy (run from the repo root).
   std::ofstream os("BENCH_dvfs_closed_loop.json");
   if (os) {
-    os << "{\"wall_clock_s\":" << wall
-       << ",\"report\":" << run.toJson("bench") << "}\n";
+    util::json::Writer json;
+    json.beginObject().field("wall_clock_s", wall).key("report");
+    os << json.raw(run.toJson("bench")).endObject().str() << "\n";
   }
   return all_ok ? 0 : 1;
 }

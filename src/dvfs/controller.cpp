@@ -5,7 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "lint/finding.hpp"
+#include "util/json.hpp"
 
 namespace tevot::dvfs {
 
@@ -17,39 +17,24 @@ std::string hexFloat(double v) {
   return buf;
 }
 
-std::string jsonDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 }  // namespace
 
 std::string DvfsReport::toJson() const {
-  std::ostringstream os;
-  os << "{\"fu\":\"" << lint::jsonEscape(fu) << "\""
-     << ",\"backend\":\"" << lint::jsonEscape(backend) << "\""
-     << ",\"status\":\""
-     << (status.ok() ? "ok" : lint::jsonEscape(status.message)) << "\""
-     << ",\"windows\":" << windows
-     << ",\"adaptive_windows\":" << adaptive_windows
-     << ",\"fallback_windows\":" << fallback_windows
-     << ",\"fallback\":{\"shed\":" << fallback.shed
-     << ",\"deadline\":" << fallback.deadline
-     << ",\"error\":" << fallback.error
-     << ",\"disconnect\":" << fallback.disconnect << "}"
-     << ",\"violations\":" << violations
-     << ",\"recovered\":" << recovered
-     << ",\"escapes\":" << escapes
-     << ",\"replays\":" << replays
-     << ",\"widenings\":" << widenings
-     << ",\"clock_changes\":" << clock_changes
-     << ",\"certified_tclk_ps\":" << jsonDouble(certified_tclk_ps)
-     << ",\"guardband_final\":" << jsonDouble(guardband_final)
-     << ",\"baseline_ps\":" << jsonDouble(baseline_ps)
-     << ",\"adaptive_ps\":" << jsonDouble(adaptive_ps)
-     << ",\"gain\":" << jsonDouble(gain()) << "}";
-  return os.str();
+  util::json::Writer json;
+  json.beginObject().field("fu", fu).field("backend", backend);
+  json.field("status", status.ok() ? "ok" : status.message);
+  json.field("windows", windows).field("adaptive_windows", adaptive_windows);
+  json.field("fallback_windows", fallback_windows).key("fallback");
+  json.beginObject().field("shed", fallback.shed);
+  json.field("deadline", fallback.deadline).field("error", fallback.error);
+  json.field("disconnect", fallback.disconnect).endObject();
+  json.field("violations", violations).field("recovered", recovered);
+  json.field("escapes", escapes).field("replays", replays);
+  json.field("widenings", widenings).field("clock_changes", clock_changes);
+  json.field("certified_tclk_ps", certified_tclk_ps);
+  json.field("guardband_final", guardband_final);
+  json.field("baseline_ps", baseline_ps).field("adaptive_ps", adaptive_ps);
+  return json.field("gain", gain()).endObject().str();
 }
 
 DvfsReport runController(const WindowedStream& stream, DelayBackend& backend,

@@ -98,7 +98,7 @@ struct DvfsReport {
   /// backend answers.
   std::string trace;
 
-  /// Flat JSON object (no trailing newline).
+  /// Compact JSON object (no trailing newline).
   std::string toJson() const;
 };
 

@@ -2,10 +2,9 @@
 
 #include <cmath>
 #include <memory>
-#include <sstream>
 
-#include "lint/finding.hpp"
 #include "tevot/pipeline.hpp"
+#include "util/json.hpp"
 
 namespace tevot::dvfs {
 
@@ -30,14 +29,11 @@ std::uint64_t RunReport::totalEscapes() const {
 }
 
 std::string RunReport::toJson(const std::string& label) const {
-  std::ostringstream os;
-  os << "{\"bench\":\"dvfs_closed_loop\",\"label\":\""
-     << lint::jsonEscape(label) << "\",\"fus\":[";
-  for (std::size_t i = 0; i < fus.size(); ++i) {
-    os << (i == 0 ? "" : ",") << fus[i].toJson();
-  }
-  os << "]}";
-  return os.str();
+  util::json::Writer json;
+  json.beginObject().field("bench", "dvfs_closed_loop").field("label", label);
+  json.key("fus").beginArray();
+  for (const DvfsReport& report : fus) json.raw(report.toJson());
+  return json.endArray().endObject().str();
 }
 
 util::Status validateCertificateForGrid(const verify::SafeTclkCertificate& cert,

@@ -11,6 +11,7 @@
 #include "serve/client.hpp"
 #include "serve/line_server.hpp"
 #include "serve/protocol.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace tevot::fleet {
@@ -281,43 +282,25 @@ std::string LoadgenReport::summaryLine() const {
 
 std::string LoadgenReport::toJson(const std::string& label,
                                   const LoadgenOptions& options) const {
-  char buf[256];
-  std::string json = "{\n";
-  json += "  \"bench\": \"fleet_loadgen\",\n";
-  json += "  \"scenario\": \"" + label + "\",\n";
-  json += "  \"arrival\": \"" + std::string(arrivalName(options.arrival)) +
-          "\",\n";
-  const auto number = [&](const char* key, double value, bool last = false) {
-    std::snprintf(buf, sizeof(buf), "  \"%s\": %.6g%s\n", key, value,
-                  last ? "" : ",");
-    json += buf;
-  };
-  number("rate_qps", options.rate_qps);
-  number("duration_s", options.duration_s);
-  number("connections", options.connections);
-  number("seed", static_cast<double>(options.seed));
-  number("wall_s", wall_s);
-  number("offered_qps", offered_qps);
-  number("achieved_qps", achieved_qps);
-  number("lines_sent", static_cast<double>(lines_sent));
-  number("responses_expected", static_cast<double>(responses_expected));
-  number("ok", static_cast<double>(ok));
-  number("shed", static_cast<double>(shed));
-  number("deadline", static_cast<double>(deadline));
-  number("errors", static_cast<double>(errors));
-  number("no_response", static_cast<double>(no_response));
-  number("unparseable", static_cast<double>(unparseable));
-  number("malformed_sent", static_cast<double>(malformed_sent));
-  number("malformed_ok", static_cast<double>(malformed_ok));
-  number("reconnects", static_cast<double>(reconnects));
-  number("late_arrivals", static_cast<double>(late_arrivals));
-  number("interrupted", interrupted ? 1.0 : 0.0);
-  number("p50_ms", latency.p50());
-  number("p95_ms", latency.p95());
-  number("p99_ms", latency.p99());
-  number("max_ms", latency.maxMs(), true);
-  json += "}\n";
-  return json;
+  util::json::Writer json;
+  json.beginObject().field("bench", "fleet_loadgen").field("scenario", label);
+  json.field("arrival", arrivalName(options.arrival));
+  json.field("rate_qps", options.rate_qps);
+  json.field("duration_s", options.duration_s);
+  json.field("connections", options.connections).field("seed", options.seed);
+  json.field("wall_s", wall_s).field("offered_qps", offered_qps);
+  json.field("achieved_qps", achieved_qps).field("lines_sent", lines_sent);
+  json.field("responses_expected", responses_expected).field("ok", ok);
+  json.field("shed", shed).field("deadline", deadline);
+  json.field("errors", errors).field("no_response", no_response);
+  json.field("unparseable", unparseable);
+  json.field("malformed_sent", malformed_sent);
+  json.field("malformed_ok", malformed_ok).field("reconnects", reconnects);
+  json.field("late_arrivals", late_arrivals);
+  json.field("interrupted", interrupted ? 1 : 0);
+  json.field("p50_ms", latency.p50()).field("p95_ms", latency.p95());
+  json.field("p99_ms", latency.p99()).field("max_ms", latency.maxMs());
+  return json.endObject().str();
 }
 
 LoadgenReport runLoadgen(const LoadgenOptions& options) {

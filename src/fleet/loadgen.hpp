@@ -93,8 +93,9 @@ struct LoadgenReport {
 
   std::string summaryLine() const;
 
-  /// The BENCH_fleet_loadgen.json payload (bench-JSON style flat
-  /// object). `label` tags the scenario ("burst", "steady", …).
+  /// The BENCH_fleet_loadgen.json payload: one flat compact JSON
+  /// object, counters exact, no trailing newline. `label` tags the
+  /// scenario ("burst", "steady", …).
   std::string toJson(const std::string& label,
                      const LoadgenOptions& options) const;
 };

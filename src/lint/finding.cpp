@@ -1,7 +1,8 @@
 #include "lint/finding.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "util/json.hpp"
 
 namespace tevot::lint {
 
@@ -69,53 +70,21 @@ std::string LintReport::toText() const {
   return os.str();
 }
 
-std::string jsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string LintReport::toJson() const {
-  std::ostringstream os;
-  os << "{\n  \"design\": \"" << jsonEscape(design) << "\",\n";
-  os << "  \"rules_run\": [";
-  for (std::size_t i = 0; i < rules_run.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << '"' << jsonEscape(rules_run[i]) << '"';
+  util::json::Writer json;
+  json.beginObject().field("design", design).key("rules_run").beginArray();
+  for (const std::string& rule : rules_run) json.value(rule);
+  json.endArray().key("summary").beginObject();
+  json.field("errors", errorCount()).field("warnings", warningCount());
+  json.field("infos", infoCount()).field("waived", waivedCount());
+  json.endObject().key("findings").beginArray();
+  for (const Finding& finding : findings) {
+    json.beginObject().field("rule", finding.rule);
+    json.field("severity", severityName(finding.severity));
+    json.field("location", finding.location).field("waived", finding.waived);
+    json.field("message", finding.message).endObject();
   }
-  os << "],\n";
-  os << "  \"summary\": {\"errors\": " << errorCount()
-     << ", \"warnings\": " << warningCount() << ", \"infos\": "
-     << infoCount() << ", \"waived\": " << waivedCount() << "},\n";
-  os << "  \"findings\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& finding = findings[i];
-    os << (i == 0 ? "\n" : ",\n");
-    os << "    {\"rule\": \"" << jsonEscape(finding.rule)
-       << "\", \"severity\": \"" << severityName(finding.severity)
-       << "\", \"location\": \"" << jsonEscape(finding.location)
-       << "\", \"waived\": " << (finding.waived ? "true" : "false")
-       << ", \"message\": \"" << jsonEscape(finding.message) << "\"}";
-  }
-  os << (findings.empty() ? "]\n" : "\n  ]\n") << "}\n";
-  return os.str();
+  return json.endArray().endObject().str();
 }
 
 }  // namespace tevot::lint

@@ -53,12 +53,10 @@ struct LintReport {
   /// Terminal rendering: one line per finding plus a summary line.
   std::string toText() const;
 
-  /// JSON object rendering (stable key order, findings in emit order):
-  /// {"design":..., "rules_run":[...], "summary":{...}, "findings":[...]}
+  /// Compact JSON object (stable key order, findings in emit order, no
+  /// trailing newline):
+  /// {"design":...,"rules_run":[...],"summary":{...},"findings":[...]}
   std::string toJson() const;
 };
-
-/// Escapes a string for embedding in a JSON string literal.
-std::string jsonEscape(std::string_view text);
 
 }  // namespace tevot::lint

@@ -21,9 +21,11 @@ namespace tevot::verify {
 /// Parses one certificate document. On success fills `out` with every
 /// field round-tripped exactly (doubles are printed with %.17g and
 /// floats with %.9g by the writer, so parse(write(c)) == c bit for
-/// bit). Failure modes:
+/// bit). The document is read by util::json::parse. Failure modes:
 ///   kParseError       malformed JSON, truncated input, trailing bytes
-///                     after the document, or a missing/mistyped field
+///                     after the document, nesting deeper than
+///                     util::json::kMaxDepth, a repeated key, or a
+///                     missing/mistyped field
 ///   kInvalidArgument  well-formed JSON with out-of-contract values: a
 ///                     wrong schema tag, non-finite or non-positive
 ///                     tclk_ps, an inverted operating box or delay

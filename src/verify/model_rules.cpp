@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/json.hpp"
 #include "verify/interval_engine.hpp"
 
 namespace tevot::verify {
@@ -25,19 +26,6 @@ std::string formatPs(double ps) {
 std::string formatG(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-/// JSON number with enough digits to round-trip a float exactly.
-std::string jsonFloat(float v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", static_cast<double>(v));
-  return buf;
-}
-
-std::string jsonDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
 
@@ -72,27 +60,6 @@ std::string describeBox(const Box& box, const Box& domain,
     ++listed;
   }
   if (elided > 0) os << ", +" << elided << " more";
-  os << "}";
-  return os.str();
-}
-
-/// JSON object mapping feature name -> [lo, hi] for the V/T dimensions
-/// and every dimension constrained below the declared domain.
-std::string boxJson(const Box& box, const Box& domain,
-                    const core::FeatureEncoder& encoder) {
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
-  for (std::size_t i = 0; i < box.size(); ++i) {
-    const bool is_vt = i + 2 >= box.size();
-    if (!is_vt && box[i].lo == domain[i].lo && box[i].hi == domain[i].hi) {
-      continue;
-    }
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << lint::jsonEscape(encoder.featureName(i)) << "\":["
-       << jsonFloat(box[i].lo) << "," << jsonFloat(box[i].hi) << "]";
-  }
   os << "}";
   return os.str();
 }
@@ -265,10 +232,22 @@ void runMv004(const VerifyState& st, const ModelVerifyContext& ctx,
       return;
     case Verdict::kViolated: {
       const BoxBounds& ce = *res.counterexample;
-      cert.counterexample_json =
-          "{\"delay_bound_ps\":{\"min\":" + jsonFloat(ce.bounds.lo) +
-          ",\"max\":" + jsonFloat(ce.bounds.hi) +
-          "},\"box\":" + boxJson(ce.box, st.domain, st.encoder) + "}";
+      // The box maps feature name -> [lo, hi] for the V/T dimensions
+      // and every dimension constrained below the declared domain.
+      util::json::Writer json;
+      json.beginObject().key("delay_bound_ps").beginObject();
+      json.field("min", ce.bounds.lo).field("max", ce.bounds.hi).endObject();
+      json.key("box").beginObject();
+      for (std::size_t i = 0; i < ce.box.size(); ++i) {
+        const bool is_vt = i + 2 >= ce.box.size();
+        if (!is_vt && ce.box[i].lo == st.domain[i].lo &&
+            ce.box[i].hi == st.domain[i].hi) {
+          continue;
+        }
+        json.key(st.encoder.featureName(i)).beginArray();
+        json.value(ce.box[i].lo).value(ce.box[i].hi).endArray();
+      }
+      cert.counterexample_json = json.endObject().endObject().str();
       findings.push_back(Finding{
           "", Severity::kError, "-",
           "predicted delay exceeds tclk " + formatPs(ctx.tclk_ps) +
@@ -349,21 +328,24 @@ Box featureDomain(const core::FeatureEncoder& encoder,
 }
 
 std::string SafeTclkCertificate::toJson() const {
-  std::ostringstream os;
-  os << "{\"schema\":\"tevot-safe-tclk-certificate-v1\""
-     << ",\"model\":\"" << lint::jsonEscape(model_path) << "\""
-     << ",\"history\":" << (history ? "true" : "false")
-     << ",\"features\":" << feature_count << ",\"trees\":" << tree_count
-     << ",\"operating_box\":{\"voltage\":[" << jsonDouble(v_lo) << ","
-     << jsonDouble(v_hi) << "],\"temperature\":[" << jsonDouble(t_lo) << ","
-     << jsonDouble(t_hi) << "]}"
-     << ",\"tclk_ps\":" << jsonDouble(tclk_ps)
-     << ",\"certified\":" << (certified ? "true" : "false")
-     << ",\"delay_bound_ps\":{\"min\":" << jsonFloat(bound_lo_ps)
-     << ",\"max\":" << jsonFloat(bound_hi_ps) << "}"
-     << ",\"box_evals\":" << box_evals << ",\"counterexample\":"
-     << (counterexample_json.empty() ? "null" : counterexample_json) << "}";
-  return os.str();
+  util::json::Writer json;
+  json.beginObject().field("schema", "tevot-safe-tclk-certificate-v1");
+  json.field("model", model_path).field("history", history);
+  json.field("features", feature_count).field("trees", tree_count);
+  json.key("operating_box").beginObject();
+  json.key("voltage").beginArray().value(v_lo).value(v_hi).endArray();
+  json.key("temperature").beginArray().value(t_lo).value(t_hi).endArray();
+  json.endObject();
+  json.field("tclk_ps", tclk_ps).field("certified", certified);
+  json.key("delay_bound_ps").beginObject();
+  json.field("min", bound_lo_ps).field("max", bound_hi_ps).endObject();
+  json.field("box_evals", box_evals).key("counterexample");
+  if (counterexample_json.empty()) {
+    json.null();
+  } else {
+    json.raw(counterexample_json);
+  }
+  return json.endObject().str();
 }
 
 lint::Severity modelRuleSeverity(std::string_view id) {

@@ -16,6 +16,7 @@
 #include "check/serve_oracle.hpp"
 #include "fixture.hpp"
 #include "serve/server.hpp"
+#include "util/json.hpp"
 
 namespace tevot::fleet {
 namespace {
@@ -27,12 +28,17 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-/// "key": value out of the flat bench-JSON payload; -1 when missing.
+/// A number member of the flat JSON report; -1 when the report does
+/// not parse or the member is missing or not a number.
 double jsonNumber(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = json.find(needle);
-  if (at == std::string::npos) return -1.0;
-  return std::atof(json.c_str() + at + needle.size());
+  util::json::Value report;
+  const util::Status status = util::json::parse(json, &report);
+  EXPECT_TRUE(status.ok()) << status.message;
+  const util::json::Value* member = report.find(key);
+  if (member == nullptr || member->kind != util::json::Value::Kind::kNumber) {
+    return -1.0;
+  }
+  return member->number;
 }
 
 TEST(LoadgenSigintTest, SigtermMidStormFlushesPartialJsonAndExits130) {

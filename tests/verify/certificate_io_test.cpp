@@ -99,6 +99,35 @@ TEST(CertificateIoTest, TrailingBytesAreParseError) {
       << status.message;
 }
 
+TEST(CertificateIoTest, DeepNestingIsParseErrorNotACrash) {
+  // Before the depth bound, 100,000 '[' overflowed the parser's stack.
+  for (const std::size_t depth : {10000u, 100000u}) {
+    SafeTclkCertificate parsed;
+    const util::Status status =
+        loadCertificate(std::string(depth, '['), &parsed);
+    EXPECT_EQ(status.code, util::StatusCode::kParseError) << depth;
+    EXPECT_NE(status.message.find("nesting"), std::string::npos)
+        << status.message;
+  }
+}
+
+TEST(CertificateIoTest, DuplicateCertifiedKeyIsParseError) {
+  // A later "certified":true must not override the first verdict: the
+  // DVFS controller would clock adaptively from this document.
+  std::string json = sampleCert().toJson();
+  const std::string verdict = "\"certified\":true";
+  const std::size_t at = json.find(verdict);
+  ASSERT_NE(at, std::string::npos) << json;
+  json.replace(at, verdict.size(), "\"certified\":false");
+  json.insert(json.size() - 1, ",\"certified\":true");
+  SafeTclkCertificate parsed;
+  const util::Status status = loadCertificate(json, &parsed);
+  EXPECT_EQ(status.code, util::StatusCode::kParseError) << json;
+  EXPECT_NE(status.message.find("duplicate key 'certified'"),
+            std::string::npos)
+      << status.message;
+}
+
 TEST(CertificateIoTest, MissingFieldIsParseError) {
   // Drop "tclk_ps" — the one field the controller clocks hardware
   // from — by splicing it out of a valid document.

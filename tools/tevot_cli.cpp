@@ -74,6 +74,7 @@
 
 #include "util/env.hpp"
 #include "util/fault_injection.hpp"
+#include "util/json.hpp"
 #include "util/signal.hpp"
 #include "util/thread_pool.hpp"
 
@@ -466,14 +467,15 @@ int cmdLint(int argc, char** argv, util::ThreadPool& pool) {
   }
 
   bool clean = true;
-  std::string json;
+  util::json::Writer array;
+  array.beginArray();
   for (const FuLintOutput& out : outputs) {
     std::printf("%s", out.text.c_str());
     clean = clean && out.clean;
-    if (!json.empty()) json += ",\n";
-    json += out.json;
+    array.raw(out.json);
   }
-  if (kinds.size() > 1) json = "[\n" + json + "]\n";
+  const std::string json =
+      (kinds.size() > 1 ? array.endArray().str() : outputs[0].json) + "\n";
   if (json_path == "-") {
     std::printf("%s", json.c_str());
   } else if (!json_path.empty()) {

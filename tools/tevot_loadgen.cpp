@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
                    json_path.c_str());
       return 1;
     }
-    out << report.toJson(label, options);
+    out << report.toJson(label, options) << "\n";
     out.flush();
     std::fprintf(stderr, "tevot_loadgen: wrote %s\n", json_path.c_str());
   }
