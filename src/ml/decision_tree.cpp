@@ -1,6 +1,7 @@
 #include "ml/decision_tree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -55,13 +56,129 @@ struct BestSplit {
   double score = std::numeric_limits<double>::infinity();
 };
 
+// Packed binary columns are scanned four at a time, one SIMD lane per
+// column, as two halves of the two-lane vectors SSE2 has (GCC/Clang
+// vector extensions; no -march needed).
+constexpr std::size_t kLanes = 4;
+using F64x2 = double __attribute__((vector_size(16)));
+using U64x2 = std::uint64_t __attribute__((vector_size(16)));
+
+// Lane j of entry n is all ones when bit j of the nibble n is set.
+constexpr auto kNibbleMasks = [] {
+  std::array<std::array<std::uint64_t, kLanes>, 16> masks{};
+  for (std::size_t nibble = 0; nibble < 16; ++nibble) {
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      masks[nibble][lane] = (nibble >> lane & 1U) != 0 ? ~0ULL : 0ULL;
+    }
+  }
+  return masks;
+}();
+
+/// A node's rows, gathered contiguously for the packed scan: each
+/// label as a double and the row's packed words.
+struct NodeRows {
+  std::vector<double> y;
+  std::vector<std::uint64_t> words;
+};
+
+/// Two columns' running left (bit clear) and right (bit set) sums.
+struct LanePair {
+  F64x2 sum_left{}, sum_right{}, sumsq_left{}, sumsq_right{};
+  U64x2 ones{};  ///< rows with the bit set (a set lane's mask is -1)
+
+  // C-style casts between same-size vector types reinterpret bits.
+  void add(U64x2 mask, U64x2 y, U64x2 ysq) {
+    sum_left += (F64x2)(y & ~mask);
+    sum_right += (F64x2)(y & mask);
+    sumsq_left += (F64x2)(ysq & ~mask);
+    sumsq_right += (F64x2)(ysq & mask);
+    ones -= mask;
+  }
+
+  void store(std::size_t n, LabelStats* left, LabelStats* right) const {
+    for (std::size_t lane = 0; lane < 2; ++lane) {
+      const auto set = static_cast<double>(ones[lane]);
+      left[lane] = {static_cast<double>(n) - set, sum_left[lane],
+                    sumsq_left[lane]};
+      right[lane] = {set, sum_right[lane], sumsq_right[lane]};
+    }
+  }
+};
+
+/// Left and right LabelStats of packed columns 4*block .. 4*block+3
+/// over the gathered rows. Each lane adds every row in order, the
+/// label where the row goes its way and +0.0 where it does not. A sum
+/// that starts at +0.0 never becomes -0.0, so the +0.0 terms leave it
+/// unchanged: every sum is the same double the per-column scan adds
+/// up, in the same order.
+void scanBlock(const NodeRows& rows, std::size_t words_per_row,
+               std::size_t block, LabelStats* left, LabelStats* right) {
+  const std::size_t n = rows.y.size();
+  const std::uint64_t* words = rows.words.data() + block / 16;
+  const std::size_t shift = 4 * (block % 16);
+  LanePair lo, hi;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t* mask =
+        kNibbleMasks[words[i * words_per_row] >> shift & 15U].data();
+    const F64x2 label{rows.y[i], rows.y[i]};
+    const auto y = (U64x2)label;
+    const auto ysq = (U64x2)(label * label);
+    lo.add(U64x2{mask[0], mask[1]}, y, ysq);
+    hi.add(U64x2{mask[2], mask[3]}, y, ysq);
+  }
+  lo.store(n, left, right);
+  hi.store(n, left + 2, right + 2);
+}
+
 }  // namespace
+
+BinaryColumns BinaryColumns::pack(const Dataset& data) {
+  const std::size_t n_features = data.features();
+  std::vector<char> binary(n_features, 1);
+  for (std::size_t r = 0; r < data.size(); ++r) {
+    const std::span<const float> row = data.x.row(r);
+    for (std::size_t f = 0; f < n_features; ++f) {
+      binary[f] &= static_cast<char>(row[f] == 0.0f || row[f] == 1.0f);
+    }
+  }
+  BinaryColumns packed;
+  packed.slot.assign(n_features, -1);
+  std::vector<std::size_t> packed_features;
+  for (std::size_t f = 0; f < n_features; ++f) {
+    if (binary[f] != 0) {
+      packed.slot[f] = static_cast<std::int32_t>(packed_features.size());
+      packed_features.push_back(f);
+    }
+  }
+  packed.columns = packed_features.size();
+  packed.words_per_row = (packed.columns + 63) / 64;
+  packed.words.assign(data.size() * packed.words_per_row, 0);
+  for (std::size_t r = 0; r < data.size(); ++r) {
+    const std::span<const float> row = data.x.row(r);
+    std::uint64_t* words = packed.words.data() + r * packed.words_per_row;
+    for (std::size_t k = 0; k < packed.columns; ++k) {
+      if (row[packed_features[k]] == 1.0f) words[k / 64] |= 1ULL << (k % 64);
+    }
+  }
+  return packed;
+}
 
 void DecisionTree::fit(const Dataset& data, TreeTask task,
                        const TreeParams& params, util::Rng& rng,
                        std::span<const std::size_t> indices) {
+  fit(data, BinaryColumns::pack(data), task, params, rng, indices);
+}
+
+void DecisionTree::fit(const Dataset& data, const BinaryColumns& binary,
+                       TreeTask task, const TreeParams& params,
+                       util::Rng& rng, std::span<const std::size_t> indices) {
   if (data.size() == 0) {
     throw std::invalid_argument("DecisionTree::fit: empty dataset");
+  }
+  if (binary.slot.size() != data.features() ||
+      binary.words.size() != data.size() * binary.words_per_row) {
+    throw std::invalid_argument(
+        "DecisionTree::fit: binary columns were packed from other data");
   }
   if (task == TreeTask::kClassification) {
     for (const float label : data.y) {
@@ -97,6 +214,15 @@ void DecisionTree::fit(const Dataset& data, TreeTask task,
   stack.push_back({0, 0, working.size(), 0});
 
   std::vector<std::pair<float, float>> scratch;  // (feature value, label)
+
+  // Packed-column stats of the current node, filled a block at a time
+  // on first use: block b is current when block_node[b] == item.node.
+  const std::size_t wpr = binary.words_per_row;
+  NodeRows gathered;
+  std::vector<LabelStats> packed_left(binary.columns + kLanes);
+  std::vector<LabelStats> packed_right(binary.columns + kLanes);
+  std::vector<std::int32_t> block_node((binary.columns + kLanes - 1) / kLanes,
+                                       -1);
 
   while (!stack.empty()) {
     const WorkItem item = stack.back();
@@ -134,11 +260,41 @@ void DecisionTree::fit(const Dataset& data, TreeTask task,
 
     BestSplit best;
     const auto min_leaf = static_cast<double>(params.min_samples_leaf);
+    bool node_gathered = false;
     for (int c = 0; c < n_candidates; ++c) {
       const int feature = feature_pool[static_cast<std::size_t>(c)];
       const auto fcol = static_cast<std::size_t>(feature);
 
-      // Fast path: binary feature column.
+      // Packed binary column: stats from the node's block scan.
+      if (const std::int32_t k = binary.slot[fcol]; k >= 0) {
+        const auto slot = static_cast<std::size_t>(k);
+        const std::size_t block = slot / kLanes;
+        if (!node_gathered) {
+          gathered.y.resize(n);
+          gathered.words.resize(n * wpr);
+          for (std::size_t i = 0; i < n; ++i) {
+            gathered.y[i] = data.y[rows[i]];
+            std::copy_n(binary.words.data() + rows[i] * wpr, wpr,
+                        gathered.words.data() + i * wpr);
+          }
+          node_gathered = true;
+        }
+        if (block_node[block] != item.node) {
+          scanBlock(gathered, wpr, block, &packed_left[block * kLanes],
+                    &packed_right[block * kLanes]);
+          block_node[block] = item.node;
+        }
+        const LabelStats& left = packed_left[slot];
+        const LabelStats& right = packed_right[slot];
+        if (left.count < min_leaf || right.count < min_leaf) continue;
+        const double score = left.impurity(task) + right.impurity(task);
+        if (score < best.score) {
+          best = BestSplit{feature, 0.5f, score};
+        }
+        continue;
+      }
+
+      // Unpacked column: O(n) when it is {0,1} on this node's rows.
       bool is_binary = true;
       LabelStats left, right;
       for (const std::size_t row : rows) {

@@ -1,10 +1,13 @@
 // CART decision trees (classification and regression).
 //
 // Greedy recursive binary splitting: Gini impurity for (binary)
-// classification, variance reduction for regression. Binary {0,1}
-// feature columns — the bulk of TEVoT's feature space — are detected
-// and split-scanned in O(n) without sorting; real-valued columns use
-// the classic sort-and-scan over midpoints between distinct values.
+// classification, variance reduction for regression. Columns that are
+// {0,1} over the whole dataset — the bulk of TEVoT's feature space —
+// are bit-packed once (BinaryColumns), and each node fills every such
+// column's left/right label sums in one vectorized pass over its rows.
+// Every other column keeps the per-node scan: an O(n) pass when it is
+// {0,1} on the node's rows, else sort-and-scan over the midpoints
+// between distinct values.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +29,29 @@ struct TreeParams {
                                ///< (the sklearn default the paper uses)
 };
 
+/// The columns of a Dataset that hold only 0 and 1 on every row
+/// (-0.0 counts as 0), bit-packed row by row: packed column k is bit
+/// k % 64 of word k / 64 of its row.
+struct BinaryColumns {
+  std::vector<std::int32_t> slot;  ///< per feature: packed index or -1
+  std::size_t columns = 0;         ///< packed column count
+  std::size_t words_per_row = 0;
+  std::vector<std::uint64_t> words;  ///< rows * words_per_row
+
+  static BinaryColumns pack(const Dataset& data);
+};
+
 class DecisionTree {
  public:
   /// Fits on the rows of `data` selected by `indices` (all rows when
   /// empty). `rng` drives feature subsampling when max_features >= 0.
   void fit(const Dataset& data, TreeTask task, const TreeParams& params,
            util::Rng& rng, std::span<const std::size_t> indices = {});
+  /// The same fit over `binary`, which must be BinaryColumns::pack(data):
+  /// a forest packs once and shares the result across its trees.
+  void fit(const Dataset& data, const BinaryColumns& binary, TreeTask task,
+           const TreeParams& params, util::Rng& rng,
+           std::span<const std::size_t> indices = {});
 
   /// Predicted class (0/1) or regression value for one feature row.
   float predict(std::span<const float> features) const;

@@ -20,6 +20,8 @@ std::vector<DecisionTree> fitForest(const Dataset& data, TreeTask task,
   std::vector<std::uint64_t> seeds(n_trees);
   for (std::uint64_t& seed : seeds) seed = rng.next();
 
+  // Packed once; every tree reads it, never writes it.
+  const BinaryColumns binary = BinaryColumns::pack(data);
   std::vector<DecisionTree> trees(n_trees);
   const auto fit_one = [&](std::size_t t) {
     util::Rng tree_rng(seeds[t]);
@@ -28,9 +30,9 @@ std::vector<DecisionTree> fitForest(const Dataset& data, TreeTask task,
       for (std::size_t i = 0; i < sample.size(); ++i) {
         sample[i] = tree_rng.nextBelow(data.size());
       }
-      trees[t].fit(data, task, params.tree, tree_rng, sample);
+      trees[t].fit(data, binary, task, params.tree, tree_rng, sample);
     } else {
-      trees[t].fit(data, task, params.tree, tree_rng);
+      trees[t].fit(data, binary, task, params.tree, tree_rng);
     }
   };
   if (pool != nullptr) {

@@ -20,10 +20,7 @@ double msSince(std::chrono::steady_clock::time_point start) {
 }
 
 void Replies::count(ResponseStatus status) {
-  // Indexed in ResponseStatus order.
-  std::atomic<std::uint64_t>* const counters[] = {
-      &metrics_->ok, &metrics_->shed, &metrics_->deadline, &metrics_->errors};
-  counters[static_cast<int>(status)]->fetch_add(1, std::memory_order_relaxed);
+  ++tally_.outcomes[static_cast<std::size_t>(status)];
 }
 
 void Replies::add(const Response& response, std::size_t copies) {
@@ -135,9 +132,9 @@ void LineServer::reapFinishedConnections() {
 }
 
 void LineServer::serveConnection(int fd, const LineHandler& handler) {
-  Replies replies(&metrics_);
+  Replies replies;
   const auto answer = [&](std::string_view line) {
-    metrics_.requests.fetch_add(1, std::memory_order_relaxed);
+    ++replies.tally_.requests;
     if (line.size() > kMaxLineBytes) {
       replies.add(Response::error(ErrorCode::kOversized,
                                   "request line exceeds " +
@@ -146,6 +143,8 @@ void LineServer::serveConnection(int fd, const LineHandler& handler) {
     } else {
       handler(line, replies);
     }
+    metrics_.publish(replies.tally_);
+    replies.tally_ = {};
     util::sendAll(fd, replies.wire_);  // a failed write: client gone
     replies.wire_.clear();
   };
@@ -195,9 +194,7 @@ bool LineServer::parsePredict(
     return false;
   }
   const std::size_t lines = request->responseCount();
-  if (lines > 1) {
-    metrics_.requests.fetch_add(lines - 1, std::memory_order_relaxed);
-  }
+  out.tally_.requests += lines - 1;
   if (request->kind != RequestKind::kPredict) {
     out.add(control(*request));
     return false;

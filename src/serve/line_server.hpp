@@ -36,11 +36,9 @@ namespace tevot::serve {
 /// Milliseconds elapsed on the steady clock since `start`.
 double msSince(std::chrono::steady_clock::time_point start);
 
-/// The response lines of one request line.
+/// The response lines of one request line, and its tally.
 class Replies {
  public:
-  explicit Replies(ServeMetrics* metrics) : metrics_(metrics) {}
-
   /// Appends `copies` serialized copies of `response` (a batch outcome
   /// is replicated once per tuple).
   void add(const Response& response, std::size_t copies = 1);
@@ -53,7 +51,7 @@ class Replies {
   friend class LineServer;
   void count(ResponseStatus status);
 
-  ServeMetrics* metrics_;
+  LineTally tally_;
   std::string wire_;
 };
 

@@ -210,19 +210,30 @@ bool parseMetricsLine(std::string_view line, MetricsSnapshot* out) {
   return true;
 }
 
+void ServeMetrics::publish(const LineTally& line) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  totals_.requests += line.requests;
+  for (std::size_t i = 0; i < totals_.outcomes.size(); ++i) {
+    totals_.outcomes[i] += line.outcomes[i];
+  }
+}
+
 MetricsSnapshot ServeMetrics::snapshot() const {
   MetricsSnapshot snap;
   snap.connections = connections.load(std::memory_order_relaxed);
   snap.connections_dropped =
       connections_dropped.load(std::memory_order_relaxed);
-  snap.requests = requests.load(std::memory_order_relaxed);
-  snap.ok = ok.load(std::memory_order_relaxed);
-  snap.shed = shed.load(std::memory_order_relaxed);
-  snap.deadline = deadline.load(std::memory_order_relaxed);
-  snap.errors = errors.load(std::memory_order_relaxed);
   snap.reloads = reloads.load(std::memory_order_relaxed);
   snap.reload_failures = reload_failures.load(std::memory_order_relaxed);
-  snap.latency = latencySnapshot();
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    snap.requests = totals_.requests;
+    snap.ok = totals_.outcomes[0];
+    snap.shed = totals_.outcomes[1];
+    snap.deadline = totals_.outcomes[2];
+    snap.errors = totals_.outcomes[3];
+    snap.latency = latency_;
+  }
   snap.refreshLatencyFields();
   return snap;
 }

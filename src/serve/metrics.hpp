@@ -1,11 +1,12 @@
 // Serving counters and latency percentiles behind /health and /stats.
 //
-// Counters are relaxed atomics (monotonic, per-event increments from
-// many threads); the latency histogram is mutex-guarded because
-// LatencyHistogram itself is not synchronized. snapshot() is the one
-// read surface — the control responses, the drain-time summary, the
-// bench JSON and the fleet router's cross-process aggregation all
-// render from the same struct.
+// Connection and reload counters are relaxed atomics (monotonic,
+// per-event increments from many threads). Request and outcome counts
+// share the latency histogram's mutex, and each answered line adds
+// both in one step, so no snapshot holds a request without its
+// outcomes. snapshot() is the one read surface — the control
+// responses, the drain-time summary, the bench JSON and the fleet
+// router's cross-process aggregation all render from the same struct.
 //
 // toLine()/parseMetricsLine() are exact inverses for everything that
 // matters downstream: counters and gauges round-trip as integers, and
@@ -14,6 +15,7 @@
 // the same percentiles as one process holding every sample.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -70,25 +72,31 @@ struct MetricsSnapshot {
 /// or a malformed k=v token).
 bool parseMetricsLine(std::string_view line, MetricsSnapshot* out);
 
+/// What one request line adds to the counters: its requests (one per
+/// line where it arrives, plus a predictN's further tuples) and one
+/// outcome per response line, indexed in ResponseStatus order (ok,
+/// shed, deadline, error).
+struct LineTally {
+  std::uint64_t requests = 0;
+  std::array<std::uint64_t, 4> outcomes{};
+};
+
 class ServeMetrics {
  public:
   std::atomic<std::uint64_t> connections{0};
   std::atomic<std::uint64_t> connections_dropped{0};
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> ok{0};
-  std::atomic<std::uint64_t> shed{0};
-  std::atomic<std::uint64_t> deadline{0};
-  std::atomic<std::uint64_t> errors{0};
   std::atomic<std::uint64_t> reloads{0};
   std::atomic<std::uint64_t> reload_failures{0};
 
+  /// Adds one answered line's requests and outcomes in one step, under
+  /// the lock snapshot() reads them under: a snapshot never holds a
+  /// line's request without its outcomes, so requests ==
+  /// ok+shed+deadline+errors whenever every line got its replies.
+  void publish(const LineTally& line);
+
   void recordLatencyMs(double ms) {
-    const std::lock_guard<std::mutex> lock(latency_mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     latency_.add(ms);
-  }
-  util::LatencyHistogram latencySnapshot() const {
-    const std::lock_guard<std::mutex> lock(latency_mutex_);
-    return latency_;
   }
 
   /// Counter + latency part of the snapshot; the server fills in the
@@ -96,7 +104,8 @@ class ServeMetrics {
   MetricsSnapshot snapshot() const;
 
  private:
-  mutable std::mutex latency_mutex_;
+  mutable std::mutex mutex_;  ///< guards totals_ and latency_
+  LineTally totals_;
   util::LatencyHistogram latency_;
 };
 

@@ -404,5 +404,36 @@ TEST(RouterTest, WorkerStatsAggregateExactly) {
   for (auto& shard : shards) shard->drainAndStop();
 }
 
+TEST(RouterTest, ShardStatsAreNeverTornByInFlightProbes) {
+  // The router probes its shard with `stats` every millisecond, so a
+  // probe line is nearly always in flight at the shard. Every snapshot
+  // taken meanwhile must still balance requests against outcomes.
+  const std::unique_ptr<serve::Server> shard = bootShard();
+  RouterOptions options = fastRouterOptions();
+  options.health_interval_ms = 1.0;
+  Router router(options, {{shard->port(), {}}});
+  ASSERT_TRUE(router.start().ok());
+  constexpr std::uint64_t kMinCalls = 100000;
+  constexpr std::uint64_t kMinProbes = 50;
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(30);
+  std::uint64_t calls = 0;
+  std::uint64_t torn = 0;
+  serve::MetricsSnapshot last;
+  while ((calls < kMinCalls || last.requests < kMinProbes) &&
+         std::chrono::steady_clock::now() < give_up) {
+    last = shard->stats();
+    ++calls;
+    if (last.requests != last.ok + last.shed + last.deadline + last.errors) {
+      ++torn;
+    }
+  }
+  router.drainAndStop();
+  shard->drainAndStop();
+  EXPECT_GE(calls, kMinCalls);
+  EXPECT_GE(last.requests, kMinProbes);
+  EXPECT_EQ(torn, 0u) << "of " << calls << " snapshots";
+}
+
 }  // namespace
 }  // namespace tevot::fleet

@@ -128,6 +128,37 @@ TEST(RandomForestTest, RegressorParallelFitIsBitIdentical) {
   EXPECT_EQ(a.str(), b.str());
 }
 
+TEST(RandomForestTest, PooledFitSharesPackedBinaryColumns) {
+  // TEVoT's shape in small: operand bits plus two real operating-
+  // condition columns. Every pool thread reads the one packed view of
+  // the bit columns; the forest must still serialize to the serial
+  // fit's bytes.
+  Dataset data;
+  util::Rng rng(41);
+  for (int i = 0; i < 400; ++i) {
+    float row[18];
+    int ones = 0;
+    for (int b = 0; b < 16; ++b) {
+      row[b] = rng.nextBool() ? 1.0f : 0.0f;
+      ones += row[b] != 0.0f ? 1 : 0;
+    }
+    row[16] = 0.8f + 0.1f * static_cast<float>(rng.nextBelow(3));
+    row[17] = 25.0f * static_cast<float>(rng.nextBelow(5));
+    data.append({row, 18},
+                static_cast<float>(ones) * 10.0f / row[16] + row[17]);
+  }
+  RandomForestRegressor serial, pooled;
+  util::Rng rng_a(43), rng_b(43);
+  serial.fit(data, ForestParams{}, rng_a);
+  util::ThreadPool pool(4);
+  pooled.fit(data, ForestParams{}, rng_b, &pool);
+  std::ostringstream a, b;
+  saveForest(a, serial);
+  saveForest(b, pooled);
+  EXPECT_EQ(a.str(), b.str());
+  EXPECT_GT(serial.trees()[0].nodeCount(), 1u);
+}
+
 TEST(RandomForestTest, ProbabilityIsVoteFraction) {
   const Dataset train = noisyTask(300, 9);
   RandomForestClassifier forest;
