@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
       auto& per_fu = fus.at(kind);
       exec.setOracle(kind, std::make_unique<apps::ModelOracle>(
                                *per_fu.models[row.index], corner,
-                               per_fu.tclk, 0x61 + row.index));
+                               per_fu.tclk));
     }
     const apps::Image out =
         apps::sobelFilter(input, exec, apps::NumericMode::kInteger);

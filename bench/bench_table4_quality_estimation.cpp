@@ -161,8 +161,7 @@ int main(int argc, char** argv) {
                 kind, std::make_unique<apps::SimOracle>(
                           per_fu.context->netlist(),
                           per_fu.context->delaysAt(corner), tclk,
-                          apps::SimOracle::ValueMode::kRandomValue,
-                          0x5130u + cells));
+                          apps::SimOracle::ValueMode::kRandomValue));
           }
           const apps::Image gt_image = apps::runApp(
               app, input, gt_exec, apps::NumericMode::kInteger);
@@ -180,7 +179,7 @@ int main(int argc, char** argv) {
               exec.setOracle(
                   kind, std::make_unique<apps::ModelOracle>(
                             *per_fu.models[static_cast<std::size_t>(m)],
-                            corner, tclk, 0x91u + cells));
+                            corner, tclk));
             }
             const apps::Image model_image = apps::runApp(
                 app, input, exec, apps::NumericMode::kInteger);

@@ -88,8 +88,7 @@ int main(int argc, char** argv) {
       model_views.push_back(
           std::make_unique<core::TevotErrorModel>(per_fu.model));
       model_exec.setOracle(kind, std::make_unique<apps::ModelOracle>(
-                                     *model_views.back(), corner, tclk,
-                                     9));
+                                     *model_views.back(), corner, tclk));
     }
     const apps::Image gt = apps::sobelFilter(input, gt_exec,
                                              apps::NumericMode::kInteger);

@@ -47,8 +47,8 @@ std::size_t ProfilingExecutor::opCount(circuits::FuKind kind) const {
 }
 
 ModelOracle::ModelOracle(core::ErrorModel& model, liberty::Corner corner,
-                         double tclk_ps, std::uint64_t seed)
-    : model_(&model), corner_(corner), tclk_ps_(tclk_ps), rng_(seed) {}
+                         double tclk_ps)
+    : model_(&model), corner_(corner), tclk_ps_(tclk_ps) {}
 
 ErrorOracle::Outcome ModelOracle::judge(std::uint32_t a, std::uint32_t b,
                                         std::uint32_t prev_a,
@@ -69,8 +69,8 @@ ErrorOracle::Outcome ModelOracle::judge(std::uint32_t a, std::uint32_t b,
 
 SimOracle::SimOracle(const netlist::Netlist& nl,
                      const liberty::CornerDelays& delays, double tclk_ps,
-                     ValueMode mode, std::uint64_t seed)
-    : simulator_(nl, delays), tclk_ps_(tclk_ps), mode_(mode), rng_(seed),
+                     ValueMode mode)
+    : simulator_(nl, delays), tclk_ps_(tclk_ps), mode_(mode),
       input_bits_(nl.inputs().size(), 0) {}
 
 ErrorOracle::Outcome SimOracle::judge(std::uint32_t a, std::uint32_t b,

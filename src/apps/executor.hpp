@@ -89,7 +89,7 @@ class ErrorOracle {
 class ModelOracle final : public ErrorOracle {
  public:
   ModelOracle(core::ErrorModel& model, liberty::Corner corner,
-              double tclk_ps, std::uint64_t seed);
+              double tclk_ps);
   Outcome judge(std::uint32_t a, std::uint32_t b, std::uint32_t prev_a,
                 std::uint32_t prev_b) override;
 
@@ -97,7 +97,6 @@ class ModelOracle final : public ErrorOracle {
   core::ErrorModel* model_;
   liberty::Corner corner_;
   double tclk_ps_;
-  util::Rng rng_;
 };
 
 /// Ground-truth oracle: steps the back-annotated gate-level simulator
@@ -110,10 +109,9 @@ class SimOracle final : public ErrorOracle {
  public:
   enum class ValueMode { kLatchedWord, kRandomValue };
 
-  /// Both references must outlive the oracle.
+  /// Copies the delays; `nl` must outlive the oracle.
   SimOracle(const netlist::Netlist& nl, const liberty::CornerDelays& delays,
-            double tclk_ps, ValueMode mode = ValueMode::kLatchedWord,
-            std::uint64_t seed = 0x5130);
+            double tclk_ps, ValueMode mode = ValueMode::kLatchedWord);
   Outcome judge(std::uint32_t a, std::uint32_t b, std::uint32_t prev_a,
                 std::uint32_t prev_b) override;
 
@@ -121,7 +119,6 @@ class SimOracle final : public ErrorOracle {
   sim::TimingSimulator simulator_;
   double tclk_ps_;
   ValueMode mode_;
-  util::Rng rng_;
   bool primed_ = false;
   std::vector<std::uint8_t> input_bits_;
 };

@@ -81,7 +81,16 @@ using ToggleObserver =
 
 class TimingSimulator {
  public:
-  /// Both references must outlive the simulator.
+  /// Cap on the event queue's ring of time buckets. A wider delay
+  /// ratio widens the buckets instead of adding more, so queue memory
+  /// does not grow with max/min delay.
+  static constexpr std::size_t kMaxQueueBuckets = 4096;
+
+  /// Copies what it needs of `delays`; `nl` must outlive the
+  /// simulator. Throws std::invalid_argument when the annotation does
+  /// not match the netlist, when a gate with inputs has a negative or
+  /// non-finite rise/fall delay (zero is legal and exact), or when the
+  /// delays sum beyond the double range.
   TimingSimulator(const netlist::Netlist& nl,
                   const liberty::CornerDelays& delays);
 
@@ -109,27 +118,68 @@ class TimingSimulator {
   /// Total events processed since construction.
   std::uint64_t totalEvents() const { return total_events_; }
 
+  /// Buckets in the event queue's ring (at most kMaxQueueBuckets).
+  std::size_t queueBucketCount() const { return buckets_.size(); }
+
  private:
+  /// A scheduled transition. `seq` restarts every cycle (the queue is
+  /// empty at quiescence); `net_value` packs net << 1 | value.
   struct Event {
     double time_ps;
-    std::uint64_t seq;    ///< schedule order, for cancellation + ties
-    netlist::NetId net;
-    std::uint8_t value;
+    std::uint32_t seq;  ///< schedule order, for cancellation + ties
+    std::uint32_t net_value;
+  };
+  static_assert(sizeof(Event) == 16);
+
+  /// A gate in the simulator's flat layout: missing pins read the
+  /// constant-0 slot, `truth` bit (a | b << 1 | c << 2) is the output.
+  struct FlatGate {
+    netlist::NetId in[3];
+    netlist::NetId out;
+    double delay_ps[2];  ///< [0] fall, [1] rise
+    std::uint8_t truth;
   };
 
   void scheduleFanout(netlist::NetId net, double now_ps);
   void pushEvent(double time_ps, netlist::NetId net, bool value);
-  Event popEvent();
+  void insertIntoRun(Event event);
+  bool popEvent(Event& event);
+  bool nextBucket();
+  static void orderByTime(Event* pair);
+  std::uint64_t bucketKey(double time_ps) const {
+    // time_ps >= 0 and finite (validated delays), so truncation floors.
+    return static_cast<std::uint64_t>(time_ps * inv_width_);
+  }
 
   const netlist::Netlist& nl_;
-  const liberty::CornerDelays& delays_;
+  std::vector<FlatGate> gates_;
+  /// Fanout CSR: gates reading net n are fanout_[fanout_begin_[n] ..
+  /// fanout_begin_[n + 1]), duplicates and order as Netlist::fanout.
+  std::vector<std::uint32_t> fanout_begin_;
+  std::vector<std::uint32_t> fanout_;
+  /// One byte per net plus a trailing constant-0 slot.
   std::vector<std::uint8_t> net_values_;
   /// Latest schedule sequence per net; an event is stale (cancelled)
   /// unless its seq matches. Implements inertial-delay preemption.
-  std::vector<std::uint64_t> latest_seq_;
-  std::vector<Event> heap_;
-  std::uint64_t next_seq_ = 0;
+  std::vector<std::uint32_t> latest_seq_;
+  std::uint32_t next_seq_ = 0;
+
+  // Bucketed event queue. Event time t has key floor(t * inv_width_),
+  // which never decreases as t grows. Events of the bucket being
+  // drained (key == run_key_) sit in run_, sorted by (time, seq) and
+  // consumed from run_pos_; later keys wait unsorted in ring slot
+  // key & (buckets_.size() - 1). The ring spans the largest gate delay,
+  // so no two pending keys share a slot.
+  double inv_width_ = 0.0;
+  std::vector<std::vector<Event>> buckets_;
+  std::size_t ring_events_ = 0;
+  std::vector<Event> run_;
+  std::size_t run_pos_ = 0;
+  std::uint64_t run_key_ = 0;
+
   std::vector<std::uint8_t> prev_inputs_;
+  /// This cycle's output toggles, reused across cycles.
+  std::vector<ToggleEvent> toggles_;
   bool initialized_ = false;
   std::uint64_t cycle_count_ = 0;
   std::uint64_t total_events_ = 0;

@@ -114,7 +114,7 @@ TEST(ExecutorTest, ModelOracleUsesErrorModel) {
   executor.setOracle(circuits::FuKind::kIntAdd,
                      std::make_unique<ModelOracle>(
                          delay_model, corner,
-                         trace.maxDelayPs() * 0.5, 5));
+                         trace.maxDelayPs() * 0.5));
   for (int i = 0; i < 20; ++i) {
     executor.addI(i, i + 1);
   }

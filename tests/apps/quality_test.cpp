@@ -39,7 +39,7 @@ TEST(QualityTest, DelayBasedOracleDestroysTheImage) {
       circuits::FuKind::kIntAdd,
       std::make_unique<ModelOracle>(
           delay_based, corner,
-          dta::speedupClockPs(trace.baseClockPs(), 0.10), 0x74));
+          dta::speedupClockPs(trace.baseClockPs(), 0.10)));
   const Image corrupted =
       sobelFilter(input, executor, NumericMode::kInteger);
   // Every INT ADD op was corrupted (INT MUL has no oracle here).
@@ -55,10 +55,10 @@ TEST(QualityTest, NeverErrorModelLeavesImageIntact) {
   ErrorInjectingExecutor executor(0x76);
   executor.setOracle(circuits::FuKind::kIntAdd,
                      std::make_unique<ModelOracle>(
-                         never, liberty::Corner{0.9, 50.0}, 100.0, 0x77));
+                         never, liberty::Corner{0.9, 50.0}, 100.0));
   executor.setOracle(circuits::FuKind::kIntMul,
                      std::make_unique<ModelOracle>(
-                         never, liberty::Corner{0.9, 50.0}, 100.0, 0x78));
+                         never, liberty::Corner{0.9, 50.0}, 100.0));
   const Image output =
       gaussianFilter(input, executor, NumericMode::kInteger);
   EXPECT_EQ(output.pixels(), reference.pixels());

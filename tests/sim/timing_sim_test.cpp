@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "circuits/fu.hpp"
 #include "util/rng.hpp"
 
@@ -225,6 +229,114 @@ TEST(TimingSimTest, DelayAnnotationMismatchThrows) {
   nl.markOutput(nl.addGate1(netlist::CellKind::kInv, a));
   liberty::CornerDelays delays;  // wrong size
   EXPECT_THROW(TimingSimulator(nl, delays), std::invalid_argument);
+  delays = uniformDelays(nl, 10.0);
+  delays.fall_ps.clear();  // rise matches, fall does not
+  EXPECT_THROW(TimingSimulator(nl, delays), std::invalid_argument);
+}
+
+/// in -> buf -> inv -> out, for delay validation.
+netlist::Netlist twoGateChain() {
+  netlist::Netlist nl("chain");
+  const auto a = nl.addInput("a");
+  const auto b = nl.addGate1(netlist::CellKind::kBuf, a);
+  nl.markOutput(nl.addGate1(netlist::CellKind::kInv, b));
+  return nl;
+}
+
+TEST(TimingSimTest, UnusableDelaysThrowNamingTheGate) {
+  const netlist::Netlist nl = twoGateChain();
+  const double kBad[] = {std::nan(""),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(), -1.0,
+                         -0.5e-9};
+  for (const double bad : kBad) {
+    for (const bool rise : {true, false}) {
+      liberty::CornerDelays delays = uniformDelays(nl, 10.0);
+      (rise ? delays.rise_ps : delays.fall_ps)[1] = bad;
+      try {
+        const TimingSimulator simulator(nl, delays);
+        ADD_FAILURE() << "delay " << bad << " accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("gate 1 (INV)"), std::string::npos) << what;
+        EXPECT_NE(what.find(rise ? "rise" : "fall"), std::string::npos)
+            << what;
+      }
+    }
+  }
+}
+
+TEST(TimingSimTest, DelaysSummingPastDoubleRangeThrow) {
+  const netlist::Netlist nl = twoGateChain();
+  const auto delays =
+      uniformDelays(nl, std::numeric_limits<double>::max() / 2);
+  EXPECT_THROW(TimingSimulator(nl, delays), std::invalid_argument);
+}
+
+TEST(TimingSimTest, ConstantGateDelaysAreNotValidated) {
+  // A constant is never scheduled, so its annotation is irrelevant.
+  netlist::Netlist nl("const");
+  const auto a = nl.addInput("a");
+  const auto one = nl.addConst(true);
+  nl.markOutput(nl.addGate2(netlist::CellKind::kAnd2, a, one));
+  liberty::CornerDelays delays = uniformDelays(nl, 10.0);
+  delays.rise_ps[0] = std::nan("");
+  delays.fall_ps[0] = -1.0;
+  TimingSimulator simulator(nl, delays);
+  const std::uint8_t zero[1] = {0};
+  const std::uint8_t one_in[1] = {1};
+  simulator.reset({zero, 1});
+  EXPECT_DOUBLE_EQ(simulator.step({one_in, 1}).dynamic_delay_ps, 10.0);
+}
+
+TEST(TimingSimTest, ZeroDelaysAreLegalAndExact) {
+  // in -> buf(0) -> inv(5) -> out, and a zero-delay inverter of `in`
+  // straight to a second output: toggles at exactly 0 and 5 ps.
+  netlist::Netlist nl("zero");
+  const auto in = nl.addInput("in");
+  const auto b = nl.addGate1(netlist::CellKind::kBuf, in);
+  nl.markOutput(nl.addGate1(netlist::CellKind::kInv, b));
+  nl.markOutput(nl.addGate1(netlist::CellKind::kInv, in));
+  liberty::CornerDelays delays;
+  delays.rise_ps = {0.0, 5.0, 0.0};
+  delays.fall_ps = {0.0, 5.0, 0.0};
+  TimingSimulator simulator(nl, delays);
+  const std::uint8_t zero[1] = {0};
+  const std::uint8_t one[1] = {1};
+  simulator.reset({zero, 1});
+  const CycleRecord record = simulator.step({one, 1});
+  ASSERT_EQ(record.output_toggles.size(), 2u);
+  EXPECT_EQ(record.output_toggles[0].time_ps, 0.0);
+  EXPECT_EQ(record.output_toggles[0].output_bit, 1u);
+  EXPECT_EQ(record.output_toggles[1].time_ps, 5.0);
+  EXPECT_EQ(record.output_toggles[1].output_bit, 0u);
+  EXPECT_EQ(record.settled_word, 0u);
+  EXPECT_EQ(record.dynamic_delay_ps, 5.0);
+
+  // Every delay zero: the whole cycle happens at t = 0.
+  TimingSimulator instant(nl, uniformDelays(nl, 0.0));
+  instant.reset({zero, 1});
+  const CycleRecord flat = instant.step({one, 1});
+  EXPECT_EQ(flat.settled_word, 0u);
+  EXPECT_EQ(flat.dynamic_delay_ps, 0.0);
+  ASSERT_EQ(flat.output_toggles.size(), 2u);
+  EXPECT_EQ(flat.output_toggles[1].time_ps, 0.0);
+}
+
+TEST(TimingSimTest, QueueBucketsCappedAtAnyDelayRatio) {
+  const netlist::Netlist nl = twoGateChain();
+  for (const double ratio : {1.0, 10.0, 4e3, 1e8, 1e15}) {
+    liberty::CornerDelays delays = uniformDelays(nl, 2.0);
+    delays.fall_ps[1] = 2.0 * ratio;
+    const TimingSimulator simulator(nl, delays);
+    EXPECT_LE(simulator.queueBucketCount(),
+              TimingSimulator::kMaxQueueBuckets)
+        << ratio;
+    if (ratio >= 1e8) {
+      EXPECT_EQ(simulator.queueBucketCount(),
+                TimingSimulator::kMaxQueueBuckets);
+    }
+  }
 }
 
 }  // namespace
