@@ -20,9 +20,6 @@ constexpr std::size_t kShards = 3;
 std::unique_ptr<serve::Server> bootShard(const std::string& model_dir) {
   serve::ServerOptions options;
   options.model_dir = model_dir;
-  options.queue_capacity = 16;
-  options.breaker.failure_threshold = 3;
-  options.breaker.cooldown_ms = 25.0;
   auto server = std::make_unique<serve::Server>(options);
   const util::Status started = server->start();
   expect(started.ok(), "shard failed to start: " + started.message);

@@ -265,9 +265,6 @@ void checkServeResilience(std::uint64_t seed, util::Rng& rng) {
 
   serve::ServerOptions options;
   options.model_dir = fixture.model_dir;
-  options.queue_capacity = 8;
-  options.breaker.failure_threshold = 3;
-  options.breaker.cooldown_ms = 25.0;
   options.faults = &faults;
   serve::Server server(options);
   const util::Status started = server.start();

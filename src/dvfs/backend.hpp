@@ -26,7 +26,7 @@ namespace tevot::dvfs {
 /// a degradation the controller resolves to the certified safe clock.
 enum class WindowOutcome {
   kOk,          ///< delays_ps filled, one per transition
-  kShed,        ///< server shed the window (queue full / draining)
+  kShed,        ///< server shed the window (overload / draining)
   kDeadline,    ///< per-request deadline exceeded
   kError,       ///< typed ERROR response, injected fault, or backend throw
   kDisconnect,  ///< connection lost and the reconnect budget exhausted

@@ -102,13 +102,13 @@ bool Router::shardEligible(std::size_t shard) const {
 void Router::markShardDown(std::size_t shard) {
   if (shard >= shards_.size()) return;
   shards_[shard]->probed_up.store(false);
-  shards_[shard]->queue_permille.store(0);
+  shards_[shard]->load_permille.store(0);
 }
 
 void Router::setShardPort(std::size_t shard, int port) {
   if (shard >= shards_.size()) return;
   shards_[shard]->probed_up.store(false);
-  shards_[shard]->queue_permille.store(0);
+  shards_[shard]->load_permille.store(0);
   shards_[shard]->port.store(port);
 }
 
@@ -121,8 +121,8 @@ serve::MetricsSnapshot Router::stats() const {
     }
     snap.breaker_opens += shard->breaker.opens();
     const std::lock_guard<std::mutex> lock(shard->stats_mutex);
-    snap.queue_depth += shard->last_stats.queue_depth;
-    snap.queue_capacity += shard->last_stats.queue_capacity;
+    snap.in_flight += shard->last_stats.in_flight;
+    snap.max_connections += shard->last_stats.max_connections;
     const std::uint64_t generation = shard->last_stats.generation;
     if (generation > 0 &&
         (min_generation == 0 || generation < min_generation)) {
@@ -169,16 +169,17 @@ bool Router::probeShard(std::size_t index, BackendConn* conn) {
   std::string_view detail = response.detail;
   serve::MetricsSnapshot worker;
   if (!serve::parseMetricsLine(detail, &worker)) return fail();
+  // The shed gate is set before the snapshot is published, so whoever
+  // reads this in_flight from stats() also sees the gate it implies.
+  shard.load_permille.store(
+      worker.max_connections == 0
+          ? 0
+          : static_cast<std::uint32_t>((worker.in_flight * 1024) /
+                                       worker.max_connections));
   {
     const std::lock_guard<std::mutex> lock(shard.stats_mutex);
     shard.last_stats = worker;
   }
-  const std::uint32_t permille =
-      worker.queue_capacity == 0
-          ? 0
-          : static_cast<std::uint32_t>(
-                (worker.queue_depth * 1024) / worker.queue_capacity);
-  shard.queue_permille.store(permille);
   shard.breaker.recordSuccess();
   shard.probed_up.store(true);
   return true;
@@ -196,8 +197,10 @@ void Router::healthLoop() {
   std::vector<BackendConn> conns(shards_.size());
   const auto interval =
       std::chrono::duration<double, std::milli>(options_.health_interval_ms);
+  // start() has just probed every shard, so each round waits first: an
+  // immediate second round could race a markShardDown() right after
+  // start and re-admit the shard.
   while (!core_.draining()) {
-    probeRound(conns);
     // Sleep in small ticks so drain isn't held up by a long interval.
     auto remaining = interval;
     while (remaining.count() > 0.0 && !core_.draining()) {
@@ -206,6 +209,7 @@ void Router::healthLoop() {
       std::this_thread::sleep_for(tick);
       remaining -= tick;
     }
+    if (!core_.draining()) probeRound(conns);
   }
 }
 
@@ -249,7 +253,7 @@ std::size_t Router::pickShard(const serve::Request& request,
                               const std::vector<bool>& exclude) const {
   const auto admissible = [&](std::size_t i) {
     return shardEligible(i) && !exclude[i] &&
-           shards_[i]->queue_permille.load() <
+           shards_[i]->load_permille.load() <
                static_cast<std::uint32_t>(options_.shed_queue_fraction *
                                           1024.0);
   };
@@ -367,8 +371,6 @@ util::Status Router::rollingReload() {
           ": reload failed: " + raw.value_or("no response"));
       core_.metrics().reload_failures.fetch_add(1,
                                                 std::memory_order_relaxed);
-      util::logWarn() << "fleet: rolling reload aborted: "
-                      << failure.message;
       return failure;
     }
     core_.metrics().reloads.fetch_add(1, std::memory_order_relaxed);

@@ -27,15 +27,15 @@
 // Eligibility and the backpressure contract: a shard is routed to
 // only while (a) it is not administratively down (rolling reload /
 // supervisor restart window), (b) its circuit breaker is CLOSED, and
-// (c) its queue fraction — queue_depth/queue_capacity from the last
-// polled worker stats line — is below shed_queue_fraction. The
-// health thread polls each shard's in-band `stats` every
-// health_interval_ms, feeds the breaker (probe failures open it;
-// OPEN shards are skipped by routing until a cooled-down probe
-// succeeds), and caches the parsed worker snapshot for fleet-wide
-// aggregation (exact cross-process histogram merge). When no shard
-// is eligible the router sheds with a typed SHED — backpressure is
-// never a silent drop or an unbounded queue.
+// (c) its load — in_flight/max_connections from the last polled
+// worker stats line — is below shed_queue_fraction. The health
+// thread polls each shard's in-band `stats` every
+// health_interval_ms, feeds the shard's breaker (probe and relay
+// failures open it; OPEN shards are skipped by routing until a
+// cooled-down probe succeeds), and caches the parsed worker snapshot
+// for fleet-wide aggregation (exact cross-process histogram merge).
+// When no shard is eligible the router sheds with a typed SHED —
+// backpressure is never a silent drop or an unbounded queue.
 //
 // Rolling zero-downtime reload (`reload` verb or tevot_router's
 // SIGHUP): one shard at a time — mark admin-down (drain: new
@@ -86,8 +86,8 @@ struct RouterOptions {
   std::size_t max_connections = 64;
   /// Worker stats poll + breaker probe cadence.
   double health_interval_ms = 50.0;
-  /// Shed new requests for a shard whose polled queue_depth /
-  /// queue_capacity is at or above this fraction.
+  /// Shed new requests for a shard whose polled in_flight /
+  /// max_connections is at or above this fraction.
   double shed_queue_fraction = 0.9;
   /// Total forward attempts per request (first try included).
   int forward_attempts = 3;
@@ -122,9 +122,9 @@ class Router {
 
   /// Router-side accounting: requests == ok+shed+deadline+errors over
   /// everything the router answered (relayed or self-generated), with
-  /// router-measured latency. Gauges summarize the fleet: queue =
-  /// summed worker queues, breakers_open = open shard breakers,
-  /// generation = minimum worker generation.
+  /// router-measured latency. Gauges summarize the fleet: in_flight =
+  /// summed worker in_flight/max_connections, breakers_open = open
+  /// shard breakers, generation = minimum worker generation.
   serve::MetricsSnapshot stats() const;
 
   /// Exact cross-process aggregation of the last polled worker stats
@@ -162,9 +162,9 @@ class Router {
     /// re-enters rotation only after it answers a probe.
     std::atomic<bool> probed_up{false};
     std::atomic<std::size_t> in_flight{0};
-    /// queue_depth/queue_capacity from the last poll, in 1/1024ths
+    /// in_flight/max_connections from the last poll, in 1/1024ths
     /// (atomic double is avoided for older toolchains).
-    std::atomic<std::uint32_t> queue_permille{0};
+    std::atomic<std::uint32_t> load_permille{0};
     mutable std::mutex stats_mutex;
     serve::MetricsSnapshot last_stats;  ///< guarded by stats_mutex
 

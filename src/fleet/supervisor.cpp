@@ -73,7 +73,6 @@ util::Status Supervisor::spawnShard(std::size_t shard) {
     return util::Status::ioError(std::string("pipe: ") +
                                  std::strerror(errno));
   }
-  const std::string queue_arg = std::to_string(options_.queue_capacity);
   const std::string deadline_arg =
       std::to_string(options_.default_deadline_ms);
   const pid_t pid = ::fork();
@@ -91,9 +90,7 @@ util::Status Supervisor::spawnShard(std::size_t shard) {
     // the supervisor's stderr stream.
     std::vector<const char*> argv = {
         options_.serve_binary.c_str(), "--model-dir",
-        options_.model_dir.c_str(),    "--port",
-        "0",                           "--queue",
-        queue_arg.c_str()};
+        options_.model_dir.c_str(), "--port", "0"};
     if (options_.default_deadline_ms > 0.0) {
       argv.push_back("--deadline-ms");
       argv.push_back(deadline_arg.c_str());

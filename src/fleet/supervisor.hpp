@@ -30,7 +30,6 @@ struct SupervisorOptions {
   std::string serve_binary;  ///< path to the tevot_serve executable
   std::string model_dir;
   std::size_t shards = 3;
-  std::size_t queue_capacity = 64;  ///< per-shard --queue
   double default_deadline_ms = 0.0;
   /// Give up on a shard after this many respawns.
   int max_restarts = 20;

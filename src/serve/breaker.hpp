@@ -1,4 +1,6 @@
-// Circuit breaker around one model backend.
+// Circuit breaker around one failure domain: fleet::Router keeps one
+// per worker shard (a process) and routes around the shard while its
+// breaker is not CLOSED.
 //
 // State machine (the classic three states):
 //   CLOSED    requests flow; `failure_threshold` consecutive failures

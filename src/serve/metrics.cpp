@@ -16,7 +16,7 @@ std::string MetricsSnapshot::toLine() const {
   std::snprintf(
       buf, sizeof(buf),
       "requests=%llu ok=%llu shed=%llu deadline=%llu errors=%llu "
-      "connections=%llu dropped=%llu queue=%zu/%zu breakers_open=%zu "
+      "connections=%llu dropped=%llu in_flight=%zu/%zu breakers_open=%zu "
       "breaker_opens=%llu reloads=%llu reload_failures=%llu "
       "generation=%llu p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f max_ms=%.3f "
       "latency_count=%llu",
@@ -26,8 +26,8 @@ std::string MetricsSnapshot::toLine() const {
       static_cast<unsigned long long>(deadline),
       static_cast<unsigned long long>(errors),
       static_cast<unsigned long long>(connections),
-      static_cast<unsigned long long>(connections_dropped), queue_depth,
-      queue_capacity, breakers_open,
+      static_cast<unsigned long long>(connections_dropped), in_flight,
+      max_connections, breakers_open,
       static_cast<unsigned long long>(breaker_opens),
       static_cast<unsigned long long>(reloads),
       static_cast<unsigned long long>(reload_failures),
@@ -63,8 +63,8 @@ void MetricsSnapshot::mergeFrom(const MetricsSnapshot& other) {
   reloads += other.reloads;
   reload_failures += other.reload_failures;
   breaker_opens += other.breaker_opens;
-  queue_depth += other.queue_depth;
-  queue_capacity += other.queue_capacity;
+  in_flight += other.in_flight;
+  max_connections += other.max_connections;
   breakers_open += other.breakers_open;
   generation = generation == 0
                    ? other.generation
@@ -142,17 +142,17 @@ bool parseMetricsLine(std::string_view line, MetricsSnapshot* out) {
       if (!parseU64(value.c_str(), &snap.connections)) return false;
     } else if (key == "dropped") {
       if (!parseU64(value.c_str(), &snap.connections_dropped)) return false;
-    } else if (key == "queue") {
+    } else if (key == "in_flight") {
       const std::size_t slash = value.find('/');
       if (slash == std::string::npos) return false;
-      std::uint64_t depth = 0;
+      std::uint64_t in_flight = 0;
       std::uint64_t capacity = 0;
-      if (!parseU64(value.substr(0, slash).c_str(), &depth) ||
+      if (!parseU64(value.substr(0, slash).c_str(), &in_flight) ||
           !parseU64(value.substr(slash + 1).c_str(), &capacity)) {
         return false;
       }
-      snap.queue_depth = static_cast<std::size_t>(depth);
-      snap.queue_capacity = static_cast<std::size_t>(capacity);
+      snap.in_flight = static_cast<std::size_t>(in_flight);
+      snap.max_connections = static_cast<std::size_t>(capacity);
     } else if (key == "breakers_open") {
       if (!parseU64(value.c_str(), &u64)) return false;
       snap.breakers_open = static_cast<std::size_t>(u64);

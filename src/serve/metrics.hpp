@@ -37,8 +37,8 @@ struct MetricsSnapshot {
   std::uint64_t reloads = 0;
   std::uint64_t reload_failures = 0;
   std::uint64_t breaker_opens = 0;
-  std::size_t queue_depth = 0;
-  std::size_t queue_capacity = 0;
+  std::size_t in_flight = 0;        ///< predicts being computed now
+  std::size_t max_connections = 0;  ///< in_flight's capacity
   std::size_t breakers_open = 0;
   std::uint64_t generation = 0;  ///< model-set generation
   double p50_ms = 0.0;
@@ -99,8 +99,8 @@ class ServeMetrics {
     latency_.add(ms);
   }
 
-  /// Counter + latency part of the snapshot; the server fills in the
-  /// queue/breaker/generation gauges it owns.
+  /// Counter + latency part of the snapshot; the owner fills in the
+  /// in-flight/breaker/generation gauges.
   MetricsSnapshot snapshot() const;
 
  private:

@@ -1,10 +1,11 @@
 #include "serve/protocol.hpp"
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
+
+#include "util/env.hpp"
 
 namespace tevot::serve {
 namespace {
@@ -23,18 +24,6 @@ std::vector<std::string_view> tokenize(std::string_view line) {
     if (pos > start) tokens.push_back(line.substr(start, pos - start));
   }
   return tokens;
-}
-
-/// Entire-token finite double; false on trailing junk, NaN and inf.
-bool parseFiniteDouble(std::string_view token, double* out) {
-  const std::string text(token);
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') return false;
-  if (!std::isfinite(value)) return false;
-  *out = value;
-  return true;
 }
 
 /// 32-bit operand, base 0 (0x hex accepted), entire token.
@@ -70,7 +59,6 @@ const char* errorCodeName(ErrorCode code) {
     case ErrorCode::kOversized: return "OVERSIZED";
     case ErrorCode::kUnknownFu: return "UNKNOWN_FU";
     case ErrorCode::kModelUnavailable: return "MODEL_UNAVAILABLE";
-    case ErrorCode::kBreakerOpen: return "BREAKER_OPEN";
     case ErrorCode::kReloadFailed: return "RELOAD_FAILED";
     case ErrorCode::kFaultInjected: return "FAULT_INJECTED";
     case ErrorCode::kDraining: return "DRAINING";
@@ -177,7 +165,7 @@ util::Status parseRequest(std::string_view line, Request* out) {
       {"tclk_ps", tokens[4], &out->tclk_ps},
   };
   for (const Field& field : doubles) {
-    if (!parseFiniteDouble(field.token, field.value)) {
+    if (!util::parseFiniteDouble(field.token, field.value)) {
       return util::Status::invalidArgument(
           std::string(field.name) + " '" + std::string(field.token) +
           "' is not a finite number");
@@ -228,7 +216,7 @@ util::Status parseRequest(std::string_view line, Request* out) {
   }
   out->deadline_ms = 0.0;
   if (tokens.size() == after_tuples + 1 &&
-      (!parseFiniteDouble(tokens[after_tuples], &out->deadline_ms) ||
+      (!util::parseFiniteDouble(tokens[after_tuples], &out->deadline_ms) ||
        out->deadline_ms < 0.0)) {
     return util::Status::invalidArgument(
         "deadline_ms '" + std::string(tokens[after_tuples]) +
@@ -290,7 +278,7 @@ bool parseResponse(std::string_view line, Response* out) {
     if (tokens.size() == 3 && tokens[1].substr(0, 6) == "delay=" &&
         tokens[2].substr(0, 4) == "err=") {
       double delay = 0.0;
-      if (!parseFiniteDouble(tokens[1].substr(6), &delay)) return false;
+      if (!util::parseFiniteDouble(tokens[1].substr(6), &delay)) return false;
       const std::string_view err = tokens[2].substr(4);
       if (err != "0" && err != "1") return false;
       out->delay_ps = delay;
@@ -323,9 +311,8 @@ bool parseResponse(std::string_view line, Response* out) {
     for (const ErrorCode candidate :
          {ErrorCode::kParse, ErrorCode::kBadRequest, ErrorCode::kOversized,
           ErrorCode::kUnknownFu, ErrorCode::kModelUnavailable,
-          ErrorCode::kBreakerOpen, ErrorCode::kReloadFailed,
-          ErrorCode::kFaultInjected, ErrorCode::kDraining,
-          ErrorCode::kInternal}) {
+          ErrorCode::kReloadFailed, ErrorCode::kFaultInjected,
+          ErrorCode::kDraining, ErrorCode::kInternal}) {
       if (code == errorCodeName(candidate)) {
         out->code = candidate;
         known = true;

@@ -31,7 +31,8 @@
 //   OK health <k=v ...>                   control surface
 //   OK stats <k=v ...>
 //   OK reload generation=<n> models=<n>
-//   SHED <detail>                         load shed (queue full / drain)
+//   SHED <detail>                         load shed (connection limit /
+//                                         drain / no eligible shard)
 //   DEADLINE <detail>                     per-request deadline exceeded
 //   ERROR <CODE> <detail>                 typed failure, see ErrorCode
 //
@@ -97,7 +98,6 @@ enum class ErrorCode {
   kOversized,         ///< request line over kMaxLineBytes
   kUnknownFu,         ///< fu name outside the known set
   kModelUnavailable,  ///< known fu, but no model loaded for it
-  kBreakerOpen,       ///< backend circuit breaker rejecting requests
   kReloadFailed,      ///< validation failed; previous models kept
   kFaultInjected,     ///< deterministic serve.* injected fault
   kDraining,          ///< server shutting down

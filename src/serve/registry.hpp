@@ -4,7 +4,7 @@
 // mutex-guarded shared_ptr (a plain mutex rather than
 // std::atomic<shared_ptr>: libstdc++'s _Sp_atomic unlocks its reader
 // path with relaxed ordering, which TSan cannot prove race-free).
-// Every request snapshots the pointer once at admission
+// Every request snapshots the pointer once, before it computes,
 // and is served entirely from that snapshot, so a reload racing
 // in-flight requests can never produce a mixed-model answer. reload()
 // builds and validates a complete candidate set off to the side

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 #include <vector>
@@ -23,14 +24,8 @@ Server::Server(ServerOptions options)
                 handleLine(line, out);
               };
             }) {
-  if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   faults_ = options_.faults != nullptr ? options_.faults
                                        : &util::FaultInjector::global();
-  for (const circuits::FuKind kind : circuits::kAllFus) {
-    breakers_.emplace(std::piecewise_construct,
-                      std::forward_as_tuple(circuits::fuSlug(kind)),
-                      std::forward_as_tuple(options_.breaker));
-  }
 }
 
 Server::~Server() { drainAndStop(); }
@@ -48,7 +43,7 @@ util::Status Server::start() {
   const util::Status started = core_.start();
   if (!started.ok()) return started;
   util::logInfo() << "serve: listening on 127.0.0.1:" << port()
-                  << " queue=" << options_.queue_capacity;
+                  << " max_conns=" << options_.max_connections;
   return util::Status::okStatus();
 }
 
@@ -59,23 +54,16 @@ util::Status Server::reload() {
     metrics.reloads.fetch_add(1, std::memory_order_relaxed);
   } else {
     metrics.reload_failures.fetch_add(1, std::memory_order_relaxed);
-    util::logWarn() << "serve: reload failed (previous models kept): "
-                    << status.message;
   }
   return status;
 }
 
 MetricsSnapshot Server::stats() const {
   MetricsSnapshot snap = core_.metrics().snapshot();
-  snap.queue_depth = admitted_.load();
-  snap.queue_capacity = options_.queue_capacity;
+  snap.in_flight = in_flight_.load();
+  // LineServer treats a cap of 0 as 1.
+  snap.max_connections = std::max<std::size_t>(options_.max_connections, 1);
   snap.generation = registry_.generation();
-  for (const auto& [name, breaker] : breakers_) {
-    if (breaker.state() != CircuitBreaker::State::kClosed) {
-      ++snap.breakers_open;
-    }
-    snap.breaker_opens += breaker.opens();
-  }
   return snap;
 }
 
@@ -94,13 +82,9 @@ void Server::handleLine(std::string_view line, Replies& out) {
     return;
   }
   const auto arrival = std::chrono::steady_clock::now();
-  if (admitted_.fetch_add(1) >= options_.queue_capacity) {
-    admitted_.fetch_sub(1);
-    out.add(Response::shed("queue full"), request.responseCount());
-    return;
-  }
+  in_flight_.fetch_add(1);
   predict(request, id, arrival, out);
-  admitted_.fetch_sub(1);
+  in_flight_.fetch_sub(1);
 }
 
 Response Server::handleControl(const Request& request) {
@@ -110,11 +94,11 @@ Response Server::handleControl(const Request& request) {
       char buf[160];
       std::snprintf(buf, sizeof(buf),
                     "health status=%s generation=%llu models=%zu "
-                    "queue=%zu/%zu breakers_open=%zu",
+                    "in_flight=%zu/%zu",
                     core_.draining() ? "draining" : "serving",
                     static_cast<unsigned long long>(snap.generation),
-                    registry_.snapshot()->models.size(), snap.queue_depth,
-                    snap.queue_capacity, snap.breakers_open);
+                    registry_.snapshot()->models.size(), snap.in_flight,
+                    snap.max_connections);
       return Response::payload(buf);
     }
     case RequestKind::kStats:
@@ -138,52 +122,34 @@ Response Server::handleControl(const Request& request) {
 void Server::predict(const Request& request, std::uint64_t id,
                      std::chrono::steady_clock::time_point arrival,
                      Replies& out) {
-  // A batch fails or succeeds as a unit up to the predict call:
-  // deadline, breaker, and fault outcomes are replicated per tuple so
-  // the client still receives exactly n lines. Fault points and the
-  // breaker fire once per batch (keyed by request id), not per tuple.
+  // A batch fails or succeeds as a unit: deadline and error outcomes
+  // are replicated per tuple so the client still receives exactly n
+  // lines. Fault points fire once per batch (keyed by request id), not
+  // per tuple.
   const std::size_t lines = request.responseCount();
   const auto fail = [&](ErrorCode code, const std::string& detail) {
     out.add(Response::error(code, detail), lines);
   };
-  const double deadline_ms = request.deadline_ms > 0.0
-                                 ? request.deadline_ms
-                                 : options_.default_deadline_ms;
-  double elapsed_ms = 0.0;
-  const auto expired = [&](const char* stage) {
-    elapsed_ms = msSince(arrival);
-    if (deadline_ms <= 0.0 || elapsed_ms <= deadline_ms) return false;
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s %.3f ms > deadline %.3f ms", stage,
-                  elapsed_ms, deadline_ms);
-    out.add(Response::deadline(buf), lines);
-    return true;
-  };
-  // Admission-time model snapshot: this request is served entirely
-  // from one generation even if a reload lands while it runs.
+  // One model snapshot: this request is served entirely from one
+  // generation even if a reload lands while it runs.
   const std::shared_ptr<const ModelSet> models = registry_.snapshot();
-  if (expired("admitted")) return;
-  const auto breaker_it = breakers_.find(request.fu);
-  if (breaker_it == breakers_.end()) {
-    return fail(ErrorCode::kUnknownFu, "unknown fu '" + request.fu + "'");
-  }
-  const core::TevotModel* model =
-      models != nullptr ? models->find(request.fu) : nullptr;
+  const core::TevotModel* model = models->find(request.fu);
   if (model == nullptr) {
-    return fail(ErrorCode::kModelUnavailable,
-                "no model loaded for '" + request.fu + "'");
-  }
-  CircuitBreaker& breaker = breaker_it->second;
-  if (!breaker.allow()) {
-    return fail(ErrorCode::kBreakerOpen,
-                "breaker open for '" + request.fu + "'");
+    const bool known =
+        std::ranges::any_of(circuits::kAllFus, [&](circuits::FuKind kind) {
+          return circuits::fuSlug(kind) == request.fu;
+        });
+    return known ? fail(ErrorCode::kModelUnavailable,
+                        "no model loaded for '" + request.fu + "'")
+                 : fail(ErrorCode::kUnknownFu,
+                        "unknown fu '" + request.fu + "'");
   }
   std::vector<double> delays(lines, 0.0);
   try {
     if (faults_->armed()) {
       // serve.slow (delay) is a separate point from serve.predict
       // (failure) so tests can arm slow backends without also arming
-      // failures — the deterministic way to fill the admission cap.
+      // failures — the deterministic way to hold predicts in flight.
       const std::string key = std::to_string(id);
       faults_->maybeDelay("serve.slow", key);
       faults_->maybeThrow("serve.predict", key);
@@ -197,17 +163,24 @@ void Server::predict(const Request& request, std::uint64_t id,
     }
     model->predictDelayBatch(queries, delays);
   } catch (const util::StatusError& error) {
-    breaker.recordFailure();
     return fail(error.status().code == util::StatusCode::kFaultInjected
                     ? ErrorCode::kFaultInjected
                     : ErrorCode::kInternal,
                 error.status().message);
   } catch (const std::exception& error) {
-    breaker.recordFailure();
     return fail(ErrorCode::kInternal, error.what());
   }
-  breaker.recordSuccess();
-  if (expired("served in")) return;
+  const double elapsed_ms = msSince(arrival);
+  const double deadline_ms = request.deadline_ms > 0.0
+                                 ? request.deadline_ms
+                                 : options_.default_deadline_ms;
+  if (deadline_ms > 0.0 && elapsed_ms > deadline_ms) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "served in %.3f ms > deadline %.3f ms",
+                  elapsed_ms, deadline_ms);
+    out.add(Response::deadline(buf), lines);
+    return;
+  }
   core_.metrics().recordLatencyMs(elapsed_ms);
   for (const double delay_ps : delays) {
     out.add(Response::ok(delay_ps, delay_ps > request.tclk_ps));

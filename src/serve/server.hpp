@@ -8,19 +8,16 @@
 // exactly n typed lines in tuple order (a shed/expired batch yields n
 // SHED/DEADLINE lines; the metrics invariant
 // requests == ok+shed+deadline+errors counts each tuple as a
-// request). A predict is admitted only while fewer than
-// queue_capacity predicts are in flight (otherwise a typed SHED, never
-// a silent drop); the in-flight count is the `queue_depth` gauge. An
-// admitted predict takes the immutable model snapshot current at
-// admission (reload atomicity), enforces the end-to-end deadline
-// (checked at admission and after compute) and routes through the
-// per-FU circuit breaker.
+// request). A connection thread runs at most one predict at a time,
+// so the predicts in flight (the `in_flight` gauge) never exceed
+// max_connections, its capacity. A predict takes the immutable model
+// snapshot current when it starts (reload atomicity) and is checked
+// against its end-to-end deadline once, after compute.
 //
 // Robustness surface:
-//  * load shedding   admission cap + connection cap, SHED responses
-//  * deadlines       per-request (or server default), checked at
-//                    admission and after compute
-//  * circuit breaker per model backend; OPEN => typed BREAKER_OPEN
+//  * load shedding   connection cap + drain, SHED responses
+//  * deadlines       per-request (or server default), checked after
+//                    compute
 //  * hot reload      ModelRegistry validate-then-swap (control
 //                    `reload` request; tevot_serve also maps SIGHUP)
 //  * graceful drain  drainAndStop(): stop accepting, finish the
@@ -36,11 +33,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 
-#include "serve/breaker.hpp"
 #include "serve/line_server.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
@@ -53,9 +48,7 @@ struct ServerOptions {
   std::string model_dir;
   /// Listen port on 127.0.0.1; 0 binds an ephemeral port (see port()).
   int port = 0;
-  /// Cap on admitted predicts in flight; reported as queue_depth /
-  /// queue_capacity.
-  std::size_t queue_capacity = 64;
+  /// Connection cap; also the capacity of the `in_flight` gauge.
   std::size_t max_connections = 64;
   /// Applied when a request carries no deadline; 0 = none.
   double default_deadline_ms = 0.0;
@@ -66,7 +59,6 @@ struct ServerOptions {
   bool strict_verify = false;
   /// Budget for drainAndStop() to finish the requests in hand.
   double drain_deadline_ms = 2000.0;
-  BreakerConfig breaker;
   /// Fault injector for the serve.* points; nullptr uses
   /// util::FaultInjector::global() (armed via TEVOT_FAULTS).
   util::FaultInjector* faults = nullptr;
@@ -92,8 +84,8 @@ class Server {
   /// models keep serving.
   util::Status reload();
 
-  /// Counters plus live gauges (predicts in flight as queue depth,
-  /// breaker states, generation).
+  /// Counters plus live gauges (predicts in flight out of
+  /// max_connections, generation).
   MetricsSnapshot stats() const;
 
   /// Graceful drain: stop accepting, finish the requests in hand
@@ -104,10 +96,9 @@ class Server {
  private:
   void handleLine(std::string_view line, Replies& out);
   Response handleControl(const Request& request);
-  /// Answers an admitted predict/predictN with request.responseCount()
-  /// lines from one TevotModel::predictDelayBatch call (a predict is a
-  /// batch of one); shed/deadline/error outcomes are replicated per
-  /// tuple.
+  /// Answers a predict/predictN with request.responseCount() lines
+  /// from one TevotModel::predictDelayBatch call (a predict is a batch
+  /// of one); deadline/error outcomes are replicated per tuple.
   void predict(const Request& request, std::uint64_t id,
                std::chrono::steady_clock::time_point arrival, Replies& out);
   /// Whether the armed injector fails `point` for request `id`; the
@@ -117,8 +108,7 @@ class Server {
   ServerOptions options_;
   ModelRegistry registry_;
   util::FaultInjector* faults_ = nullptr;
-  std::map<std::string, CircuitBreaker> breakers_;
-  std::atomic<std::size_t> admitted_{0};  ///< predicts in flight
+  std::atomic<std::size_t> in_flight_{0};  ///< predicts in flight
   std::atomic<std::uint64_t> next_request_id_{1};
   /// Declared after the members its threads call into, so it is
   /// destroyed (and joined) before them.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace tevot::util {
@@ -39,5 +40,16 @@ bool envFlag(const char* name, bool fallback) {
 }
 
 bool fullScale() { return envFlag("TEVOT_FULL"); }
+
+bool parseFiniteDouble(std::string_view text, double* out) {
+  const std::string copy(text);
+  char* end = nullptr;
+  const double value = std::strtod(copy.c_str(), &end);
+  if (end == copy.c_str() || *end != '\0' || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
 
 }  // namespace tevot::util

@@ -1,4 +1,5 @@
-// Environment-variable configuration knobs.
+// Configuration parsing: environment-variable knobs and numeric
+// command-line values.
 //
 // Benchmarks default to reduced scales so the whole suite finishes in
 // minutes; setting TEVOT_FULL=1 restores paper-scale sweeps. These
@@ -6,7 +7,10 @@
 // identically.
 #pragma once
 
+#include <cmath>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace tevot::util {
 
@@ -26,5 +30,24 @@ bool envFlag(const char* name, bool fallback = false);
 
 /// Convenience: the global "run at paper scale" switch (TEVOT_FULL).
 bool fullScale();
+
+/// Parses all of `text` as a finite double; false on empty text,
+/// trailing characters, NaN or infinity.
+bool parseFiniteDouble(std::string_view text, double* out);
+
+/// Parses a numeric flag value into `*out`: all of `text` must be a
+/// finite number in [lo, hi], and a whole one when T is integral.
+/// False (`*out` untouched) otherwise, so a typo is a usage error
+/// rather than a silent 0, NaN or wrapped-around value.
+template <typename T>
+bool parseNumber(std::string_view text, double lo, double hi, T* out) {
+  double value = 0.0;
+  if (!parseFiniteDouble(text, &value) || value < lo || value > hi ||
+      (std::is_integral_v<T> && value != std::trunc(value))) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
 
 }  // namespace tevot::util

@@ -131,7 +131,7 @@ TEST(ServeBackendTest, DegradedLineMidBatchClosesInsteadOfBlocking) {
         SequentialFakeServer::readLine(fd);
         SequentialFakeServer::sendAll(fd,
                                       "OK delay=0x1.8p+7 err=0\n"
-                                      "SHED queue full\n");
+                                      "SHED connection limit\n");
         // Hold the connection open: if the backend tried to read the
         // two "missing" replicated lines it would block until the
         // recv below notices the client's close.

@@ -40,7 +40,6 @@ std::string privateModelDir(const std::string& tag) {
 std::unique_ptr<serve::Server> bootShard(const std::string& model_dir) {
   serve::ServerOptions options;
   options.model_dir = model_dir;
-  options.queue_capacity = 16;
   auto server = std::make_unique<serve::Server>(options);
   EXPECT_TRUE(server->start().ok());
   return server;

@@ -18,6 +18,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
+#include "util/fault_injection.hpp"
 #include "util/fd.hpp"
 
 namespace tevot::fleet {
@@ -29,10 +30,8 @@ using serve::Response;
 using serve::ResponseStatus;
 using serve_test::serveTestModels;
 
-std::unique_ptr<serve::Server> bootShard(std::size_t queue_capacity = 16) {
-  serve::ServerOptions options;
+std::unique_ptr<serve::Server> bootShard(serve::ServerOptions options = {}) {
   options.model_dir = serveTestModels().dir;
-  options.queue_capacity = queue_capacity;
   auto server = std::make_unique<serve::Server>(options);
   EXPECT_TRUE(server->start().ok());
   return server;
@@ -306,6 +305,63 @@ TEST(RouterTest, NoEligibleShardIsTypedShedNeverSilence) {
   shards[0]->drainAndStop();
 }
 
+TEST(RouterTest, ShedsWhilePolledShardLoadReachesTheFraction) {
+  // Slowed predicts hold the shard's connection threads; two of them
+  // are a quarter of its eight connections, the router's shed
+  // fraction.
+  util::FaultInjector faults;
+  util::FaultPlan plan;
+  plan.rate = 1.0;
+  plan.points = {"serve.slow"};
+  plan.fail_attempts = 1000;
+  plan.slow_ms = 1000.0;
+  faults.arm(plan);
+  serve::ServerOptions shard_options;
+  shard_options.max_connections = 8;
+  shard_options.faults = &faults;
+  const std::unique_ptr<serve::Server> shard = bootShard(shard_options);
+  RouterOptions options = fastRouterOptions();
+  options.shed_queue_fraction = 0.25;
+  Router router(options, {{shard->port(), {}}});
+  ASSERT_TRUE(router.start().ok());
+  ASSERT_TRUE(awaitAllEligible(router));
+  const auto awaitPolledInFlight = [&](std::size_t in_flight) {
+    for (int i = 0; i < 5000; ++i) {
+      if (router.stats().in_flight == in_flight) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+
+  const std::string line = "predict int_add 0.9 25 300 1 2 3 4";
+  LineClient slow[2];
+  for (LineClient& client : slow) {
+    ASSERT_TRUE(client.connectTo(router.port()).ok());
+    ASSERT_TRUE(client.sendLine(line));
+  }
+  ASSERT_TRUE(awaitPolledInFlight(2));
+  LineClient client;
+  ASSERT_TRUE(client.connectTo(router.port()).ok());
+  const Response shed = request(client, line);
+  EXPECT_EQ(shed.status, ResponseStatus::kShed);
+  EXPECT_EQ(shed.detail, "no eligible shard");
+
+  // The slowed predicts still finish, and once a poll sees the shard
+  // idle it is routed to again.
+  faults.disarm();
+  for (LineClient& done : slow) {
+    Response response;
+    ASSERT_TRUE(serve::parseResponse(done.readLine().value_or(""),
+                                     &response));
+    EXPECT_EQ(response.status, ResponseStatus::kOk) << response.detail;
+  }
+  ASSERT_TRUE(awaitPolledInFlight(0));
+  EXPECT_EQ(request(slow[0], line).status, ResponseStatus::kOk);
+
+  router.drainAndStop();
+  shard->drainAndStop();
+}
+
 TEST(RouterTest, DeadShardIsEvictedAndReadmittedAfterRestart) {
   std::vector<std::unique_ptr<serve::Server>> shards;
   shards.push_back(bootShard());
@@ -398,7 +454,7 @@ TEST(RouterTest, WorkerStatsAggregateExactly) {
   EXPECT_EQ(std::memcmp(&agg_max, &direct_max, sizeof(double)), 0);
   EXPECT_DOUBLE_EQ(aggregated.p50_ms, direct.p50_ms);
   EXPECT_DOUBLE_EQ(aggregated.p99_ms, direct.p99_ms);
-  EXPECT_EQ(aggregated.queue_capacity, direct.queue_capacity);
+  EXPECT_EQ(aggregated.max_connections, direct.max_connections);
 
   router.drainAndStop();
   for (auto& shard : shards) shard->drainAndStop();

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fixture.hpp"
@@ -122,8 +123,7 @@ TEST(ShardKillStormTest, KillAtRandomPointPreservesFleetContract) {
   Process router = Process::spawn(
       TEVOT_ROUTER_BINARY,
       {"--model-dir", serveTestModels().dir, "--serve-binary",
-       TEVOT_SERVE_BINARY, "--shards", "3", "--queue", "32",
-       "--health-interval-ms", "20"});
+       TEVOT_SERVE_BINARY, "--shards", "3", "--health-interval-ms", "20"});
   ASSERT_TRUE(router.awaitReady()) << router.readStderr();
   ASSERT_GT(router.port(), 0);
   ASSERT_EQ(router.shards().size(), 3u) << "expected 3 shard announcements";
@@ -215,6 +215,27 @@ TEST(ShardKillStormTest, RouterBinaryRejectsBadUsage) {
       {"--model-dir", serveTestModels().dir, "--serve-binary",
        TEVOT_SERVE_BINARY, "--policy", "hash-ring"});
   EXPECT_EQ(bad_policy.wait(), 2);
+}
+
+TEST(ShardKillStormTest, RouterBinaryRejectsMalformedNumericFlags) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--shed-queue-fraction", "abc"}, {"--shed-queue-fraction", "0"},
+      {"--shed-queue-fraction", "1.5"}, {"--deadline-ms", "nan"},
+      {"--health-interval-ms", "0"},    {"--max-restarts", "-1"},
+      {"--port", "70000"},
+  };
+  for (const auto& [flag, value] : cases) {
+    Process router = Process::spawn(
+        TEVOT_ROUTER_BINARY, {"--model-dir", serveTestModels().dir,
+                              "--serve-binary", TEVOT_SERVE_BINARY,
+                              "--shards", "1", flag, value});
+    // An accepted value would start a fleet; drain it so no worker
+    // outlives the test.
+    if (router.awaitReady()) router.signal(SIGTERM);
+    EXPECT_EQ(router.wait(), 2) << flag << " '" << value << "'";
+    EXPECT_NE(router.readStderr().find("usage:"), std::string::npos)
+        << flag << " '" << value << "'";
+  }
 }
 
 TEST(ShardKillStormTest, SighupRollsReloadAcrossFleet) {

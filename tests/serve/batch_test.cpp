@@ -25,7 +25,6 @@ using serve_test::serveTestModels;
 ServerOptions baseOptions() {
   ServerOptions options;
   options.model_dir = serveTestModels().dir;
-  options.queue_capacity = 16;
   static util::FaultInjector quiet;
   options.faults = &quiet;
   return options;

@@ -9,8 +9,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -173,6 +176,42 @@ TEST(ServeBinaryTest, SighupHotReloadsModels) {
   EXPECT_EQ(process.wait(), 0);
 }
 
+TEST(ServeBinaryTest, FailedSighupReloadIsReportedOnceOnStderr) {
+  const std::string dir = testing::TempDir() + "tevot_serve_bad_reload_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  serveTestModels().model_a.save(dir + "/int_add.model");
+  ServeProcess process = spawnServe({"--model-dir", dir});
+  ASSERT_GT(process.port, 0);
+  LineClient client;
+  ASSERT_TRUE(client.connectTo(process.port).ok());
+
+  std::ofstream(dir + "/int_add.model") << "not a model\n";
+  ASSERT_EQ(::kill(process.pid, SIGHUP), 0);
+  bool failed = false;
+  for (int i = 0; i < 100 && !failed; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    failed = request(client, "stats").detail.find("reload_failures=1") !=
+             std::string::npos;
+  }
+  EXPECT_TRUE(failed);
+  // The previous models keep serving.
+  EXPECT_EQ(request(client, "predict int_add 0.9 25 300 1 2 3 4").status,
+            ResponseStatus::kOk);
+  ASSERT_EQ(::kill(process.pid, SIGTERM), 0);
+  EXPECT_EQ(process.wait(), 0);
+
+  const std::string err = process.readStderr();
+  std::size_t reports = 0;
+  for (std::size_t at = err.find("reload failed"); at != std::string::npos;
+       at = err.find("reload failed", at + 1)) {
+    ++reports;
+  }
+  EXPECT_EQ(reports, 1u) << err;
+  EXPECT_EQ(err.find("[tevot WARN]"), std::string::npos) << err;
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ServeBinaryTest, FinalStatsLineIsMachineParseable) {
   // The drain summary on stderr is the fleet supervisor's only view
   // of a dead worker's counters, so it must round-trip through
@@ -241,6 +280,25 @@ TEST(ServeBinaryTest, MissingArgumentsIsUsageError) {
   EXPECT_NE(no_args.readStderr().find("usage:"), std::string::npos);
   ServeProcess bad_flag = spawnServe({"--frobnicate"});
   EXPECT_EQ(bad_flag.wait(), 2);
+}
+
+TEST(ServeBinaryTest, MalformedNumericFlagIsUsageError) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--deadline-ms", "nan"}, {"--deadline-ms", "-1"},
+      {"--deadline-ms", "5ms"}, {"--max-conns", "-1"},
+      {"--max-conns", "0"},     {"--max-conns", "2.5"},
+      {"--port", "65536"},      {"--port", "abc"},
+      {"--drain-ms", "inf"},    {"--drain-ms", ""},
+  };
+  for (const auto& [flag, value] : cases) {
+    ServeProcess process =
+        spawnServe({"--model-dir", serveTestModels().dir, flag, value});
+    // An accepted value would serve until signalled.
+    if (process.port > 0) ::kill(process.pid, SIGTERM);
+    EXPECT_EQ(process.wait(), 2) << flag << " '" << value << "'";
+    EXPECT_NE(process.readStderr().find("usage:"), std::string::npos)
+        << flag << " '" << value << "'";
+  }
 }
 
 }  // namespace

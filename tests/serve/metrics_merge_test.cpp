@@ -134,8 +134,8 @@ TEST(MetricsWireTest, ToLineParsesBackExactly) {
   snap.reloads = 3;
   snap.reload_failures = 1;
   snap.breaker_opens = 2;
-  snap.queue_depth = 5;
-  snap.queue_capacity = 64;
+  snap.in_flight = 5;
+  snap.max_connections = 64;
   snap.breakers_open = 1;
   snap.generation = 4;
   for (const double s : kSamples) snap.latency.add(s);
@@ -152,8 +152,8 @@ TEST(MetricsWireTest, ToLineParsesBackExactly) {
   EXPECT_EQ(parsed.reloads, snap.reloads);
   EXPECT_EQ(parsed.reload_failures, snap.reload_failures);
   EXPECT_EQ(parsed.breaker_opens, snap.breaker_opens);
-  EXPECT_EQ(parsed.queue_depth, snap.queue_depth);
-  EXPECT_EQ(parsed.queue_capacity, snap.queue_capacity);
+  EXPECT_EQ(parsed.in_flight, snap.in_flight);
+  EXPECT_EQ(parsed.max_connections, snap.max_connections);
   EXPECT_EQ(parsed.breakers_open, snap.breakers_open);
   EXPECT_EQ(parsed.generation, snap.generation);
   EXPECT_EQ(parsed.latency_count, snap.latency_count);
@@ -211,8 +211,8 @@ TEST(MetricsWireTest, CrossProcessMergeIsExact) {
     snap.requests = 100u * static_cast<std::uint64_t>(w + 1);
     snap.ok = snap.requests - 5;
     snap.errors = 5;
-    snap.queue_depth = static_cast<std::size_t>(w);
-    snap.queue_capacity = 64;
+    snap.in_flight = static_cast<std::size_t>(w);
+    snap.max_connections = 64;
     snap.generation = static_cast<std::uint64_t>(w + 2);
     for (int i = 0; i < 500; ++i) {
       snap.latency.add(1e-3 *
@@ -232,8 +232,8 @@ TEST(MetricsWireTest, CrossProcessMergeIsExact) {
   EXPECT_EQ(via_wire.requests, direct.requests);
   EXPECT_EQ(via_wire.ok, direct.ok);
   EXPECT_EQ(via_wire.errors, direct.errors);
-  EXPECT_EQ(via_wire.queue_depth, direct.queue_depth);
-  EXPECT_EQ(via_wire.queue_capacity, direct.queue_capacity);
+  EXPECT_EQ(via_wire.in_flight, direct.in_flight);
+  EXPECT_EQ(via_wire.max_connections, direct.max_connections);
   // min-generation semantics: the oldest model set wins.
   EXPECT_EQ(direct.generation, 2u);
   EXPECT_EQ(via_wire.generation, 2u);

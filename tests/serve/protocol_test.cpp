@@ -101,20 +101,21 @@ TEST(ProtocolTest, OkResponseRoundTripsDelayBitExactly) {
 
 TEST(ProtocolTest, ResponseTaxonomyRoundTrips) {
   Response parsed;
-  ASSERT_TRUE(parseResponse(Response::shed("queue full").serialize(),
+  ASSERT_TRUE(parseResponse(Response::shed("connection limit").serialize(),
                             &parsed));
   EXPECT_EQ(parsed.status, ResponseStatus::kShed);
-  EXPECT_EQ(parsed.detail, "queue full");
+  EXPECT_EQ(parsed.detail, "connection limit");
 
   ASSERT_TRUE(parseResponse(Response::deadline("too slow").serialize(),
                             &parsed));
   EXPECT_EQ(parsed.status, ResponseStatus::kDeadline);
 
   ASSERT_TRUE(parseResponse(
-      Response::error(ErrorCode::kBreakerOpen, "int_add down").serialize(),
+      Response::error(ErrorCode::kModelUnavailable, "int_add down")
+          .serialize(),
       &parsed));
   EXPECT_EQ(parsed.status, ResponseStatus::kError);
-  EXPECT_EQ(parsed.code, ErrorCode::kBreakerOpen);
+  EXPECT_EQ(parsed.code, ErrorCode::kModelUnavailable);
   EXPECT_EQ(parsed.detail, "int_add down");
 
   ASSERT_TRUE(parseResponse(
@@ -135,6 +136,7 @@ TEST(ProtocolTest, RejectsMalformedResponses) {
       "SHED",                    // missing detail
       "ERROR",                   // missing code
       "ERROR NO_SUCH_CODE boom", // unknown code
+      "ERROR BREAKER_OPEN x",    // no longer emitted or parsed
       "MAYBE fine",              // unknown status
   };
   for (const char* line : cases) {

@@ -1,6 +1,7 @@
 // In-process end-to-end server tests: correctness of accepted
-// answers, the typed degradation surface (shed/deadline/breaker/
-// abuse), hot reload atomicity under load, and graceful drain.
+// answers, the typed degradation surface (deadline/injected faults/
+// abuse), the in-flight gauge, hot reload atomicity under load, and
+// graceful drain.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -46,7 +47,6 @@ Response roundTrip(LineClient& client, const std::string& line) {
 ServerOptions baseOptions() {
   ServerOptions options;
   options.model_dir = serveTestModels().dir;
-  options.queue_capacity = 16;
   // Local injector (disarmed by default) so an outer TEVOT_FAULTS
   // never leaks into these deterministic tests.
   static util::FaultInjector quiet;
@@ -184,13 +184,13 @@ TEST(ServerTest, TinyDeadlineYieldsDeadlineResponse) {
   ASSERT_TRUE(server.start().ok());
   LineClient client;
   ASSERT_TRUE(client.connectTo(server.port()).ok());
-  // 1e-12 ms end-to-end budget: any admission wait exceeds it.
+  // 1e-12 ms end-to-end budget: any compute exceeds it.
   const Response response = roundTrip(
       client, predictLine(0.9, 25, 300, 1, 2, 0, 0, "1e-12"));
   EXPECT_EQ(response.status, ResponseStatus::kDeadline);
 }
 
-TEST(ServerTest, BreakerOpensAfterConsecutiveBackendFailures) {
+TEST(ServerTest, InjectedPredictFailuresTripNothing) {
   util::FaultInjector faults;
   util::FaultPlan plan;
   plan.seed = 11;
@@ -200,131 +200,95 @@ TEST(ServerTest, BreakerOpensAfterConsecutiveBackendFailures) {
   faults.arm(plan);
 
   ServerOptions options = baseOptions();
-  options.breaker.failure_threshold = 3;
-  options.breaker.cooldown_ms = 60'000.0;  // stays open for the test
-  options.faults = &faults;
-  Server server(options);
-  ASSERT_TRUE(server.start().ok());
-  LineClient client;
-  ASSERT_TRUE(client.connectTo(server.port()).ok());
-
-  for (int i = 0; i < 3; ++i) {
-    const Response response =
-        roundTrip(client, predictLine(0.9, 25, 300, 1, 2, 0, 0));
-    EXPECT_EQ(response.code, ErrorCode::kFaultInjected) << i;
-  }
-  // Breaker tripped: requests are now rejected without touching the
-  // backend.
-  for (int i = 0; i < 3; ++i) {
-    const Response response =
-        roundTrip(client, predictLine(0.9, 25, 300, 1, 2, 0, 0));
-    EXPECT_EQ(response.code, ErrorCode::kBreakerOpen) << i;
-  }
-  const MetricsSnapshot stats = server.stats();
-  EXPECT_EQ(stats.breakers_open, 1u);
-  EXPECT_EQ(stats.breaker_opens, 1u);
-}
-
-TEST(ServerTest, FullQueueSheds) {
-  util::FaultInjector faults;
-  util::FaultPlan plan;
-  plan.seed = 5;
-  plan.rate = 1.0;
-  plan.points = {"serve.slow"};  // slow backend, no failures
-  plan.slow_ms = 150.0;
-  plan.fail_attempts = 1000;
-  faults.arm(plan);
-
-  ServerOptions options = baseOptions();
-  options.queue_capacity = 1;
-  options.faults = &faults;
-  Server server(options);
-  ASSERT_TRUE(server.start().ok());
-
-  // c1's request takes the single admission slot; c2's and c3's find
-  // the cap reached => SHED.
-  LineClient c1, c2, c3;
-  ASSERT_TRUE(c1.connectTo(server.port()).ok());
-  ASSERT_TRUE(c2.connectTo(server.port()).ok());
-  ASSERT_TRUE(c3.connectTo(server.port()).ok());
-  ASSERT_TRUE(c1.sendLine(predictLine(0.9, 25, 300, 1, 2, 0, 0)));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ASSERT_TRUE(c2.sendLine(predictLine(0.9, 25, 300, 3, 4, 0, 0)));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ASSERT_TRUE(c3.sendLine(predictLine(0.9, 25, 300, 5, 6, 0, 0)));
-
-  Response shed;
-  const std::optional<std::string> raw = c3.readLine();
-  ASSERT_TRUE(raw.has_value());
-  ASSERT_TRUE(parseResponse(*raw, &shed)) << *raw;
-  EXPECT_EQ(shed.status, ResponseStatus::kShed);
-
-  // The admitted requests still complete.
-  EXPECT_EQ(c1.readLine().has_value(), true);
-  EXPECT_EQ(c2.readLine().has_value(), true);
-  EXPECT_GE(server.stats().shed, 1u);
-}
-
-TEST(ServerTest, AdmissionCounterNeverLeaksAcrossOutcomes) {
-  util::FaultInjector faults;
-  ServerOptions options = baseOptions();
-  options.queue_capacity = 1;
-  options.breaker.failure_threshold = 2;
-  options.breaker.cooldown_ms = 500.0;
   options.faults = &faults;
   Server server(options);
   ASSERT_TRUE(server.start().ok());
   LineClient client;
   ASSERT_TRUE(client.connectTo(server.port()).ok());
   const std::string line = predictLine(0.9, 25, 300, 1, 2, 0, 0);
+  // Each failure is answered on its own; none of them keeps the next
+  // predict from reaching the model.
+  for (int i = 0; i < 10; ++i) {
+    const Response response = roundTrip(client, line);
+    EXPECT_EQ(response.status, ResponseStatus::kError) << i;
+    EXPECT_EQ(response.code, ErrorCode::kFaultInjected)
+        << i << ": " << response.detail;
+  }
+  faults.disarm();
+  const Response response = roundTrip(client, line);
+  ASSERT_EQ(response.status, ResponseStatus::kOk) << response.detail;
+  const double expected =
+      serveTestModels().model_a.predictDelay(1, 2, 0, 0, {0.9, 25});
+  EXPECT_EQ(std::memcmp(&response.delay_ps, &expected, sizeof(double)), 0);
+}
+
+TEST(ServerTest, InFlightGaugeNeverLeaksAcrossOutcomes) {
+  util::FaultInjector faults;
+  ServerOptions options = baseOptions();
+  options.max_connections = 4;
+  options.faults = &faults;
+  Server server(options);
+  ASSERT_TRUE(server.start().ok());
+  LineClient client;
+  ASSERT_TRUE(client.connectTo(server.port()).ok());
+  const std::string line = predictLine(0.9, 25, 300, 1, 2, 0, 0);
+  const auto expectIdle = [&] {
+    const MetricsSnapshot stats = server.stats();
+    EXPECT_EQ(stats.in_flight, 0u);
+    EXPECT_EQ(stats.max_connections, 4u);
+  };
+  const auto readResponse = [&] {
+    Response response;
+    EXPECT_TRUE(parseResponse(client.readLine().value_or(""), &response));
+    return response;
+  };
   const auto expectOutcome = [&](const std::string& request,
                                  ResponseStatus status, ErrorCode code) {
-    const Response response = roundTrip(client, request);
+    ASSERT_TRUE(client.sendLine(request));
+    const Response response = readResponse();
     EXPECT_EQ(response.status, status) << response.detail;
     EXPECT_EQ(response.code, code) << response.detail;
-    EXPECT_EQ(server.stats().queue_depth, 0u);
+    expectIdle();
   };
   const auto arm = [&](const char* point) {
     util::FaultPlan plan;
     plan.rate = 1.0;
     plan.points = {point};
     plan.fail_attempts = 1000;
-    plan.slow_ms = 300.0;
+    plan.slow_ms = 500.0;
     faults.arm(plan);
   };
 
   expectOutcome(line, ResponseStatus::kOk, ErrorCode::kNone);
   expectOutcome(predictLine(0.9, 25, 300, 1, 2, 0, 0, "1e-12"),
                 ResponseStatus::kDeadline, ErrorCode::kNone);
-  arm("serve.predict");
-  for (int i = 0; i < 2; ++i) {
-    expectOutcome(line, ResponseStatus::kError, ErrorCode::kFaultInjected);
+  expectOutcome("predict no_such_fu 0.9 25 300 1 2 3 4",
+                ResponseStatus::kError, ErrorCode::kUnknownFu);
+  // A predictN is one predict in flight, answered with n lines.
+  ASSERT_TRUE(client.sendLine(
+      "predictN int_add 0.9 25 300 3 1 2 3 4 5 6 7 8 9 10 11 12"));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(readResponse().status, ResponseStatus::kOk) << i;
   }
-  expectOutcome(line, ResponseStatus::kError, ErrorCode::kBreakerOpen);
+  expectIdle();
+  arm("serve.predict");
+  expectOutcome(line, ResponseStatus::kError, ErrorCode::kFaultInjected);
 
-  // SHED: a slowed predict holds the only admission slot while a
-  // second client's predict finds the cap reached. The breaker's
-  // cooldown has passed, so the slowed predict is its half-open probe
-  // and closes it again.
-  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  // While a slowed predict computes, the gauge counts it.
   arm("serve.slow");
   ASSERT_TRUE(client.sendLine(line));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  LineClient second;
-  ASSERT_TRUE(second.connectTo(server.port()).ok());
-  const Response shed = roundTrip(second, line);
-  EXPECT_EQ(shed.status, ResponseStatus::kShed) << shed.detail;
-  Response slow;
-  ASSERT_TRUE(parseResponse(client.readLine().value_or(""), &slow));
-  EXPECT_EQ(slow.status, ResponseStatus::kOk) << slow.detail;
-  EXPECT_EQ(server.stats().queue_depth, 0u);
+  bool counted = false;
+  for (int i = 0; i < 400 && !counted; ++i) {
+    counted = server.stats().in_flight == 1;
+    if (!counted) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(counted);
+  EXPECT_EQ(readResponse().status, ResponseStatus::kOk);
+  expectIdle();
 
-  // A fresh predict is admitted on either connection.
   faults.disarm();
   expectOutcome(line, ResponseStatus::kOk, ErrorCode::kNone);
-  EXPECT_EQ(roundTrip(second, line).status, ResponseStatus::kOk);
   const MetricsSnapshot stats = server.stats();
-  EXPECT_EQ(stats.queue_depth, 0u);
   EXPECT_EQ(stats.requests,
             stats.ok + stats.shed + stats.deadline + stats.errors);
 }

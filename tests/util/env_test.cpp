@@ -59,5 +59,23 @@ TEST_F(EnvTest, FlagParsing) {
   }
 }
 
+TEST(ParseNumberTest, AcceptsOnlyCompleteFiniteInRangeValues) {
+  double ms = -1.0;
+  EXPECT_TRUE(parseNumber("2.5", 0, 10, &ms));
+  EXPECT_EQ(ms, 2.5);
+  EXPECT_TRUE(parseNumber("1e-12", 0, 10, &ms));
+  EXPECT_EQ(ms, 1e-12);
+  std::size_t conns = 0;
+  EXPECT_TRUE(parseNumber("64", 1, 65535, &conns));
+  EXPECT_EQ(conns, 64u);
+  for (const char* bad : {"", " ", "abc", "nan", "inf", "-inf", "5ms",
+                          "-1", "0", "65536", "1e300", "2.5"}) {
+    EXPECT_FALSE(parseNumber(bad, 1, 65535, &conns)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(conns, 64u);  // a rejected value leaves the output alone
+  EXPECT_FALSE(parseNumber("nan", 0, 10, &ms));
+  EXPECT_EQ(ms, 1e-12);
+}
+
 }  // namespace
 }  // namespace tevot::util

@@ -2,9 +2,9 @@
 //
 //   tevot_router --model-dir DIR --serve-binary PATH [--port P]
 //                [--shards N] [--policy replicated|per-fu]
-//                [--fus "a,b;c;d"] [--queue N]
-//                [--deadline-ms MS] [--max-restarts N]
-//                [--shed-queue-fraction F] [--health-interval-ms MS]
+//                [--fus "a,b;c;d"] [--deadline-ms MS]
+//                [--max-restarts N] [--shed-queue-fraction F]
+//                [--health-interval-ms MS]
 //
 // Spawns N tevot_serve worker shards on ephemeral loopback ports and
 // serves the exact tevot_serve newline protocol on the front port
@@ -14,9 +14,11 @@
 //   tevot_router listening on 127.0.0.1:<port>
 //
 // --fus assigns FU ownership under per-fu policy: shard lists are
-// ';'-separated, FU names within a shard ','-separated. --queue and
-// --deadline-ms pass through to every shard's tevot_serve (--queue
-// caps that shard's predicts in flight).
+// ';'-separated, FU names within a shard ','-separated. --deadline-ms
+// passes through to every shard's tevot_serve. A shard is shed once
+// its polled predicts in flight reach --shed-queue-fraction of its
+// connection cap. A numeric value that is not a complete, finite,
+// in-range number is a usage error.
 //
 // Signals:
 //   SIGHUP          rolling zero-downtime reload, one shard at a time
@@ -27,13 +29,14 @@
 // Exit codes: 0 clean drain, 1 runtime failure, 2 usage error.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fleet/router.hpp"
 #include "fleet/supervisor.hpp"
+#include "util/env.hpp"
 #include "util/signal.hpp"
 
 namespace {
@@ -44,10 +47,12 @@ int usage() {
       "usage: tevot_router --model-dir DIR --serve-binary PATH\n"
       "                    [--port P] [--shards N]\n"
       "                    [--policy replicated|per-fu] [--fus LISTS]\n"
-      "                    [--queue N] [--deadline-ms MS]\n"
-      "                    [--max-restarts N] [--shed-queue-fraction F]\n"
+      "                    [--deadline-ms MS] [--max-restarts N]\n"
+      "                    [--shed-queue-fraction F]\n"
       "                    [--health-interval-ms MS]\n"
       "LISTS: per-fu shard ownership, e.g. \"int_add,int_mul;alu\"\n"
+      "P: 0..65535 (0 = ephemeral); --shards: 1..256; F: 1/1024..1\n"
+      "--deadline-ms >= 0; --health-interval-ms >= 1; --max-restarts >= 0\n"
       "SIGHUP rolls a reload across the fleet; SIGTERM/SIGINT drains\n");
   return 2;
 }
@@ -74,6 +79,7 @@ std::vector<std::vector<std::string>> parseFuLists(const std::string& text) {
 int main(int argc, char** argv) {
   using namespace tevot;
 
+  constexpr double kNoLimit = std::numeric_limits<double>::max();
   fleet::SupervisorOptions supervisor_options;
   fleet::RouterOptions router_options;
   std::string fus_text;
@@ -87,6 +93,15 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric value must be a complete, finite number in [lo, hi].
+    const auto number = [&](double lo, double hi, auto* out) {
+      const char* text = value();
+      if (text == nullptr) return false;
+      if (util::parseNumber(text, lo, hi, out)) return true;
+      std::fprintf(stderr, "tevot_router: bad %s value '%s'\n",
+                   arg.c_str(), text);
+      return false;
+    };
     const char* v = nullptr;
     if (arg == "--model-dir") {
       if ((v = value()) == nullptr) return usage();
@@ -95,15 +110,9 @@ int main(int argc, char** argv) {
       if ((v = value()) == nullptr) return usage();
       supervisor_options.serve_binary = v;
     } else if (arg == "--port") {
-      if ((v = value()) == nullptr) return usage();
-      router_options.port = static_cast<int>(std::atol(v));
-      if (router_options.port < 0 || router_options.port > 65535) {
-        return usage();
-      }
+      if (!number(0, 65535, &router_options.port)) return usage();
     } else if (arg == "--shards") {
-      if ((v = value()) == nullptr) return usage();
-      supervisor_options.shards = static_cast<std::size_t>(std::atol(v));
-      if (supervisor_options.shards == 0) return usage();
+      if (!number(1, 256, &supervisor_options.shards)) return usage();
     } else if (arg == "--policy") {
       if ((v = value()) == nullptr) return usage();
       if (!fleet::parseShardPolicy(v, &router_options.policy)) {
@@ -112,22 +121,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--fus") {
       if ((v = value()) == nullptr) return usage();
       fus_text = v;
-    } else if (arg == "--queue") {
-      if ((v = value()) == nullptr) return usage();
-      supervisor_options.queue_capacity =
-          static_cast<std::size_t>(std::atol(v));
     } else if (arg == "--deadline-ms") {
-      if ((v = value()) == nullptr) return usage();
-      supervisor_options.default_deadline_ms = std::atof(v);
+      if (!number(0, kNoLimit, &supervisor_options.default_deadline_ms)) {
+        return usage();
+      }
     } else if (arg == "--max-restarts") {
-      if ((v = value()) == nullptr) return usage();
-      supervisor_options.max_restarts = static_cast<int>(std::atol(v));
+      if (!number(0, std::numeric_limits<int>::max(),
+                  &supervisor_options.max_restarts)) {
+        return usage();
+      }
     } else if (arg == "--shed-queue-fraction") {
-      if ((v = value()) == nullptr) return usage();
-      router_options.shed_queue_fraction = std::atof(v);
+      if (!number(1.0 / 1024, 1, &router_options.shed_queue_fraction)) {
+        return usage();
+      }
     } else if (arg == "--health-interval-ms") {
-      if ((v = value()) == nullptr) return usage();
-      router_options.health_interval_ms = std::atof(v);
+      if (!number(1, kNoLimit, &router_options.health_interval_ms)) {
+        return usage();
+      }
     } else {
       std::fprintf(stderr, "tevot_router: unknown option %s\n",
                    arg.c_str());

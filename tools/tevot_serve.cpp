@@ -1,12 +1,13 @@
 // tevot_serve — resilient TEVoT prediction server.
 //
-//   tevot_serve --model-dir DIR [--port P] [--queue N] [--max-conns N]
-//               [--deadline-ms MS] [--drain-ms MS]
-//               [--breaker-failures N] [--breaker-cooldown-ms MS]
+//   tevot_serve --model-dir DIR [--port P] [--max-conns N]
+//               [--deadline-ms MS] [--drain-ms MS] [--strict-verify]
 //
-// Each connection is served on its own thread (--max-conns caps them);
-// --queue caps the predicts in flight across all connections, and a
-// predict over the cap is answered with a typed SHED.
+// Each connection is served on its own thread and answers its own
+// predicts, one at a time; --max-conns caps the connections (one over
+// the cap is answered with a typed SHED), and so the predicts in
+// flight. A numeric value that is not a complete, finite, in-range
+// number is a usage error.
 //
 // Serves the newline-delimited protocol of src/serve/protocol.hpp on
 // 127.0.0.1 (port 0 = ephemeral; the bound port is printed on stdout
@@ -15,9 +16,10 @@
 // written by `tevot_cli train`.
 //
 // Signals:
-//   SIGHUP          hot reload (validate-then-swap; failure keeps the
-//                   previous models serving) — also available as the
-//                   in-band `reload` request
+//   SIGHUP          hot reload (validate-then-swap; a failure is
+//                   printed to stderr and the previous models keep
+//                   serving) — also available as the in-band `reload`
+//                   request
 //   SIGTERM/SIGINT  graceful drain: stop accepting, finish the
 //                   requests in hand within --drain-ms, print final
 //                   stats to stderr, exit 0
@@ -31,12 +33,12 @@
 // failure), 2 usage error.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
 #include "serve/server.hpp"
+#include "util/env.hpp"
 #include "util/fault_injection.hpp"
 #include "util/signal.hpp"
 
@@ -45,12 +47,11 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: tevot_serve --model-dir DIR [--port P] [--queue N]\n"
-      "                   [--max-conns N] [--deadline-ms MS]\n"
-      "                   [--drain-ms MS] [--breaker-failures N]\n"
-      "                   [--breaker-cooldown-ms MS] [--strict-verify]\n"
+      "usage: tevot_serve --model-dir DIR [--port P] [--max-conns N]\n"
+      "                   [--deadline-ms MS] [--drain-ms MS]\n"
+      "                   [--strict-verify]\n"
       "DIR: one <fu>.model per served unit (from `tevot_cli train`)\n"
-      "--queue: cap on predicts in flight; over it a predict is SHED\n"
+      "P: 0..65535 (0 = ephemeral); N: 1..65535; MS: >= 0\n"
       "--strict-verify: refuse models that fail interval certification\n"
       "  (tevot_cli verify-model) at load and at every reload\n"
       "SIGHUP reloads models; SIGTERM/SIGINT drains and exits 0\n");
@@ -62,6 +63,7 @@ int usage() {
 int main(int argc, char** argv) {
   using namespace tevot;
 
+  constexpr double kNoLimit = std::numeric_limits<double>::max();
   serve::ServerOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -73,32 +75,27 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric value must be a complete, finite number in [lo, hi].
+    const auto number = [&](double lo, double hi, auto* out) {
+      const char* text = value();
+      if (text == nullptr) return false;
+      if (util::parseNumber(text, lo, hi, out)) return true;
+      std::fprintf(stderr, "tevot_serve: bad %s value '%s'\n", arg.c_str(),
+                   text);
+      return false;
+    };
     const char* v = nullptr;
     if (arg == "--model-dir") {
       if ((v = value()) == nullptr) return usage();
       options.model_dir = v;
     } else if (arg == "--port") {
-      if ((v = value()) == nullptr) return usage();
-      options.port = static_cast<int>(std::atol(v));
-      if (options.port < 0 || options.port > 65535) return usage();
-    } else if (arg == "--queue") {
-      if ((v = value()) == nullptr) return usage();
-      options.queue_capacity = static_cast<std::size_t>(std::atol(v));
+      if (!number(0, 65535, &options.port)) return usage();
     } else if (arg == "--max-conns") {
-      if ((v = value()) == nullptr) return usage();
-      options.max_connections = static_cast<std::size_t>(std::atol(v));
+      if (!number(1, 65535, &options.max_connections)) return usage();
     } else if (arg == "--deadline-ms") {
-      if ((v = value()) == nullptr) return usage();
-      options.default_deadline_ms = std::atof(v);
+      if (!number(0, kNoLimit, &options.default_deadline_ms)) return usage();
     } else if (arg == "--drain-ms") {
-      if ((v = value()) == nullptr) return usage();
-      options.drain_deadline_ms = std::atof(v);
-    } else if (arg == "--breaker-failures") {
-      if ((v = value()) == nullptr) return usage();
-      options.breaker.failure_threshold = static_cast<int>(std::atol(v));
-    } else if (arg == "--breaker-cooldown-ms") {
-      if ((v = value()) == nullptr) return usage();
-      options.breaker.cooldown_ms = std::atof(v);
+      if (!number(0, kNoLimit, &options.drain_deadline_ms)) return usage();
     } else if (arg == "--strict-verify") {
       options.strict_verify = true;
     } else {
@@ -131,9 +128,13 @@ int main(int argc, char** argv) {
 
   while (!terminate.raised()) {
     if (reload_signal.consume()) {
-      // Outcome (including a failed validation keeping the old
-      // models) is logged by the server; nothing to do here.
-      (void)server.reload();
+      const util::Status reloaded = server.reload();
+      if (!reloaded.ok()) {
+        std::fprintf(stderr,
+                     "tevot_serve: reload failed (previous models kept): "
+                     "%s\n",
+                     reloaded.message.c_str());
+      }
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
