@@ -4,10 +4,22 @@
 // the corresponding facility: a plain-text format for every learner in
 // the library (random forests for both tasks, single CART trees, k-NN,
 // and the linear classifiers), so trained models can be saved and
-// reloaded without retraining. All loaders reject malformed input with
-// std::runtime_error (bad magic, version skew, truncation, task or
-// kind mismatch, trees failing validateTreeShape). Counts in a header
-// never size an allocation beyond what the remaining input can hold.
+// reloaded without retraining.
+//
+// Every format is written through one util::TextWriter and read through
+// one util::TextReader (util/text_io.hpp): a loader reads the rest of
+// its stream into one buffer and parses it with the reader's bounded
+// cursor. Loader rules:
+//   - Malformed input throws util::StatusError (a std::runtime_error),
+//     kParseError: bad magic, version skew, task or kind mismatch,
+//     truncation, a number that is not a whole token, an out-of-range
+//     integer, a non-finite or out-of-range float.
+//   - The model must end its input: anything but whitespace after it is
+//     a kParseError ("trailing bytes").
+//   - Counts in a header never size an allocation beyond what the
+//     remaining input can hold.
+//   - A forest is checked once, after its last tree, with
+//     validateForestStructure; a single tree with validateTreeShape.
 //
 // Forest format:
 //   tevot-forest v1 <classifier|regressor> <n_trees>
@@ -19,7 +31,7 @@
 // then one "<features...> <label>" line per training row.
 // Linear: "tevot-linear v1 <logistic|svm> <cols>", weight/bias/scaler
 // lines.
-// All floats are printed with round-trip precision, so
+// All floats are printed as "%.9g", which round-trips every float, so
 // save -> load -> save is byte-identical (the model round-trip oracle
 // in src/check/ relies on this).
 #pragma once
@@ -30,15 +42,24 @@
 #include "ml/knn.hpp"
 #include "ml/linear.hpp"
 #include "ml/random_forest.hpp"
+#include "util/text_io.hpp"
 
 namespace tevot::ml {
 
 void saveForest(std::ostream& os, const RandomForestClassifier& forest);
 void saveForest(std::ostream& os, const RandomForestRegressor& forest);
 
-/// Throws std::runtime_error on malformed input or task mismatch.
 RandomForestClassifier loadForestClassifier(std::istream& is);
 RandomForestRegressor loadForestRegressor(std::istream& is);
+
+/// A regressor forest inside a file of another format (TevotModel's),
+/// written to or read from that file's own writer or reader. The
+/// loader leaves `in` after the forest and checks the trees against
+/// `n_features`: kInvalidArgument for trees that are sound but split on
+/// a feature index >= n_features, kParseError for anything else.
+void saveForest(util::TextWriter& out, const RandomForestRegressor& forest);
+RandomForestRegressor loadForestRegressor(util::TextReader& in,
+                                          std::size_t n_features);
 
 /// Single CART tree (either task; the task is not recorded).
 void saveTree(std::ostream& os, const DecisionTree& tree);

@@ -61,7 +61,6 @@ const char* errorCodeName(ErrorCode code) {
     case ErrorCode::kModelUnavailable: return "MODEL_UNAVAILABLE";
     case ErrorCode::kReloadFailed: return "RELOAD_FAILED";
     case ErrorCode::kFaultInjected: return "FAULT_INJECTED";
-    case ErrorCode::kDraining: return "DRAINING";
     case ErrorCode::kInternal: return "INTERNAL";
   }
   return "?";
@@ -312,7 +311,7 @@ bool parseResponse(std::string_view line, Response* out) {
          {ErrorCode::kParse, ErrorCode::kBadRequest, ErrorCode::kOversized,
           ErrorCode::kUnknownFu, ErrorCode::kModelUnavailable,
           ErrorCode::kReloadFailed, ErrorCode::kFaultInjected,
-          ErrorCode::kDraining, ErrorCode::kInternal}) {
+          ErrorCode::kInternal}) {
       if (code == errorCodeName(candidate)) {
         out->code = candidate;
         known = true;

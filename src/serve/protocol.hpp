@@ -100,7 +100,6 @@ enum class ErrorCode {
   kModelUnavailable,  ///< known fu, but no model loaded for it
   kReloadFailed,      ///< validation failed; previous models kept
   kFaultInjected,     ///< deterministic serve.* injected fault
-  kDraining,          ///< server shutting down
   kInternal,          ///< unclassified backend exception
 };
 

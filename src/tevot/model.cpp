@@ -13,6 +13,8 @@
 
 #include "ml/serialize.hpp"
 #include "tevot/operating_grid.hpp"
+#include "util/stream.hpp"
+#include "util/text_io.hpp"
 
 namespace tevot::core {
 
@@ -107,9 +109,6 @@ util::Status TevotModel::validateForServing() const {
   if (!trained()) {
     return util::Status::invalidArgument("model is not trained");
   }
-  const util::Status forest_status =
-      ml::validateForestStructure(forest_.trees(), encoder_.featureCount());
-  if (!forest_status.ok()) return forest_status;
   if (!flat_.compiled() || flat_.treeCount() != forest_.trees().size()) {
     return util::Status::invalidArgument(
         "flat engine not compiled from the served forest");
@@ -182,9 +181,12 @@ void TevotModel::save(const std::string& path,
           util::ioErrorFor("TevotModel::save: cannot open", tmp_path,
                            errno));
     }
-    os << "tevot-model v1 history " << (config_.include_history ? 1 : 0)
-       << "\n";
-    ml::saveForest(os, forest_);
+    util::TextWriter out(os);
+    out.text("tevot-model v1 history ")
+        .number(config_.include_history ? 1 : 0)
+        .text("\n");
+    ml::saveForest(out, forest_);
+    out.flush();
     os.flush();
     const bool write_fault =
         faults != nullptr && faults->shouldFail("io.write", path);
@@ -209,49 +211,48 @@ void TevotModel::save(const std::string& path,
 }
 
 TevotModel TevotModel::load(const std::string& path) {
-  std::ifstream is(path);
+  std::ifstream is(path, std::ios::binary);
   if (!is) {
     throw util::StatusError(
         util::ioErrorFor("TevotModel::load: cannot open", path, errno));
   }
-  std::string magic, version, key;
-  int history = 0;
-  if (!(is >> magic >> version >> key >> history) ||
-      magic != "tevot-model" || version != "v1" || key != "history") {
+  const std::string text = util::readAll(is);
+  if (is.bad()) {
     throw util::StatusError(
-        util::Status::parseError("TevotModel::load " + path +
-                                 ": bad header"));
+        util::ioErrorFor("TevotModel::load: cannot read", path, errno));
   }
-  TevotConfig config;
-  config.include_history = history != 0;
-  TevotModel model(config);
+  util::TextReader in(text);
+  int history = 0;
   try {
-    model.forest_ = ml::loadForestRegressor(is);
-  } catch (const std::runtime_error& error) {
-    throw util::StatusError(util::Status::parseError(
-        "TevotModel::load " + path + ": " + error.what()));
+    in.expect("tevot-model");
+    in.expect("v1");
+    in.expect("history");
+    history = in.integer<int>("history flag");
+    TevotConfig config;
+    config.include_history = history != 0;
+    TevotModel model(config);
+    // The forest loader runs the one structure check, against the
+    // header's encoder width: a forest splitting on feature 129 under
+    // a history=0 header (66 features) would read out of bounds on
+    // every predict.
+    model.forest_ =
+        ml::loadForestRegressor(in, model.encoder_.featureCount());
+    // The payload must end exactly where the forest does: trailing
+    // bytes mean a corrupt or concatenated file, not a longer model.
+    in.expectEnd("forest");
+    model.compileFlat();
+    return model;
+  } catch (const util::StatusError& error) {
+    util::Status status = error.status();
+    const std::string mismatch =
+        status.code == util::StatusCode::kInvalidArgument
+            ? "forest inconsistent with header (history=" +
+                  std::to_string(history) + "): "
+            : "";
+    status.message =
+        "TevotModel::load " + path + ": " + mismatch + status.message;
+    throw util::StatusError(std::move(status));
   }
-  // The payload must end exactly where the forest does: trailing
-  // bytes mean a corrupt or concatenated file, not a longer model.
-  std::string trailing;
-  if (is >> trailing) {
-    throw util::StatusError(util::Status::parseError(
-        "TevotModel::load " + path + ": trailing bytes after forest ('" +
-        trailing + "')"));
-  }
-  // Cross-check the deserialized forest against the header's encoder
-  // width: a forest splitting on feature 129 under a history=0 header
-  // (66 features) would read out of bounds on every predict.
-  const util::Status structure = ml::validateForestStructure(
-      model.forest_.trees(), model.encoder_.featureCount());
-  if (!structure.ok()) {
-    throw util::StatusError(util::Status::invalidArgument(
-        "TevotModel::load " + path +
-        ": forest inconsistent with header (history=" +
-        std::to_string(history) + "): " + structure.message));
-  }
-  model.compileFlat();
-  return model;
 }
 
 }  // namespace tevot::core

@@ -109,14 +109,15 @@ class TevotModel {
   std::vector<double> featureImportance() const;
 
   /// Serving-readiness validation, the gate a model hot-reload must
-  /// pass before the swap: trained, structurally sound forest (node
-  /// indices in range for this encoder's feature count, finite
-  /// values), and finite, non-negative canary predictions at the
+  /// pass before the swap: trained, flat engine compiled from the
+  /// forest, and finite, non-negative canary predictions at the
   /// nominal corner AND the Liberty grid extremes (0.81/1.00 V x
   /// 0/100 C) — a model that goes non-finite at low voltage must be
   /// rejected at reload, not discovered mid-serve. Each served canary
   /// answer must also equal the CART walk (forest().predict) bit for
-  /// bit. ok() when the model is safe to serve.
+  /// bit. ok() when the model is safe to serve. The forest's structure
+  /// is not checked again here: train() builds sound trees and load()
+  /// has checked every loaded one against this encoder's width.
   util::Status validateForServing() const;
 
   /// Pre-trained model persistence (forest + history flag). save()
@@ -128,13 +129,15 @@ class TevotModel {
   void save(const std::string& path,
             util::FaultInjector* faults = nullptr) const;
 
-  /// Loads a saved model. Rejects, with typed util::StatusError:
-  /// malformed or truncated payloads, including cyclic, shared or
-  /// unreachable tree nodes (kParseError), trailing bytes
-  /// after the forest (kParseError), and forests whose feature
-  /// indices exceed the header's encoder width — e.g. a model trained
-  /// with history under a header claiming none (kInvalidArgument),
-  /// which would otherwise read out of bounds at predict time.
+  /// Loads a saved model: reads the file into one buffer and parses it
+  /// with the ml/serialize.hpp reader. Rejects, with typed
+  /// util::StatusError: malformed or truncated payloads, including
+  /// non-finite numbers and cyclic, shared or unreachable tree nodes
+  /// (kParseError), trailing bytes after the forest (kParseError), and
+  /// forests whose feature indices exceed the header's encoder width —
+  /// e.g. a model trained with history under a header claiming none
+  /// (kInvalidArgument), which would otherwise read out of bounds at
+  /// predict time. The forest's structure is checked once, here.
   static TevotModel load(const std::string& path);
 
  private:

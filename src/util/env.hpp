@@ -35,6 +35,10 @@ bool fullScale();
 /// trailing characters, NaN or infinity.
 bool parseFiniteDouble(std::string_view text, double* out);
 
+/// The largest integer a double holds exactly (2^53): the upper bound
+/// for an integer flag that has no smaller natural one, such as a seed.
+inline constexpr double kMaxExactInteger = 9007199254740992.0;
+
 /// Parses a numeric flag value into `*out`: all of `text` must be a
 /// finite number in [lo, hi], and a whole one when T is integral.
 /// False (`*out` untouched) otherwise, so a typo is a usage error

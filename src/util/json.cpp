@@ -57,7 +57,11 @@ Writer& Writer::key(std::string_view name) {
 }
 
 Writer& Writer::value(std::string_view text) {
-  return token("\"" + escape(text) + "\"");
+  const std::string escaped = escape(text);
+  std::string quoted;
+  quoted.reserve(escaped.size() + 2);
+  quoted.append(1, '"').append(escaped).append(1, '"');
+  return token(quoted);
 }
 
 Writer& Writer::value(bool flag) { return token(flag ? "true" : "false"); }

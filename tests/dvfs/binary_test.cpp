@@ -1,7 +1,8 @@
 // Subprocess tests for the tevot_dvfs binary: the exit-code taxonomy
 // (0 clean / 1 no FU ran / 2 usage / 3 escapes), per-FU certificate
-// refusals on stdout, the --json report payload, and byte-identical
-// --trace-dir output across reruns. The binary path is compiled in
+// refusals on stdout, the --json report payload, byte-identical
+// --trace-dir output across reruns, and malformed numeric flags as
+// usage errors. The binary path is compiled in
 // via TEVOT_DVFS_BINARY.
 #include <gtest/gtest.h>
 
@@ -11,6 +12,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <sys/wait.h>
 
@@ -96,6 +99,26 @@ TEST(DvfsBinaryTest, UnknownFuIsUsageError) {
 TEST(DvfsBinaryTest, MissingBackendChoiceIsUsageError) {
   const std::string certs = writeCertDir("nobackend", soundTclkPs());
   EXPECT_EQ(runDvfsBinary("--cert-dir '" + certs + "'").exit_code, 2);
+}
+
+TEST(DvfsBinaryTest, MalformedNumericFlagIsUsageError) {
+  const std::string certs = writeCertDir("badflags", soundTclkPs());
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--cycles", "1"},        {"--cycles", "nan"},
+      {"--window", "0"},        {"--window", "8x"},
+      {"--guardband", "-0.1"},  {"--guardband", "inf"},
+      {"--hysteresis", "nan"},  {"--deadline-ms", "-1"},
+      {"--seed", "abc"},        {"--escape-budget", "1.5"},
+      {"--serve-port", "70000"}, {"--jobs", "abc"},
+  };
+  for (const auto& [flag, value] : cases) {
+    const RunResult result =
+        runDvfsBinary("--cert-dir '" + certs + "' --serve-port 1 " + flag +
+                      " '" + value + "'");
+    EXPECT_EQ(result.exit_code, 2) << flag << " '" << value << "'";
+    EXPECT_NE(result.output.find("usage:"), std::string::npos)
+        << flag << " '" << value << "'";
+  }
 }
 
 TEST(DvfsBinaryTest, CleanRunExitsZeroWithJsonReport) {

@@ -3,7 +3,8 @@
 // classified summary, flush a valid --json payload marked
 // "interrupted": 1, and exit 130 — a cut-short run leaves data, not
 // wreckage. The server side runs in-process; only the loadgen is a
-// child process (it is the one being signalled).
+// child process (it is the one being signalled). Also: a numeric flag
+// that is not a complete, finite, in-range number is a usage error.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -12,6 +13,8 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "check/serve_oracle.hpp"
 #include "fixture.hpp"
@@ -112,6 +115,29 @@ TEST(LoadgenSigintTest, UninterruptedRunReportsInterruptedZero) {
   const std::string json = slurp(json_path);
   EXPECT_EQ(jsonNumber(json, "interrupted"), 0.0);
   server.drainAndStop();
+}
+
+TEST(LoadgenBinaryTest, MalformedNumericFlagIsUsageError) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--rate-qps", "nan"},          {"--rate-qps", "0"},
+      {"--duration-s", "abc"},        {"--duration-s", "-1"},
+      {"--connections", "0"},         {"--connections", "2.5"},
+      {"--batch-fraction", "1.5"},    {"--batch-tuples", "0"},
+      {"--batch-tuples", "257"},      {"--malformed-fraction", "-0.1"},
+      {"--deadline-ms", "nan"},       {"--seed", "-1"},
+      {"--port", "65536"},            {"--port", "80x"},
+  };
+  for (const auto& [flag, value] : cases) {
+    // Nothing listens on port 1: an accepted value would run a short
+    // storm that nothing answers and exit 1.
+    fleet_test::Process loadgen = fleet_test::Process::spawn(
+        TEVOT_LOADGEN_BINARY,
+        {"--port", "1", "--duration-s", "0.05", flag, value});
+    ASSERT_GT(loadgen.pid(), 0);
+    EXPECT_EQ(loadgen.wait(), 2) << flag << " '" << value << "'";
+    EXPECT_NE(loadgen.readStderr().find("usage:"), std::string::npos)
+        << flag << " '" << value << "'";
+  }
 }
 
 }  // namespace

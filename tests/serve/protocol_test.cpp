@@ -137,6 +137,7 @@ TEST(ProtocolTest, RejectsMalformedResponses) {
       "ERROR",                   // missing code
       "ERROR NO_SUCH_CODE boom", // unknown code
       "ERROR BREAKER_OPEN x",    // no longer emitted or parsed
+      "ERROR DRAINING x",        // draining servers answer SHED
       "MAYBE fine",              // unknown status
   };
   for (const char* line : cases) {

@@ -8,10 +8,12 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "tevot/model.hpp"
 #include "tevot/pipeline.hpp"
@@ -205,6 +207,135 @@ TEST_F(ModelIoTest, CyclicTreeIsTypedParseError) {
     EXPECT_EQ(status.code, util::StatusCode::kParseError) << tree;
     EXPECT_NE(status.message.find("two parents"), std::string::npos)
         << status.message;
+  }
+  std::remove(path.c_str());
+}
+
+/// Same trees, node for node and bit for bit; with `but_last_value`
+/// the value of the last node of the last tree may differ.
+bool sameForest(const TevotModel& a, const TevotModel& b,
+                bool but_last_value = false) {
+  const auto trees_a = a.forest().trees();
+  const auto trees_b = b.forest().trees();
+  if (a.config().include_history != b.config().include_history ||
+      trees_a.size() != trees_b.size()) {
+    return false;
+  }
+  for (std::size_t t = 0; t < trees_a.size(); ++t) {
+    std::vector<ml::DecisionTree::Node> nodes_a(trees_a[t].nodes().begin(),
+                                                trees_a[t].nodes().end());
+    std::vector<ml::DecisionTree::Node> nodes_b(trees_b[t].nodes().begin(),
+                                                trees_b[t].nodes().end());
+    if (but_last_value && t + 1 == trees_a.size() && !nodes_a.empty() &&
+        !nodes_b.empty()) {
+      nodes_a.back().value = nodes_b.back().value;
+    }
+    if (nodes_a.size() != nodes_b.size() ||
+        std::memcmp(nodes_a.data(), nodes_b.data(),
+                    nodes_a.size() * sizeof(nodes_a[0])) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// `bytes` with the `field`-th space-separated token of line `line`
+/// (0-based) replaced by `token`.
+std::string withToken(const std::string& bytes, std::size_t line,
+                      std::size_t field, const std::string& token) {
+  std::size_t start = 0;
+  for (std::size_t l = 0; l < line; ++l) start = bytes.find('\n', start) + 1;
+  for (std::size_t f = 0; f < field; ++f) start = bytes.find(' ', start) + 1;
+  const std::size_t end = bytes.find_first_of(" \n", start);
+  return bytes.substr(0, start) + token + bytes.substr(end);
+}
+
+TEST_F(ModelIoTest, EveryTruncationAndMutationIsTypedErrorOrIdentical) {
+  const std::string path = pidScopedPath("mutated.model");
+  const auto load = [&](const std::string& content, TevotModel* out) {
+    writeFile(path, content);
+    try {
+      *out = TevotModel::load(path);
+    } catch (const util::StatusError& error) {
+      return error.status();
+    }
+    return util::Status::okStatus();
+  };
+  TevotModel original;
+  ASSERT_TRUE(load(bytes_, &original).ok());
+  ASSERT_EQ(bytes_.back(), '\n');
+
+  // Every prefix. A cut inside the last number leaves a shorter number
+  // the format cannot tell from a real one ("245.12" of "245.123459"),
+  // so those cuts may load, but with nothing changed but that value.
+  const std::size_t last_token =
+      bytes_.find_last_of(" \n", bytes_.size() - 2) + 1;
+  for (std::size_t cut = 0; cut + 1 < bytes_.size(); ++cut) {
+    TevotModel loaded;
+    const util::Status status = load(bytes_.substr(0, cut), &loaded);
+    if (cut > last_token && status.ok()) {
+      EXPECT_TRUE(sameForest(loaded, original, /*but_last_value=*/true))
+          << "cut at " << cut;
+      continue;
+    }
+    EXPECT_EQ(status.code, util::StatusCode::kParseError)
+        << "cut at " << cut << " of " << bytes_.size();
+  }
+  // Without the final newline the model still loads, unchanged.
+  TevotModel unterminated;
+  ASSERT_TRUE(load(bytes_.substr(0, bytes_.size() - 1), &unterminated).ok());
+  EXPECT_TRUE(sameForest(unterminated, original));
+
+  // Line 3 is the root of tree 0 (a split), the last line a leaf. Node
+  // fields: feature threshold left right value.
+  std::size_t leaf_line = 0;
+  for (const char c : bytes_) leaf_line += c == '\n' ? 1 : 0;
+  leaf_line -= 1;
+  const struct {
+    std::size_t line, field;
+    std::string token;
+    util::StatusCode code;
+  } mutations[] = {
+      {3, 1, "nan", util::StatusCode::kParseError},
+      {3, 1, "inf", util::StatusCode::kParseError},
+      {3, 1, "-nan", util::StatusCode::kParseError},
+      {leaf_line, 4, "nan", util::StatusCode::kParseError},
+      {leaf_line, 4, "-inf", util::StatusCode::kParseError},
+      {leaf_line, 4, "-nan", util::StatusCode::kParseError},
+      {3, 0, "+1", util::StatusCode::kParseError},
+      {3, 1, "+0.5", util::StatusCode::kParseError},
+      {2, 1, "+7", util::StatusCode::kParseError},
+      {3, 0, "2147483648", util::StatusCode::kParseError},
+      {3, 2, "-2147483649", util::StatusCode::kParseError},
+      {3, 1, "1e50", util::StatusCode::kParseError},
+      {leaf_line, 4, "-1e50", util::StatusCode::kParseError},
+      {2, 1, "4611686018427387904", util::StatusCode::kParseError},
+      {1, 3, "4611686018427387904", util::StatusCode::kParseError},
+      {3, 1, "0.5x", util::StatusCode::kParseError},
+      {3, 0, "1,", util::StatusCode::kParseError},
+      {leaf_line, 4, "1.0q", util::StatusCode::kParseError},
+      {3, 2, "0", util::StatusCode::kParseError},  // root is its own child
+      // Sound trees, but a split past the encoder's features.
+      {3, 0, std::to_string(original.encoder().featureCount()),
+       util::StatusCode::kInvalidArgument},
+  };
+  for (const auto& mutation : mutations) {
+    const std::string mutated =
+        withToken(bytes_, mutation.line, mutation.field, mutation.token);
+    ASSERT_NE(mutated, bytes_);
+    TevotModel loaded;
+    const util::Status status = load(mutated, &loaded);
+    EXPECT_EQ(status.code, mutation.code)
+        << "line " << mutation.line << " field " << mutation.field << " '"
+        << mutation.token << "': " << status.toString();
+  }
+  for (const std::string& junk :
+       {std::string("x"), std::string("0"), std::string("\n-1 0 -1 -1 1\n"),
+        std::string(1, '\0')}) {
+    TevotModel loaded;
+    EXPECT_EQ(load(bytes_ + junk, &loaded).code,
+              util::StatusCode::kParseError)
+        << "'" << junk << "'";
   }
   std::remove(path.c_str());
 }

@@ -24,18 +24,24 @@
 // space is shared across FUs, so exact trace reproducibility
 // additionally requires --jobs 1.
 //
+// Numeric flags must be complete, finite numbers in range (--cycles
+// >= 2, --window >= 1, --jobs <= 1024, integers up to 2^53, no
+// negative guardband, hysteresis or deadline); anything else is a
+// usage error.
+//
 // Exit codes: 0 adaptive clocking ran with zero unrecovered
 // violations, 1 runtime failure (no FU could run), 2 usage error,
 // 3 unrecovered violations (escapes) remain after recovery.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dvfs/run.hpp"
 #include "tevot/model.hpp"
+#include "util/env.hpp"
 #include "util/status.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/certificate_io.hpp"
@@ -48,6 +54,10 @@ constexpr int kExitOk = 0;
 constexpr int kExitRuntime = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitEscapes = 3;
+
+constexpr double kNoLimit = std::numeric_limits<double>::max();
+// Every job is a worker thread.
+constexpr double kMaxJobs = 1024;
 
 int usage() {
   std::fprintf(
@@ -106,6 +116,15 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric value must be a complete, finite number in [lo, hi].
+    const auto number = [&](double lo, double hi, auto* out) {
+      const char* text = value();
+      if (text == nullptr) return false;
+      if (util::parseNumber(text, lo, hi, out)) return true;
+      std::fprintf(stderr, "tevot_dvfs: bad %s value '%s'\n", arg.c_str(),
+                   text);
+      return false;
+    };
     const char* v = nullptr;
     if (arg == "--model-dir") {
       if ((v = value()) == nullptr) return usage();
@@ -114,11 +133,7 @@ int main(int argc, char** argv) {
       if ((v = value()) == nullptr) return usage();
       cert_dir = v;
     } else if (arg == "--serve-port") {
-      if ((v = value()) == nullptr) return usage();
-      options.serve_port = static_cast<int>(std::atol(v));
-      if (options.serve_port <= 0 || options.serve_port > 65535) {
-        return usage();
-      }
+      if (!number(1, 65535, &options.serve_port)) return usage();
     } else if (arg == "--fus") {
       if ((v = value()) == nullptr) return usage();
       fu_slugs = splitList(v);
@@ -129,35 +144,32 @@ int main(int argc, char** argv) {
         fu_slugs.emplace_back(circuits::fuSlug(kind));
       }
     } else if (arg == "--cycles") {
-      if ((v = value()) == nullptr) return usage();
-      options.stream.cycles = static_cast<std::size_t>(std::atoll(v));
-      if (options.stream.cycles < 2) return usage();
+      if (!number(2, util::kMaxExactInteger, &options.stream.cycles)) {
+        return usage();
+      }
     } else if (arg == "--window") {
-      if ((v = value()) == nullptr) return usage();
-      options.stream.window = static_cast<std::size_t>(std::atoll(v));
-      if (options.stream.window == 0) return usage();
+      if (!number(1, util::kMaxExactInteger, &options.stream.window)) {
+        return usage();
+      }
     } else if (arg == "--seed") {
-      if ((v = value()) == nullptr) return usage();
-      options.stream.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number(0, util::kMaxExactInteger, &options.stream.seed)) {
+        return usage();
+      }
     } else if (arg == "--guardband") {
-      if ((v = value()) == nullptr) return usage();
-      options.controller.guardband = std::atof(v);
-      if (options.controller.guardband < 0.0) return usage();
+      if (!number(0, kNoLimit, &options.controller.guardband)) return usage();
     } else if (arg == "--hysteresis") {
-      if ((v = value()) == nullptr) return usage();
-      options.controller.hysteresis = std::atof(v);
-      if (options.controller.hysteresis < 0.0) return usage();
+      if (!number(0, kNoLimit, &options.controller.hysteresis)) {
+        return usage();
+      }
     } else if (arg == "--escape-budget") {
-      if ((v = value()) == nullptr) return usage();
-      options.controller.escape_budget =
-          static_cast<std::uint64_t>(std::atoll(v));
+      if (!number(0, util::kMaxExactInteger,
+                  &options.controller.escape_budget)) {
+        return usage();
+      }
     } else if (arg == "--deadline-ms") {
-      if ((v = value()) == nullptr) return usage();
-      options.deadline_ms = std::atof(v);
-      if (options.deadline_ms < 0.0) return usage();
+      if (!number(0, kNoLimit, &options.deadline_ms)) return usage();
     } else if (arg == "--jobs") {
-      if ((v = value()) == nullptr) return usage();
-      jobs = static_cast<std::size_t>(std::atoll(v));
+      if (!number(0, kMaxJobs, &jobs)) return usage();
     } else if (arg == "--json") {
       if ((v = value()) == nullptr) return usage();
       json_path = v;

@@ -15,6 +15,11 @@
 // in the current directory when --json is given without a value
 // elsewhere in CI.
 //
+// Numeric flags must be complete, finite numbers in range: --rate-qps
+// > 0, fractions in [0, 1], --connections in [1, 1024], --batch-tuples
+// in [1, 256], --seed a whole number up to 2^53; anything else is a
+// usage error.
+//
 // Exit codes: 0 storm completed (server answers, however degraded,
 // are data, not failures), 1 nothing was ever answered, 2 usage
 // error, 130 interrupted. SIGINT/SIGTERM stop the storm
@@ -23,11 +28,13 @@
 // cut-short run leaves valid, classified data instead of nothing.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "fleet/loadgen.hpp"
+#include "serve/protocol.hpp"
+#include "util/env.hpp"
 #include "util/signal.hpp"
 
 namespace {
@@ -50,6 +57,10 @@ int usage() {
 int main(int argc, char** argv) {
   using namespace tevot;
 
+  constexpr double kNoLimit = std::numeric_limits<double>::max();
+  constexpr double kPositive = std::numeric_limits<double>::min();
+  // Every connection is a client thread.
+  constexpr double kMaxConnections = 1024;
   fleet::LoadgenOptions options;
   std::string label = "default";
   std::string json_path;
@@ -63,43 +74,42 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric value must be a complete, finite number in [lo, hi].
+    const auto number = [&](double lo, double hi, auto* out) {
+      const char* text = value();
+      if (text == nullptr) return false;
+      if (util::parseNumber(text, lo, hi, out)) return true;
+      std::fprintf(stderr, "tevot_loadgen: bad %s value '%s'\n",
+                   arg.c_str(), text);
+      return false;
+    };
     const char* v = nullptr;
     if (arg == "--port") {
-      if ((v = value()) == nullptr) return usage();
-      options.port = static_cast<int>(std::atol(v));
-      if (options.port <= 0 || options.port > 65535) return usage();
+      if (!number(1, 65535, &options.port)) return usage();
     } else if (arg == "--fu") {
       if ((v = value()) == nullptr) return usage();
       options.fu = v;
     } else if (arg == "--duration-s") {
-      if ((v = value()) == nullptr) return usage();
-      options.duration_s = std::atof(v);
+      if (!number(0, kNoLimit, &options.duration_s)) return usage();
     } else if (arg == "--rate-qps") {
-      if ((v = value()) == nullptr) return usage();
-      options.rate_qps = std::atof(v);
-      if (options.rate_qps <= 0.0) return usage();
+      if (!number(kPositive, kNoLimit, &options.rate_qps)) return usage();
     } else if (arg == "--arrival") {
       if ((v = value()) == nullptr) return usage();
       if (!fleet::parseArrival(v, &options.arrival)) return usage();
     } else if (arg == "--connections") {
-      if ((v = value()) == nullptr) return usage();
-      options.connections = static_cast<int>(std::atol(v));
-      if (options.connections <= 0) return usage();
+      if (!number(1, kMaxConnections, &options.connections)) return usage();
     } else if (arg == "--batch-fraction") {
-      if ((v = value()) == nullptr) return usage();
-      options.batch_fraction = std::atof(v);
+      if (!number(0, 1, &options.batch_fraction)) return usage();
     } else if (arg == "--batch-tuples") {
-      if ((v = value()) == nullptr) return usage();
-      options.batch_tuples = static_cast<std::size_t>(std::atol(v));
+      if (!number(1, serve::kMaxBatchTuples, &options.batch_tuples)) {
+        return usage();
+      }
     } else if (arg == "--malformed-fraction") {
-      if ((v = value()) == nullptr) return usage();
-      options.malformed_fraction = std::atof(v);
+      if (!number(0, 1, &options.malformed_fraction)) return usage();
     } else if (arg == "--deadline-ms") {
-      if ((v = value()) == nullptr) return usage();
-      options.deadline_ms = std::atof(v);
+      if (!number(0, kNoLimit, &options.deadline_ms)) return usage();
     } else if (arg == "--seed") {
-      if ((v = value()) == nullptr) return usage();
-      options.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number(0, util::kMaxExactInteger, &options.seed)) return usage();
     } else if (arg == "--label") {
       if ((v = value()) == nullptr) return usage();
       label = v;
