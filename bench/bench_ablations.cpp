@@ -17,8 +17,14 @@
 //      backing the paper's RF-interpretability argument: operating-
 //      condition features and high-significance operand/toggle bits
 //      dominate.
+//  A7  Split size — node count, out-of-bag and held-out accuracy and
+//      delay MAE at every step of TevotModel's min_samples_split
+//      ladder (INT ADD, FP ADD, INT MUL), with the step train() keeps.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -261,6 +267,96 @@ void ablationFeatureImportance(const BenchScale& scale) {
               100.0 * condition_share);
 }
 
+void ablationSplitSize(const BenchScale& scale) {
+  util::ThreadPool pool(scale.jobs);
+  std::printf("\nA7: split-size ladder (random data; accuracy over the "
+              "three speedups)\n");
+  std::printf("  %-7s %5s %8s %9s %9s %9s %9s\n", "fu", "split", "nodes",
+              "oob acc", "test acc", "oob MAE", "test MAE");
+  for (const circuits::FuKind kind :
+       {circuits::FuKind::kIntAdd, circuits::FuKind::kFpAdd,
+        circuits::FuKind::kIntMul}) {
+    core::FuContext context(kind);
+    util::Rng rng(0xab1e);
+    std::vector<dta::Workload> workloads;
+    for (std::size_t c = 0; c < 2 * scale.corners.size(); ++c) {
+      workloads.push_back(dta::randomWorkloadFor(
+          kind, c % 2 == 0 ? scale.train_cycles_per_corner
+                           : scale.test_cycles_per_corner,
+          rng));
+    }
+    std::vector<dta::CharacterizeJob> jobs;
+    for (std::size_t c = 0; c < workloads.size(); ++c) {
+      jobs.push_back(
+          context.characterizeJob(scale.corners[c / 2], workloads[c]));
+    }
+    std::vector<dta::DtaTrace> traces = dta::characterizeAll(jobs, pool);
+    std::vector<dta::DtaTrace> train, test;  // one of each per corner
+    for (std::size_t c = 0; c < traces.size(); ++c) {
+      (c % 2 == 0 ? train : test).push_back(std::move(traces[c]));
+    }
+
+    // The step train() keeps, and every step's out-of-bag score.
+    core::TevotModel model;
+    util::Rng model_rng(7);
+    model.train(train, model_rng, &pool);
+    const ml::Dataset data = core::buildDelayDataset(train, model.encoder());
+    const core::OutOfBagScorer scorer(train);
+    std::vector<core::OutOfBagScorer::Score> oob;
+    ml::RandomForestRegressor ladder_forest;
+    util::Rng ladder_rng(7);
+    ladder_forest.fitLadder(
+        data, ml::ForestParams{}, core::kSplitLadder,
+        [&](std::span<const float> coarse, std::span<const float> fine) {
+          if (oob.empty()) oob.push_back(scorer.score(coarse));
+          oob.push_back(scorer.score(fine));
+          return true;
+        },
+        ladder_rng, &pool);
+
+    std::vector<float> row(model.encoder().featureCount());
+    for (std::size_t step = 0; step < oob.size(); ++step) {
+      // The same trees as the ladder's step: a one-shot fit at its size.
+      const int split = core::kSplitLadder[step];
+      ml::ForestParams params;
+      params.tree.min_samples_split = split;
+      ml::RandomForestRegressor forest;
+      util::Rng fit_rng(7);
+      forest.fit(data, params, fit_rng, &pool);
+      std::size_t nodes = 0;
+      for (const ml::DecisionTree& tree : forest.trees()) {
+        nodes += tree.nodeCount();
+      }
+      std::size_t matched = 0, total = 0;
+      double abs_error = 0.0;
+      for (std::size_t c = 0; c < test.size(); ++c) {
+        for (const dta::DtaSample& sample : test[c].samples) {
+          model.encoder().encodeSample(sample, test[c].corner, row);
+          const double delay = forest.predict(row);
+          abs_error += std::fabs(delay - sample.delay_ps);
+          for (const double speedup : dta::kClockSpeedups) {
+            const double tclk =
+                dta::speedupClockPs(train[c].baseClockPs(), speedup);
+            matched += (delay > tclk) == sample.timingError(tclk);
+            ++total;
+          }
+        }
+      }
+      double oob_error = 0.0;
+      for (const double rate : oob[step].error_rate) oob_error += rate;
+      oob_error /= static_cast<double>(oob[step].error_rate.size());
+      std::printf("  %-7s %5d %8zu %s %s %9.2f %9.2f%s\n",
+                  std::string(circuits::fuName(kind)).c_str(), split, nodes,
+                  formatPercent(1.0 - oob_error, 9).c_str(),
+                  formatPercent(static_cast<double>(matched) / total, 9)
+                      .c_str(),
+                  oob[step].mae,
+                  abs_error / static_cast<double>(total / 3),
+                  split == model.splitSize() ? "  <- ladder pick" : "");
+    }
+  }
+}
+
 int main() {
   const BenchScale scale = BenchScale::fromEnvironment();
   std::printf("=== Ablation benches (DESIGN.md Sec. 5) ===\n\n");
@@ -269,5 +365,6 @@ int main() {
   ablationAdderArchitecture(scale);
   ablationItdModel();
   ablationFeatureImportance(scale);
+  ablationSplitSize(scale);
   return 0;
 }

@@ -29,6 +29,8 @@ struct FuResult {
   std::vector<std::array<double, 4>> accuracies;
   std::vector<double> ground_truth_ter;
   std::vector<std::string> dataset_names;
+  int tevot_split = 0;  ///< the forests' chosen min_samples_split
+  int tevot_nh_split = 0;
 };
 
 FuResult runFu(circuits::FuKind kind, const BenchScale& scale,
@@ -45,6 +47,8 @@ FuResult runFu(circuits::FuKind kind, const BenchScale& scale,
 
   FuResult result;
   result.fu = std::string(circuits::fuName(kind));
+  result.tevot_split = suite.tevot.splitSize();
+  result.tevot_nh_split = suite.tevot_nh.splitSize();
   for (const auto& dataset : traces) {
     std::array<double, 4> accuracy{};
     double ter = 0.0;
@@ -88,7 +92,9 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-    std::printf("%s  (%.1fs)\n", result.fu.c_str(), elapsed);
+    std::printf("%s  (%.1fs; split size: TEVoT %d, TEVoT-NH %d)\n",
+                result.fu.c_str(), elapsed, result.tevot_split,
+                result.tevot_nh_split);
     std::printf("  %-12s %10s %12s %10s %10s %10s\n", "dataset", "TEVoT",
                 "Delay-based", "TER-based", "TEVoT-NH", "true TER");
     for (std::size_t d = 0; d < result.accuracies.size(); ++d) {

@@ -172,6 +172,15 @@ void DecisionTree::fit(const Dataset& data, TreeTask task,
 void DecisionTree::fit(const Dataset& data, const BinaryColumns& binary,
                        TreeTask task, const TreeParams& params,
                        util::Rng& rng, std::span<const std::size_t> indices) {
+  TreeGrower grower(data, binary, task, params, &rng, indices);
+  grower.growTo(params.min_samples_split);
+  *this = grower.tree();
+}
+
+TreeGrower::TreeGrower(const Dataset& data, const BinaryColumns& binary,
+                       TreeTask task, const TreeParams& params,
+                       util::Rng* rng, std::span<const std::size_t> indices)
+    : data_(data), binary_(binary), task_(task), params_(params), rng_(rng) {
   if (data.size() == 0) {
     throw std::invalid_argument("DecisionTree::fit: empty dataset");
   }
@@ -179,6 +188,10 @@ void DecisionTree::fit(const Dataset& data, const BinaryColumns& binary,
       binary.words.size() != data.size() * binary.words_per_row) {
     throw std::invalid_argument(
         "DecisionTree::fit: binary columns were packed from other data");
+  }
+  if (params.max_features >= 0 && rng == nullptr) {
+    throw std::invalid_argument(
+        "TreeGrower: feature subsampling (max_features >= 0) needs an rng");
   }
   if (task == TreeTask::kClassification) {
     for (const float label : data.y) {
@@ -188,30 +201,51 @@ void DecisionTree::fit(const Dataset& data, const BinaryColumns& binary,
       }
     }
   }
-  std::vector<std::size_t> all;
   if (indices.empty()) {
-    all.resize(data.size());
-    std::iota(all.begin(), all.end(), 0);
-    indices = all;
+    working_.resize(data.size());
+    std::iota(working_.begin(), working_.end(), 0);
+  } else {
+    working_.assign(indices.begin(), indices.end());
   }
-  nodes_.clear();
-  importance_raw_.assign(data.features(), 0.0);
+  feature_pool_.resize(data.features());
+  std::iota(feature_pool_.begin(), feature_pool_.end(), 0);
+}
 
-  const std::size_t n_features = data.features();
-  std::vector<int> feature_pool(n_features);
-  std::iota(feature_pool.begin(), feature_pool.end(), 0);
-
-  // Work stack of (node slot, index range into `working`, depth).
-  std::vector<std::size_t> working(indices.begin(), indices.end());
-  struct WorkItem {
-    std::int32_t node;
-    std::size_t begin;
-    std::size_t end;
-    int depth;
-  };
+void TreeGrower::growTo(int min_samples_split) {
   std::vector<WorkItem> stack;
-  nodes_.emplace_back();
-  stack.push_back({0, 0, working.size(), 0});
+  if (last_split_ == -1) {
+    nodes_.emplace_back();
+    gain_.push_back(0.0);
+    stack.push_back({0, 0, working_.size(), 0});
+  } else {
+    if (params_.max_features >= 0) {
+      throw std::invalid_argument(
+          "TreeGrower: stepped growth needs max_features < 0");
+    }
+    if (min_samples_split > last_split_) {
+      throw std::invalid_argument(
+          "TreeGrower: min_samples_split must not grow between steps");
+    }
+  }
+  last_split_ = std::max(min_samples_split, 0);
+  // A negative size, cast, admits no node: every node stays a leaf.
+  const auto min_rows = static_cast<std::size_t>(min_samples_split);
+  std::erase_if(waiting_, [&](const WorkItem& item) {
+    if (item.end - item.begin < min_rows) return false;
+    stack.push_back(item);
+    return true;
+  });
+  grow(std::move(stack), min_rows);
+}
+
+void TreeGrower::grow(std::vector<WorkItem> stack, std::size_t min_rows) {
+  const Dataset& data = data_;
+  const BinaryColumns& binary = binary_;
+  const TreeTask task = task_;
+  const TreeParams& params = params_;
+  const std::size_t n_features = data.features();
+  std::vector<int>& feature_pool = feature_pool_;
+  std::vector<std::size_t>& working = working_;
 
   std::vector<std::pair<float, float>> scratch;  // (feature value, label)
 
@@ -234,14 +268,15 @@ void DecisionTree::fit(const Dataset& data, const BinaryColumns& binary,
     for (const std::size_t row : rows) node_stats.add(data.y[row]);
     const double node_impurity = node_stats.impurity(task);
 
-    Node& node = nodes_[static_cast<std::size_t>(item.node)];
-    node.value = node_stats.leafValue(task);
+    nodes_[static_cast<std::size_t>(item.node)].value =
+        node_stats.leafValue(task);
 
     const bool depth_ok =
         params.max_depth < 0 || item.depth < params.max_depth;
-    if (!depth_ok || n < static_cast<std::size_t>(params.min_samples_split) ||
-        node_impurity <= 1e-12) {
-      continue;  // leaf
+    if (!depth_ok || node_impurity <= 1e-12) continue;  // leaf
+    if (n < min_rows) {
+      waiting_.push_back(item);  // a leaf until a smaller step
+      continue;
     }
 
     // Candidate features: all, or a random subset per split.
@@ -251,7 +286,7 @@ void DecisionTree::fit(const Dataset& data, const BinaryColumns& binary,
       // Partial Fisher-Yates for the first max_features entries.
       for (int i = 0; i < params.max_features; ++i) {
         const auto j = static_cast<std::size_t>(
-            rng.nextInRange(i, static_cast<int>(n_features) - 1));
+            rng_->nextInRange(i, static_cast<int>(n_features) - 1));
         std::swap(feature_pool[static_cast<std::size_t>(i)],
                   feature_pool[j]);
       }
@@ -364,21 +399,50 @@ void DecisionTree::fit(const Dataset& data, const BinaryColumns& binary,
         mid_it - working.begin());
     if (mid == item.begin || mid == item.end) continue;  // degenerate
 
-    importance_raw_[static_cast<std::size_t>(best.feature)] +=
-        node_impurity - best.score;
+    gain_[static_cast<std::size_t>(item.node)] = node_impurity - best.score;
 
     const auto left_slot = static_cast<std::int32_t>(nodes_.size());
-    nodes_.emplace_back();
-    const auto right_slot = static_cast<std::int32_t>(nodes_.size());
-    nodes_.emplace_back();
-    Node& parent = nodes_[static_cast<std::size_t>(item.node)];
+    nodes_.resize(nodes_.size() + 2);
+    gain_.resize(nodes_.size(), 0.0);
+    DecisionTree::Node& parent = nodes_[static_cast<std::size_t>(item.node)];
     parent.feature = best.feature;
     parent.threshold = best.threshold;
     parent.left = left_slot;
-    parent.right = right_slot;
+    parent.right = left_slot + 1;
     stack.push_back({left_slot, item.begin, mid, item.depth + 1});
-    stack.push_back({right_slot, mid, item.end, item.depth + 1});
+    stack.push_back({left_slot + 1, mid, item.end, item.depth + 1});
   }
+}
+
+DecisionTree TreeGrower::tree() const {
+  if (nodes_.empty()) {
+    throw std::logic_error("TreeGrower::tree: nothing grown yet");
+  }
+  // Replays fit()'s work stack over the grown shape: a split's two
+  // children take the next two slots when it is popped, right child
+  // popped first. That is fit()'s node order and the order it sums
+  // each feature's impurity decrease in.
+  DecisionTree tree;
+  tree.importance_raw_.assign(data_.features(), 0.0);
+  tree.nodes_.reserve(nodes_.size());
+  tree.nodes_.push_back(nodes_[0]);
+  std::vector<std::pair<std::int32_t, std::int32_t>> stack = {{0, 0}};
+  while (!stack.empty()) {
+    const auto [from, to] = stack.back();
+    stack.pop_back();
+    const DecisionTree::Node& node = nodes_[static_cast<std::size_t>(from)];
+    if (node.feature < 0) continue;
+    tree.importance_raw_[static_cast<std::size_t>(node.feature)] +=
+        gain_[static_cast<std::size_t>(from)];
+    const auto left = static_cast<std::int32_t>(tree.nodes_.size());
+    tree.nodes_.push_back(nodes_[static_cast<std::size_t>(node.left)]);
+    tree.nodes_.push_back(nodes_[static_cast<std::size_t>(node.right)]);
+    tree.nodes_[static_cast<std::size_t>(to)].left = left;
+    tree.nodes_[static_cast<std::size_t>(to)].right = left + 1;
+    stack.push_back({node.left, left});
+    stack.push_back({node.right, left + 1});
+  }
+  return tree;
 }
 
 float DecisionTree::predict(std::span<const float> features) const {

@@ -8,6 +8,12 @@
 // Every other column keeps the per-node scan: an O(n) pass when it is
 // {0,1} on the node's rows, else sort-and-scan over the midpoints
 // between distinct values.
+//
+// A TreeGrower runs the one fit loop in steps down a falling
+// min_samples_split ladder: a node's split never depends on
+// min_samples_split, so the nodes a step leaves unsplit for being too
+// small wait, with their rows, for the next step (DESIGN "Right-sized
+// forests").
 #pragma once
 
 #include <cstdint>
@@ -79,9 +85,65 @@ class DecisionTree {
   void setNodes(std::vector<Node> nodes) { nodes_ = std::move(nodes); }
 
  private:
+  friend class TreeGrower;
+
   std::vector<Node> nodes_;
   /// Raw (unnormalized) impurity decrease per feature, from fit().
   std::vector<double> importance_raw_;
+};
+
+/// Grows one tree down a falling min_samples_split ladder. A step's
+/// tree is exactly a one-shot fit at that step's size: tree() lays it
+/// out in fit()'s node order with fit()'s importance, so its nodes
+/// compare byte-equal. DecisionTree::fit is one growTo step.
+class TreeGrower {
+ public:
+  /// Starts a tree on the rows of `data` selected by `indices` (all
+  /// rows when empty); `binary` must be BinaryColumns::pack(data).
+  /// `data` and `binary` must outlive the grower. params'
+  /// min_samples_split is unused: each growTo names its own. `rng`
+  /// drives feature subsampling when params.max_features >= 0; such a
+  /// tree grows in one step only, and a null `rng` is rejected for it.
+  /// Throws std::invalid_argument on bad data or parameters.
+  TreeGrower(const Dataset& data, const BinaryColumns& binary,
+             TreeTask task, const TreeParams& params, util::Rng* rng,
+             std::span<const std::size_t> indices = {});
+
+  /// Grows until every node left unsplit has fewer than
+  /// `min_samples_split` rows, is pure, is at max_depth or has no
+  /// valid split. Each call's size must not exceed the last one's.
+  void growTo(int min_samples_split);
+
+  /// The tree grown so far, as fit() with the last growTo size would
+  /// have built it. Feature importance counts only its splits.
+  DecisionTree tree() const;
+
+  /// True when no node waits for a smaller size: finer steps would
+  /// grow nothing.
+  bool complete() const { return waiting_.empty(); }
+
+ private:
+  struct WorkItem {
+    std::int32_t node;
+    std::size_t begin;  ///< row range in working_
+    std::size_t end;
+    int depth;
+  };
+  /// The fit loop over `stack`; too-small nodes go to waiting_.
+  void grow(std::vector<WorkItem> stack, std::size_t min_rows);
+
+  const Dataset& data_;
+  const BinaryColumns& binary_;
+  TreeTask task_;
+  TreeParams params_;
+  util::Rng* rng_;
+  int last_split_ = -1;  ///< -1 until the first growTo
+
+  std::vector<std::size_t> working_;  ///< rows, partitioned per node
+  std::vector<DecisionTree::Node> nodes_;  ///< in growth order
+  std::vector<double> gain_;  ///< per node: its split's impurity decrease
+  std::vector<WorkItem> waiting_;
+  std::vector<int> feature_pool_;
 };
 
 }  // namespace tevot::ml

@@ -1,46 +1,84 @@
 #include "ml/random_forest.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace tevot::ml {
 namespace {
 
-std::vector<DecisionTree> fitForest(const Dataset& data, TreeTask task,
-                                    const ForestParams& params,
-                                    util::Rng& rng, util::ThreadPool* pool) {
+/// One seed per tree, split off the caller's stream before any tree
+/// grows. Each tree then draws only from its own generator, so a
+/// forest is bit-identical whether its trees grow serially or on a
+/// pool of any size.
+std::vector<std::uint64_t> treeSeeds(const ForestParams& params,
+                                     util::Rng& rng) {
   if (params.n_trees <= 0) {
     throw std::invalid_argument("fitForest: n_trees must be positive");
   }
-  const auto n_trees = static_cast<std::size_t>(params.n_trees);
-  // Split the caller's stream into one seed per tree up front. Each
-  // tree then draws only from its own generator, so the fitted forest
-  // is bit-identical whether the trees are grown serially or on a
-  // pool of any size.
-  std::vector<std::uint64_t> seeds(n_trees);
+  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(params.n_trees));
   for (std::uint64_t& seed : seeds) seed = rng.next();
+  return seeds;
+}
 
+/// A tree's bootstrap sample: `n` rows drawn with replacement.
+std::vector<std::size_t> bootstrapSample(util::Rng& tree_rng,
+                                         std::size_t n) {
+  std::vector<std::size_t> sample(n);
+  for (std::size_t& row : sample) row = tree_rng.nextBelow(n);
+  return sample;
+}
+
+void forEachTree(std::size_t n_trees, util::ThreadPool* pool,
+                 const std::function<void(std::size_t)>& body) {
+  if (pool != nullptr) {
+    pool->parallelFor(n_trees, body);
+  } else {
+    for (std::size_t t = 0; t < n_trees; ++t) body(t);
+  }
+}
+
+std::vector<DecisionTree> fitForest(const Dataset& data, TreeTask task,
+                                    const ForestParams& params,
+                                    util::Rng& rng, util::ThreadPool* pool) {
+  const std::vector<std::uint64_t> seeds = treeSeeds(params, rng);
   // Packed once; every tree reads it, never writes it.
   const BinaryColumns binary = BinaryColumns::pack(data);
-  std::vector<DecisionTree> trees(n_trees);
-  const auto fit_one = [&](std::size_t t) {
+  std::vector<DecisionTree> trees(seeds.size());
+  forEachTree(seeds.size(), pool, [&](std::size_t t) {
     util::Rng tree_rng(seeds[t]);
     if (params.bootstrap) {
-      std::vector<std::size_t> sample(data.size());
-      for (std::size_t i = 0; i < sample.size(); ++i) {
-        sample[i] = tree_rng.nextBelow(data.size());
-      }
+      const std::vector<std::size_t> sample =
+          bootstrapSample(tree_rng, data.size());
       trees[t].fit(data, binary, task, params.tree, tree_rng, sample);
     } else {
       trees[t].fit(data, binary, task, params.tree, tree_rng);
     }
-  };
-  if (pool != nullptr) {
-    pool->parallelFor(n_trees, fit_one);
-  } else {
-    for (std::size_t t = 0; t < n_trees; ++t) fit_one(t);
-  }
+  });
   return trees;
+}
+
+/// Per row, the mean prediction of the trees that did not draw it
+/// (summed in tree order, as predict() does), or NaN.
+std::vector<float> outOfBag(const Dataset& data,
+                            std::span<const DecisionTree> trees,
+                            std::span<const std::vector<char>> in_bag) {
+  std::vector<float> oob(data.size(),
+                         std::numeric_limits<float>::quiet_NaN());
+  for (std::size_t r = 0; r < data.size(); ++r) {
+    double total = 0.0;
+    std::size_t voters = 0;
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+      if (in_bag[t][r] != 0) continue;
+      total += trees[t].predict(data.x.row(r));
+      ++voters;
+    }
+    if (voters > 0) {
+      oob[r] = static_cast<float>(total / static_cast<double>(voters));
+    }
+  }
+  return oob;
 }
 
 }  // namespace
@@ -79,6 +117,62 @@ void RandomForestRegressor::fit(const Dataset& data,
                                 const ForestParams& params, util::Rng& rng,
                                 util::ThreadPool* pool) {
   trees_ = fitForest(data, TreeTask::kRegression, params, rng, pool);
+}
+
+int RandomForestRegressor::fitLadder(
+    const Dataset& data, const ForestParams& params,
+    std::span<const int> ladder,
+    const std::function<bool(OutOfBag, OutOfBag)>& finer_pays,
+    util::Rng& rng, util::ThreadPool* pool) {
+  if (ladder.empty() ||
+      std::adjacent_find(ladder.begin(), ladder.end(), std::less_equal<>()) !=
+          ladder.end()) {
+    throw std::invalid_argument(
+        "fitLadder: the ladder must be a non-empty, strictly falling list");
+  }
+  if (!params.bootstrap) {
+    throw std::invalid_argument(
+        "fitLadder: out-of-bag rows need bootstrap samples");
+  }
+  if (params.tree.max_features >= 0) {
+    throw std::invalid_argument(
+        "fitLadder: stepped growth needs max_features < 0");
+  }
+  const std::vector<std::uint64_t> seeds = treeSeeds(params, rng);
+  const std::size_t n_trees = seeds.size();
+  const BinaryColumns binary = BinaryColumns::pack(data);
+  std::vector<std::vector<char>> in_bag(n_trees);
+  std::vector<TreeGrower> growers;
+  growers.reserve(n_trees);
+  for (std::size_t t = 0; t < n_trees; ++t) {
+    util::Rng tree_rng(seeds[t]);
+    const std::vector<std::size_t> sample =
+        bootstrapSample(tree_rng, data.size());
+    in_bag[t].assign(data.size(), 0);
+    for (const std::size_t row : sample) in_bag[t][row] = 1;
+    growers.emplace_back(data, binary, TreeTask::kRegression, params.tree,
+                         nullptr, sample);
+  }
+
+  std::vector<DecisionTree> kept;
+  std::vector<float> kept_oob;
+  int chosen = ladder.front();
+  for (std::size_t step = 0; step < ladder.size(); ++step) {
+    std::vector<DecisionTree> grown(n_trees);
+    forEachTree(n_trees, pool, [&](std::size_t t) {
+      growers[t].growTo(ladder[step]);
+      grown[t] = growers[t].tree();
+    });
+    std::vector<float> oob = outOfBag(data, grown, in_bag);
+    if (step > 0 && !finer_pays(kept_oob, oob)) break;
+    kept = std::move(grown);
+    kept_oob = std::move(oob);
+    chosen = ladder[step];
+    const auto complete = [](const TreeGrower& g) { return g.complete(); };
+    if (std::all_of(growers.begin(), growers.end(), complete)) break;
+  }
+  trees_ = std::move(kept);
+  return chosen;
 }
 
 float RandomForestRegressor::predict(std::span<const float> features) const {

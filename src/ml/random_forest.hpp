@@ -6,6 +6,7 @@
 // bootstrap sampling.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -51,6 +52,26 @@ class RandomForestRegressor {
   /// seed-splitting determinism guarantee.
   void fit(const Dataset& data, const ForestParams& params, util::Rng& rng,
            util::ThreadPool* pool = nullptr);
+
+  /// Out-of-bag predictions, one per training row: the mean of the
+  /// trees whose bootstrap sample left the row out, or NaN for a row
+  /// every sample drew.
+  using OutOfBag = std::span<const float>;
+
+  /// Fits like fit(), but grows every tree down `ladder`, a strictly
+  /// falling list of min_samples_split sizes (params.tree's own is
+  /// unused). After each step past the first, `finer_pays` gets the
+  /// out-of-bag predictions at the previous step and at this one; the
+  /// forest takes the step if it answers true, else keeps the previous
+  /// step and stops. Growth also stops once no tree has a node left to
+  /// split. Returns the kept step's size. With a one-step ladder {s}
+  /// the forest equals fit() at min_samples_split s. Needs bootstrap
+  /// and max_features < 0 (std::invalid_argument otherwise).
+  int fitLadder(const Dataset& data, const ForestParams& params,
+                std::span<const int> ladder,
+                const std::function<bool(OutOfBag coarse, OutOfBag fine)>&
+                    finer_pays,
+                util::Rng& rng, util::ThreadPool* pool = nullptr);
 
   /// Mean of per-tree predictions.
   float predict(std::span<const float> features) const;

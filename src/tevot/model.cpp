@@ -46,13 +46,81 @@ ml::Dataset buildErrorDataset(
   return data;
 }
 
+constexpr std::size_t kSpeedups = std::size(dta::kClockSpeedups);
+
+OutOfBagScorer::OutOfBagScorer(std::span<const dta::DtaTrace> traces) {
+  for (const dta::DtaTrace& trace : traces) {
+    Row row{};
+    for (std::size_t s = 0; s < kSpeedups; ++s) {
+      row.tclk[s] =
+          dta::speedupClockPs(trace.baseClockPs(), dta::kClockSpeedups[s]);
+    }
+    for (const dta::DtaSample& sample : trace.samples) {
+      row.delay_ps = sample.delay_ps;
+      for (std::size_t s = 0; s < kSpeedups; ++s) {
+        row.error[s] = sample.timingError(row.tclk[s]);
+      }
+      rows_.push_back(row);
+    }
+  }
+}
+
+OutOfBagScorer::Score OutOfBagScorer::score(
+    std::span<const float> oob) const {
+  if (oob.size() != rows_.size()) {
+    throw std::invalid_argument("OutOfBagScorer: one prediction per row");
+  }
+  Score score;
+  std::size_t scored = 0;
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    if (std::isnan(oob[r])) continue;
+    const double delay = oob[r];
+    score.mae += std::fabs(delay - rows_[r].delay_ps);
+    for (std::size_t s = 0; s < kSpeedups; ++s) {
+      score.error_rate[s] +=
+          (delay > rows_[r].tclk[s]) != rows_[r].error[s] ? 1.0 : 0.0;
+    }
+    ++scored;
+  }
+  if (scored > 0) {
+    score.mae /= static_cast<double>(scored);
+    for (double& rate : score.error_rate) {
+      rate /= static_cast<double>(scored);
+    }
+  }
+  return score;
+}
+
+bool OutOfBagScorer::finerStepPays(const Score& coarse, const Score& fine) {
+  if (fine.mae < coarse.mae * (1.0 - kOobMaeTolerance)) return true;
+  for (std::size_t s = 0; s < kSpeedups; ++s) {
+    if (coarse.error_rate[s] - fine.error_rate[s] > kOobErrorRateTolerance) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void TevotModel::train(std::span<const dta::DtaTrace> traces,
                        util::Rng& rng, util::ThreadPool* pool) {
   const ml::Dataset data = buildDelayDataset(traces, encoder_);
   if (data.size() == 0) {
     throw std::invalid_argument("TevotModel::train: no training samples");
   }
-  forest_.fit(data, config_.forest, rng, pool);
+  const OutOfBagScorer scorer(traces);
+  const int floor = config_.forest.tree.min_samples_split;
+  std::vector<int> ladder;
+  for (const int size : kSplitLadder) {
+    if (size >= floor) ladder.push_back(size);
+  }
+  if (ladder.empty()) ladder.push_back(floor);
+  split_size_ = forest_.fitLadder(
+      data, config_.forest, ladder,
+      [&scorer](std::span<const float> coarse, std::span<const float> fine) {
+        return OutOfBagScorer::finerStepPays(scorer.score(coarse),
+                                             scorer.score(fine));
+      },
+      rng, pool);
   compileFlat();
 }
 
@@ -182,10 +250,13 @@ void TevotModel::save(const std::string& path,
                            errno));
     }
     util::TextWriter out(os);
-    out.text("tevot-model v1 history ")
+    out.text("tevot-model v2 history ")
         .number(config_.include_history ? 1 : 0)
+        .text(" split ")
+        .number(split_size_)
         .text("\n");
     ml::saveForest(out, forest_);
+    out.text("end\n");
     out.flush();
     os.flush();
     const bool write_fault =
@@ -225,21 +296,31 @@ TevotModel TevotModel::load(const std::string& path) {
   int history = 0;
   try {
     in.expect("tevot-model");
-    in.expect("v1");
+    if (const std::string_view version = in.word(); version != "v2") {
+      in.fail("model format '" + std::string(version) +
+              "' is not supported (expected v2; retrain the model)");
+    }
     in.expect("history");
     history = in.integer<int>("history flag");
+    in.expect("split");
+    const int split_size = in.integer<int>("split size");
+    if (split_size < 2) in.fail("split size below 2");
     TevotConfig config;
     config.include_history = history != 0;
     TevotModel model(config);
+    model.split_size_ = split_size;
     // The forest loader runs the one structure check, against the
     // header's encoder width: a forest splitting on feature 129 under
     // a history=0 header (66 features) would read out of bounds on
     // every predict.
     model.forest_ =
         ml::loadForestRegressor(in, model.encoder_.featureCount());
-    // The payload must end exactly where the forest does: trailing
-    // bytes mean a corrupt or concatenated file, not a longer model.
-    in.expectEnd("forest");
+    // The file ends with exactly "end\n": a cut anywhere, even inside
+    // the last number, misses it, and trailing bytes mean a corrupt or
+    // concatenated file, not a longer model.
+    in.expect("end");
+    in.expectEnd("end line");
+    if (text.back() != '\n') in.fail("end line without its newline");
     model.compileFlat();
     return model;
   } catch (const util::StatusError& error) {

@@ -16,6 +16,7 @@
 // validateForServing checks it on its canaries before every swap.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <span>
 #include <string>
@@ -31,7 +32,52 @@ namespace tevot::core {
 
 struct TevotConfig {
   bool include_history = true;  ///< false => the TEVoT-NH ablation
-  ml::ForestParams forest;      ///< default: 10 trees, all features
+  /// Default: 10 trees, all features. train() chooses min_samples_split
+  /// from kSplitLadder; forest.tree.min_samples_split is the smallest
+  /// step it may take.
+  ml::ForestParams forest;
+};
+
+/// The min_samples_split sizes train() grows the forest down, largest
+/// first (DESIGN "Right-sized forests").
+inline constexpr int kSplitLadder[] = {64, 32, 16, 8, 4, 2};
+/// A finer step pays if it cuts the out-of-bag delay MAE by more than
+/// this fraction of the coarser step's...
+inline constexpr double kOobMaeTolerance = 0.0025;
+/// ...or cuts the out-of-bag timing-error rate at any of the paper's
+/// clock speedups by more than this (absolute).
+inline constexpr double kOobErrorRateTolerance = 0.0005;
+
+/// Scores a forest's out-of-bag delay predictions for train()'s
+/// split-size rule. Rows follow buildDelayDataset(traces, ...); a
+/// row's clocks are dta::kClockSpeedups over its own trace's base
+/// clock, where it errs iff DtaSample::timingError and is predicted to
+/// err iff its out-of-bag delay exceeds the clock.
+class OutOfBagScorer {
+ public:
+  struct Score {
+    double mae = 0.0;  ///< ps
+    std::array<double, std::size(dta::kClockSpeedups)> error_rate{};
+  };
+
+  explicit OutOfBagScorer(std::span<const dta::DtaTrace> traces);
+
+  /// Scores the rows with a prediction (NaN rows are skipped); all
+  /// zeros when there is none.
+  Score score(std::span<const float> oob) const;
+
+  /// The rule: `fine` pays if its MAE is below (1 - kOobMaeTolerance)
+  /// times `coarse`'s, or some error rate is lower by more than
+  /// kOobErrorRateTolerance.
+  static bool finerStepPays(const Score& coarse, const Score& fine);
+
+ private:
+  struct Row {
+    double delay_ps;
+    std::array<double, std::size(dta::kClockSpeedups)> tclk;
+    std::array<bool, std::size(dta::kClockSpeedups)> error;
+  };
+  std::vector<Row> rows_;
 };
 
 /// Assembles the paper's feature matrix I / delay matrix D (Eq. 3)
@@ -63,9 +109,16 @@ class TevotModel {
       : config_(config), encoder_(config.include_history) {}
 
   /// Trains the delay regressor on characterized traces (any mix of
-  /// corners and workloads). A pool parallelizes per-tree fitting;
-  /// the model is bit-identical for any thread count (the forest
-  /// splits `rng` into per-tree seeds up front).
+  /// corners and workloads). The forest grows down kSplitLadder and
+  /// stops at the first step whose finer successor does not pay on
+  /// out-of-bag rows: a delay MAE cut beyond kOobMaeTolerance, or an
+  /// error-rate cut beyond kOobErrorRateTolerance at some speedup of
+  /// dta::kClockSpeedups over the row's own trace's base clock. With no
+  /// out-of-bag row, no finer step pays. A pool parallelizes per-tree
+  /// growth; the model is bit-identical for any thread count (the
+  /// forest splits `rng` into per-tree seeds up front). Throws
+  /// std::invalid_argument for a forest config without bootstrap or
+  /// with max_features >= 0.
   void train(std::span<const dta::DtaTrace> traces, util::Rng& rng,
              util::ThreadPool* pool = nullptr);
 
@@ -97,6 +150,9 @@ class TevotModel {
   const FeatureEncoder& encoder() const { return encoder_; }
   const TevotConfig& config() const { return config_; }
   bool trained() const { return forest_.fitted(); }
+  /// The min_samples_split train() chose (saved with the model); 0
+  /// before training.
+  int splitSize() const { return split_size_; }
   /// The CART trees: the training output and the test-side reference.
   const ml::RandomForestRegressor& forest() const { return forest_; }
   /// The compiled flat engine that answers every prediction (valid
@@ -120,7 +176,8 @@ class TevotModel {
   /// has checked every loaded one against this encoder's width.
   util::Status validateForServing() const;
 
-  /// Pre-trained model persistence (forest + history flag). save()
+  /// Pre-trained model persistence (format v2: history flag, split
+  /// size, forest, end line; README "Model files"). save()
   /// writes a temp file, verifies the stream after flushing, and
   /// atomically renames into place — a full disk or closed fd yields
   /// a typed util::StatusError (errno + path), never a silently
@@ -131,9 +188,11 @@ class TevotModel {
 
   /// Loads a saved model: reads the file into one buffer and parses it
   /// with the ml/serialize.hpp reader. Rejects, with typed
-  /// util::StatusError: malformed or truncated payloads, including
+  /// util::StatusError: other format versions (kParseError, naming the
+  /// version), malformed or truncated payloads — any proper prefix of a
+  /// saved file, since it ends with "end\n" — including
   /// non-finite numbers and cyclic, shared or unreachable tree nodes
-  /// (kParseError), trailing bytes after the forest (kParseError), and
+  /// (kParseError), trailing bytes after the end line (kParseError), and
   /// forests whose feature indices exceed the header's encoder width —
   /// e.g. a model trained with history under a header claiming none
   /// (kInvalidArgument), which would otherwise read out of bounds at
@@ -148,6 +207,7 @@ class TevotModel {
   FeatureEncoder encoder_;
   ml::RandomForestRegressor forest_;
   ml::FlatForest flat_;
+  int split_size_ = 0;
 };
 
 }  // namespace tevot::core

@@ -2,7 +2,7 @@
 // interaction pattern linear models cannot express), regression on
 // piecewise-constant targets, parameter limits and error paths, and
 // node-for-node equality of the packed binary-column scan with the
-// per-column scan it replaced.
+// per-column scan it replaced, and of stepped growth with one-shot fits.
 #include "ml/decision_tree.hpp"
 
 #include <gtest/gtest.h>
@@ -421,52 +421,123 @@ Dataset randomMixedDataset(util::Rng& rng, std::size_t n_features,
   return data;
 }
 
-TEST(DecisionTreeTest, PackedScanMatchesPerColumnScanNodeForNode) {
+/// One generated fit: a randomMixedDataset with random tree limits,
+/// optionally a bootstrap sample, and the seed its fit draws from.
+struct GeneratedFit {
+  Dataset data;
+  TreeTask task;
+  TreeParams params;
+  std::vector<std::size_t> indices;  ///< empty: every row
+  std::uint64_t fit_seed;
+};
+
+GeneratedFit generatedFit(std::uint64_t seed) {
   const std::size_t feature_counts[] = {7, 66, 130};
+  util::Rng gen(seed);
+  GeneratedFit fit;
+  const std::size_t n_features = feature_counts[seed % 3];
+  fit.task = seed % 2 == 0 ? TreeTask::kClassification : TreeTask::kRegression;
+  fit.data = randomMixedDataset(gen, n_features, 20 + gen.nextBelow(230),
+                                fit.task);
+  const int depths[] = {-1, -1, 2, 5};
+  fit.params.max_depth = depths[gen.nextBelow(4)];
+  fit.params.min_samples_leaf = gen.nextBool() ? 1 : 3;
+  fit.params.min_samples_split = gen.nextBool(0.75) ? 2 : 6;
+  if (gen.nextBool(0.3)) {
+    fit.params.max_features = 1 + static_cast<int>(gen.nextBelow(n_features));
+  }
+  if (gen.nextBool(0.6)) {
+    // A bootstrap sample, duplicates included.
+    for (std::size_t i = 0; i < fit.data.size(); ++i) {
+      fit.indices.push_back(gen.nextBelow(fit.data.size()));
+    }
+  }
+  fit.fit_seed = gen.next();
+  return fit;
+}
+
+bool sameNodes(std::span<const DecisionTree::Node> a,
+               std::span<const DecisionTree::Node> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+}
+
+TEST(DecisionTreeTest, PackedScanMatchesPerColumnScanNodeForNode) {
   for (std::uint64_t seed = 1; seed <= 240; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    util::Rng gen(seed);
-    const std::size_t n_features = feature_counts[seed % 3];
-    const TreeTask task = seed % 2 == 0 ? TreeTask::kClassification
-                                        : TreeTask::kRegression;
-    const Dataset data = randomMixedDataset(
-        gen, n_features, 20 + gen.nextBelow(230), task);
-    TreeParams params;
-    const int depths[] = {-1, -1, 2, 5};
-    params.max_depth = depths[gen.nextBelow(4)];
-    params.min_samples_leaf = gen.nextBool() ? 1 : 3;
-    params.min_samples_split = gen.nextBool(0.75) ? 2 : 6;
-    if (gen.nextBool(0.3)) {
-      params.max_features = 1 + static_cast<int>(gen.nextBelow(n_features));
-    }
-    std::vector<std::size_t> indices;  // empty: every row
-    if (gen.nextBool(0.6)) {
-      // A bootstrap sample, duplicates included.
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        indices.push_back(gen.nextBelow(data.size()));
-      }
-    }
-    const std::uint64_t fit_seed = gen.next();
-
-    util::Rng ref_rng(fit_seed);
-    const std::vector<DecisionTree::Node> expected =
-        referenceFit(data, task, params, ref_rng, indices);
+    const GeneratedFit fit = generatedFit(seed);
+    util::Rng ref_rng(fit.fit_seed);
+    const std::vector<DecisionTree::Node> expected = referenceFit(
+        fit.data, fit.task, fit.params, ref_rng, fit.indices);
 
     DecisionTree tree;
-    util::Rng rng(fit_seed);
+    util::Rng rng(fit.fit_seed);
     if (seed % 4 < 2) {
-      tree.fit(data, task, params, rng, indices);
+      tree.fit(fit.data, fit.task, fit.params, rng, fit.indices);
     } else {
-      const BinaryColumns binary = BinaryColumns::pack(data);
-      tree.fit(data, binary, task, params, rng, indices);
+      const BinaryColumns binary = BinaryColumns::pack(fit.data);
+      tree.fit(fit.data, binary, fit.task, fit.params, rng, fit.indices);
     }
-    ASSERT_EQ(tree.nodes().size(), expected.size());
-    EXPECT_EQ(std::memcmp(tree.nodes().data(), expected.data(),
-                          expected.size() * sizeof(DecisionTree::Node)),
-              0);
+    EXPECT_TRUE(sameNodes(tree.nodes(), expected));
     // Both fits drew the same feature subsamples.
     EXPECT_EQ(rng.next(), ref_rng.next());
   }
+}
+
+TEST(DecisionTreeTest, SteppedGrowthIsOneShotFitAtEveryStep) {
+  const int ladder[] = {64, 32, 16, 8, 4, 2};
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    GeneratedFit fit = generatedFit(seed);
+    if (fit.params.max_features >= 0) continue;
+    const BinaryColumns binary = BinaryColumns::pack(fit.data);
+    TreeGrower grower(fit.data, binary, fit.task, fit.params, nullptr,
+                      fit.indices);
+    for (const int split : ladder) {
+      SCOPED_TRACE("min_samples_split " + std::to_string(split));
+      grower.growTo(split);
+      const DecisionTree stepped = grower.tree();
+      fit.params.min_samples_split = split;
+      DecisionTree one_shot;
+      util::Rng rng(fit.fit_seed);
+      one_shot.fit(fit.data, binary, fit.task, fit.params, rng, fit.indices);
+      EXPECT_TRUE(sameNodes(stepped.nodes(), one_shot.nodes()));
+      // Importance sums the kept splits in the one-shot order.
+      const std::vector<double> a =
+          stepped.featureImportance(fit.data.features());
+      const std::vector<double> b =
+          one_shot.featureImportance(fit.data.features());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
+                0);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 6 * 120);
+}
+
+TEST(DecisionTreeTest, SteppedGrowthErrorPaths) {
+  const Dataset data = xorDataset(32);
+  const BinaryColumns binary = BinaryColumns::pack(data);
+  TreeParams subsampled;
+  subsampled.max_features = 1;
+  EXPECT_THROW(TreeGrower(data, binary, TreeTask::kClassification,
+                          subsampled, nullptr),
+               std::invalid_argument);
+  util::Rng rng(3);
+  TreeGrower one_step(data, binary, TreeTask::kClassification, subsampled,
+                      &rng);
+  one_step.growTo(64);
+  EXPECT_THROW(one_step.growTo(2), std::invalid_argument);
+
+  TreeGrower grower(data, binary, TreeTask::kClassification, TreeParams{},
+                    nullptr);
+  EXPECT_THROW(grower.tree(), std::logic_error);
+  grower.growTo(16);
+  EXPECT_THROW(grower.growTo(32), std::invalid_argument);
+  grower.growTo(2);
+  EXPECT_TRUE(grower.complete());
+  EXPECT_EQ(grower.tree().nodeCount(), 7u);  // XOR: root, two, four leaves
 }
 
 TEST(DecisionTreeTest, BinaryColumnsPackOnlyAllZeroOneColumns) {

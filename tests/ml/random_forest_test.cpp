@@ -1,10 +1,11 @@
 // Random-forest tests: ensemble voting/averaging, determinism per
 // seed, bootstrap behaviour, and generalization beating a single tree
-// on a noisy task.
+// on a noisy task, and the split-size ladder fit.
 #include "ml/random_forest.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -255,6 +256,129 @@ TEST(RandomForestTest, ErrorPaths) {
   ForestParams params;
   params.n_trees = 0;
   EXPECT_THROW(forest.fit(data, params, rng), std::invalid_argument);
+}
+
+/// A regression target on 8 binary columns: y is a random value per
+/// combination of the first 6, so leaves pay down to a few rows.
+Dataset lookupTask(int n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  float table[64];
+  for (float& value : table) value = static_cast<float>(rng.nextDouble(0, 100));
+  Dataset data;
+  for (int i = 0; i < n; ++i) {
+    float row[8];
+    unsigned key = 0;
+    for (int f = 0; f < 8; ++f) {
+      const bool one = rng.nextBool();
+      row[f] = one ? 1.0f : 0.0f;
+      if (f < 6 && one) key |= 1U << f;
+    }
+    data.append({row, 8}, table[key]);
+  }
+  return data;
+}
+
+std::string savedBytes(const RandomForestRegressor& forest) {
+  std::ostringstream os;
+  saveForest(os, forest);
+  return os.str();
+}
+
+TEST(RandomForestTest, LadderKeepsTheLastStepThatPays) {
+  const Dataset data = lookupTask(400, 41);
+  const int ladder[] = {64, 32, 16, 8, 4, 2};
+  for (std::size_t stop = 0; stop < std::size(ladder); ++stop) {
+    SCOPED_TRACE("steps taken " + std::to_string(stop));
+    std::size_t calls = 0;
+    RandomForestRegressor laddered;
+    util::Rng rng_a(43);
+    util::ThreadPool pool(3);
+    const int chosen = laddered.fitLadder(
+        data, ForestParams{}, ladder,
+        [&](std::span<const float> coarse, std::span<const float> fine) {
+          EXPECT_EQ(coarse.size(), data.size());
+          EXPECT_EQ(fine.size(), data.size());
+          return ++calls <= stop;
+        },
+        rng_a, &pool);
+    EXPECT_EQ(chosen, ladder[stop]);
+    EXPECT_EQ(calls, std::min(stop + 1, std::size(ladder) - 1));
+    ForestParams one_shot;
+    one_shot.tree.min_samples_split = chosen;
+    RandomForestRegressor fitted;
+    util::Rng rng_b(43);
+    fitted.fit(data, one_shot, rng_b);
+    EXPECT_EQ(savedBytes(laddered), savedBytes(fitted));
+  }
+}
+
+TEST(RandomForestTest, LadderOutOfBagIsTheMeanOfTreesThatLeftTheRowOut) {
+  const Dataset data = lookupTask(50, 47);
+  ForestParams params;
+  params.n_trees = 3;
+  const int ladder[] = {8, 2};
+  std::vector<float> oob;
+  RandomForestRegressor forest;
+  util::Rng rng(53);
+  forest.fitLadder(data, params, ladder,
+                   [&](std::span<const float>, std::span<const float> fine) {
+                     oob.assign(fine.begin(), fine.end());
+                     return true;
+                   },
+                   rng);
+  ASSERT_EQ(oob.size(), data.size());
+  // Redraw the bootstrap samples: one seed per tree, then n draws.
+  util::Rng seeds(53);
+  std::vector<std::vector<bool>> in_bag(3, std::vector<bool>(data.size()));
+  for (std::size_t t = 0; t < 3; ++t) {
+    util::Rng tree_rng(seeds.next());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      in_bag[t][tree_rng.nextBelow(data.size())] = true;
+    }
+  }
+  std::size_t scored = 0;
+  for (std::size_t r = 0; r < data.size(); ++r) {
+    double total = 0.0;
+    int voters = 0;
+    for (std::size_t t = 0; t < 3; ++t) {
+      if (in_bag[t][r]) continue;
+      total += forest.trees()[t].predict(data.x.row(r));
+      ++voters;
+    }
+    if (voters == 0) {
+      EXPECT_TRUE(std::isnan(oob[r])) << r;
+    } else {
+      EXPECT_EQ(oob[r], static_cast<float>(total / voters)) << r;
+      ++scored;
+    }
+  }
+  EXPECT_GT(scored, data.size() / 2);
+}
+
+TEST(RandomForestTest, LadderErrorPaths) {
+  const Dataset data = lookupTask(40, 59);
+  const auto always = [](std::span<const float>, std::span<const float>) {
+    return true;
+  };
+  RandomForestRegressor forest;
+  util::Rng rng(61);
+  const int rising[] = {2, 4};
+  const int repeated[] = {8, 8};
+  EXPECT_THROW(forest.fitLadder(data, ForestParams{}, {}, always, rng),
+               std::invalid_argument);
+  EXPECT_THROW(forest.fitLadder(data, ForestParams{}, rising, always, rng),
+               std::invalid_argument);
+  EXPECT_THROW(forest.fitLadder(data, ForestParams{}, repeated, always, rng),
+               std::invalid_argument);
+  const int ladder[] = {8, 2};
+  ForestParams no_bootstrap;
+  no_bootstrap.bootstrap = false;
+  EXPECT_THROW(forest.fitLadder(data, no_bootstrap, ladder, always, rng),
+               std::invalid_argument);
+  ForestParams subsampled;
+  subsampled.tree.max_features = 2;
+  EXPECT_THROW(forest.fitLadder(data, subsampled, ladder, always, rng),
+               std::invalid_argument);
 }
 
 }  // namespace

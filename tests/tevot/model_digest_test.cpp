@@ -1,8 +1,9 @@
 // Golden model bytes: an INT ADD model trained from a fixed workload
 // and seed, with and without history, must save to exactly the bytes
 // recorded here (as an FNV-1a digest). A change to the split search,
-// the forest's seed splitting, the feature encoding or the model
-// writer that moves any saved byte fails this test. A deliberate
+// the split-size ladder, the forest's seed splitting, the feature
+// encoding or the model writer that moves any saved byte fails this
+// test. A deliberate
 // format change re-records the constants and says so.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -29,9 +30,9 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
-/// FNV-1a of the saved bytes of a default-configured (10 trees, every
-/// feature, unlimited depth) INT ADD model trained on 160 cycles at
-/// each of three corners.
+/// FNV-1a of the saved bytes (format v2) of a default-configured (10
+/// trees, every feature, unlimited depth, split size from the ladder)
+/// INT ADD model trained on 160 cycles at each of three corners.
 std::uint64_t savedModelDigest(bool include_history) {
   FuContext context(circuits::FuKind::kIntAdd);
   util::Rng rng(2020);
@@ -59,11 +60,11 @@ std::uint64_t savedModelDigest(bool include_history) {
 }
 
 TEST(ModelDigestTest, IntAddWithHistorySavesGoldenBytes) {
-  EXPECT_EQ(savedModelDigest(true), 0x0ee9dca7ae616087ULL);
+  EXPECT_EQ(savedModelDigest(true), 0xb48a01c9335c3725ULL);
 }
 
 TEST(ModelDigestTest, IntAddWithoutHistorySavesGoldenBytes) {
-  EXPECT_EQ(savedModelDigest(false), 0x6f0c676f9f526166ULL);
+  EXPECT_EQ(savedModelDigest(false), 0x30cefe00bc3f9a55ULL);
 }
 
 }  // namespace

@@ -3,12 +3,13 @@
 // with io.open/io.write fault injection), and the load path must
 // reject every corrupt-file shape with a typed error — truncation,
 // garbage, trailing bytes, cyclic trees, and forests inconsistent with
-// the header's encoder width.
+// the header's encoder width. A saved file ends with an end line, so
+// every proper prefix of it is an error.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -154,9 +155,12 @@ TEST_F(ModelIoTest, GarbageAndWrongMagicRejected) {
   const char* cases[] = {
       "",                                  // empty file
       "not a model at all",                // no header
-      "tevot-model v2 history 1\n",        // wrong version
-      "tevot-model v1 hist 1\n",           // wrong key
-      "tevot-model v1 history X\n",        // non-numeric flag
+      "tevot-model v3 history 1 split 2\n",  // unknown version
+      "tevot-model v2 hist 1 split 2\n",     // wrong key
+      "tevot-model v2 history X split 2\n",  // non-numeric flag
+      "tevot-model v2 history 1 splt 2\n",   // wrong key
+      "tevot-model v2 history 1 split 1\n",  // split size below 2
+      "tevot-model v2 history 1 split\n",    // missing split size
   };
   for (const char* content : cases) {
     writeFile(path, content);
@@ -167,10 +171,36 @@ TEST_F(ModelIoTest, GarbageAndWrongMagicRejected) {
   std::remove(path.c_str());
 }
 
+TEST_F(ModelIoTest, FormatV1IsTypedParseErrorNamingTheVersion) {
+  // A v1 file: the same forest under the old header, with no end line.
+  const std::string v1 = "tevot-model v1 history 1" +
+                         bytes_.substr(bytes_.find('\n'),
+                                       bytes_.rfind("end\n") -
+                                           bytes_.find('\n'));
+  const std::string path = pidScopedPath("v1.model");
+  writeFile(path, v1);
+  const util::Status status = loadStatus(path);
+  EXPECT_EQ(status.code, util::StatusCode::kParseError);
+  EXPECT_NE(status.message.find("'v1'"), std::string::npos)
+      << status.message;
+  std::remove(path.c_str());
+}
+
+TEST_F(ModelIoTest, HeaderRecordsTheChosenSplitSize) {
+  const int split = model_->splitSize();
+  EXPECT_NE(std::find(std::begin(kSplitLadder), std::end(kSplitLadder),
+                      split),
+            std::end(kSplitLadder));
+  EXPECT_EQ(bytes_.substr(0, bytes_.find('\n')),
+            "tevot-model v2 history 1 split " + std::to_string(split));
+  EXPECT_EQ(TevotModel::load(path_).splitSize(), split);
+}
+
 TEST_F(ModelIoTest, TrailingBytesRejected) {
   const std::string path = ::testing::TempDir() + "/trailing.model";
   for (const char* junk :
-       {"x", "\nextra", "\ntevot-model v1 history 1\n", " 42"}) {
+       {"x", "\nextra", "\ntevot-model v2 history 1 split 2\n", " 42",
+        "end\n"}) {
     writeFile(path, bytes_ + junk);
     const util::Status status = loadStatus(path);
     EXPECT_EQ(status.code, util::StatusCode::kParseError) << junk;
@@ -184,8 +214,8 @@ TEST_F(ModelIoTest, ForestInconsistentWithHeaderRejected) {
   // header flag to 0 claims a 66-feature encoder; the forest's split
   // indices now exceed the encoder width and must be rejected at
   // load, not discovered as an out-of-bounds read at predict time.
-  const std::string flipped = "tevot-model v1 history 0" +
-                              bytes_.substr(bytes_.find('\n'));
+  std::string flipped = bytes_;
+  flipped.replace(flipped.find(" history 1 "), 11, " history 0 ");
   ASSERT_NE(flipped, bytes_);
   const std::string path = ::testing::TempDir() + "/flipped.model";
   writeFile(path, flipped);
@@ -200,43 +230,15 @@ TEST_F(ModelIoTest, CyclicTreeIsTypedParseError) {
   const std::string path = ::testing::TempDir() + "/cyclic.model";
   for (const char* tree : {"tree 1\n0 0.5 0 0 0\n",
                            "tree 2\n0 0.5 1 1 0\n-1 0 -1 -1 1\n"}) {
-    writeFile(path, std::string("tevot-model v1 history 1\n"
+    writeFile(path, std::string("tevot-model v2 history 1 split 2\n"
                                 "tevot-forest v1 regressor 1\n") +
-                        tree);
+                        tree + "end\n");
     const util::Status status = loadStatus(path);
     EXPECT_EQ(status.code, util::StatusCode::kParseError) << tree;
     EXPECT_NE(status.message.find("two parents"), std::string::npos)
         << status.message;
   }
   std::remove(path.c_str());
-}
-
-/// Same trees, node for node and bit for bit; with `but_last_value`
-/// the value of the last node of the last tree may differ.
-bool sameForest(const TevotModel& a, const TevotModel& b,
-                bool but_last_value = false) {
-  const auto trees_a = a.forest().trees();
-  const auto trees_b = b.forest().trees();
-  if (a.config().include_history != b.config().include_history ||
-      trees_a.size() != trees_b.size()) {
-    return false;
-  }
-  for (std::size_t t = 0; t < trees_a.size(); ++t) {
-    std::vector<ml::DecisionTree::Node> nodes_a(trees_a[t].nodes().begin(),
-                                                trees_a[t].nodes().end());
-    std::vector<ml::DecisionTree::Node> nodes_b(trees_b[t].nodes().begin(),
-                                                trees_b[t].nodes().end());
-    if (but_last_value && t + 1 == trees_a.size() && !nodes_a.empty() &&
-        !nodes_b.empty()) {
-      nodes_a.back().value = nodes_b.back().value;
-    }
-    if (nodes_a.size() != nodes_b.size() ||
-        std::memcmp(nodes_a.data(), nodes_b.data(),
-                    nodes_a.size() * sizeof(nodes_a[0])) != 0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 /// `bytes` with the `field`-th space-separated token of line `line`
@@ -265,32 +267,24 @@ TEST_F(ModelIoTest, EveryTruncationAndMutationIsTypedErrorOrIdentical) {
   ASSERT_TRUE(load(bytes_, &original).ok());
   ASSERT_EQ(bytes_.back(), '\n');
 
-  // Every prefix. A cut inside the last number leaves a shorter number
-  // the format cannot tell from a real one ("245.12" of "245.123459"),
-  // so those cuts may load, but with nothing changed but that value.
-  const std::size_t last_token =
-      bytes_.find_last_of(" \n", bytes_.size() - 2) + 1;
-  for (std::size_t cut = 0; cut + 1 < bytes_.size(); ++cut) {
+  ASSERT_TRUE(bytes_.ends_with("\nend\n"));
+
+  // Every proper prefix, down to the one that lacks only the final
+  // newline: a cut inside the last number ("245.12" of "245.123459")
+  // is a valid shorter number, but the end line is then missing.
+  for (std::size_t cut = 0; cut < bytes_.size(); ++cut) {
     TevotModel loaded;
     const util::Status status = load(bytes_.substr(0, cut), &loaded);
-    if (cut > last_token && status.ok()) {
-      EXPECT_TRUE(sameForest(loaded, original, /*but_last_value=*/true))
-          << "cut at " << cut;
-      continue;
-    }
     EXPECT_EQ(status.code, util::StatusCode::kParseError)
         << "cut at " << cut << " of " << bytes_.size();
   }
-  // Without the final newline the model still loads, unchanged.
-  TevotModel unterminated;
-  ASSERT_TRUE(load(bytes_.substr(0, bytes_.size() - 1), &unterminated).ok());
-  EXPECT_TRUE(sameForest(unterminated, original));
 
-  // Line 3 is the root of tree 0 (a split), the last line a leaf. Node
-  // fields: feature threshold left right value.
-  std::size_t leaf_line = 0;
-  for (const char c : bytes_) leaf_line += c == '\n' ? 1 : 0;
-  leaf_line -= 1;
+  // Line 3 is the root of tree 0 (a split), the line before the end
+  // line a leaf. Node fields: feature threshold left right value.
+  std::size_t end_line = 0;
+  for (const char c : bytes_) end_line += c == '\n' ? 1 : 0;
+  end_line -= 1;
+  const std::size_t leaf_line = end_line - 1;
   const struct {
     std::size_t line, field;
     std::string token;
@@ -306,6 +300,10 @@ TEST_F(ModelIoTest, EveryTruncationAndMutationIsTypedErrorOrIdentical) {
       {3, 1, "+0.5", util::StatusCode::kParseError},
       {2, 1, "+7", util::StatusCode::kParseError},
       {3, 0, "2147483648", util::StatusCode::kParseError},
+      {0, 1, "v1", util::StatusCode::kParseError},
+      {0, 5, "0", util::StatusCode::kParseError},
+      {0, 5, "2.5", util::StatusCode::kParseError},
+      {end_line, 0, "ends", util::StatusCode::kParseError},
       {3, 2, "-2147483649", util::StatusCode::kParseError},
       {3, 1, "1e50", util::StatusCode::kParseError},
       {leaf_line, 4, "-1e50", util::StatusCode::kParseError},

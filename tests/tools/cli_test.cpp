@@ -87,6 +87,68 @@ TEST(CliTest, SweepFlagValidationIsUsageError) {
             std::string::npos);
 }
 
+TEST(CliTest, MalformedJobsIsUsageErrorBeforeAnyThreadStarts) {
+  // -1 would wrap to SIZE_MAX workers and 1e9 is past the cap: both
+  // are refused while parsing, before the pool exists.
+  for (const char* flag : {"--jobs abc", "--jobs -1", "--jobs 1e9",
+                           "--jobs=2.5", "--jobs nan", "--jobs ''",
+                           "--jobs 18446744073709551615"}) {
+    const RunResult result = runCli(std::string(flag) + " fu-list");
+    EXPECT_EQ(result.exit_code, 2) << flag;
+    EXPECT_NE(result.output.find("--jobs must be"), std::string::npos)
+        << flag << ": " << result.output;
+  }
+  for (const char* env : {"TEVOT_JOBS=abc", "TEVOT_JOBS=-1",
+                          "TEVOT_JOBS=257"}) {
+    const RunResult result = runCli("fu-list", env);
+    EXPECT_EQ(result.exit_code, 2) << env;
+    EXPECT_NE(result.output.find("TEVOT_JOBS must be"), std::string::npos)
+        << env << ": " << result.output;
+  }
+  EXPECT_EQ(runCli("--jobs 2 fu-list").exit_code, 0);
+  EXPECT_EQ(runCli("--jobs=0 fu-list").exit_code, 0);
+  EXPECT_EQ(runCli("fu-list", "TEVOT_JOBS=3").exit_code, 0);
+}
+
+TEST(CliTest, MalformedNumericArgumentsAreUsageErrors) {
+  const std::string model = testing::TempDir() + "no_such_model.bin";
+  for (const std::string& args : {
+           std::string("sta int_add nan 50"),
+           std::string("sta int_add 0.9 50x"),
+           std::string("sdf int_add 0.9 inf out.sdf"),
+           std::string("characterize int_add 0.9 50 abc"),
+           std::string("characterize int_add 0.9 50 -5"),
+           std::string("train int_add model.bin 10.5"),
+           "predict '" + model + "' 0.9 50 1 2 3 -4",
+           "predict '" + model + "' 0.9 50 0x100000000 0 0 0",
+           "predict '" + model + "' 0.9 50 1 2 3 4 nan",
+           "predict '" + model + "' 0.9x 50 1 2 3 4",
+           std::string("check abc"),
+           std::string("check 0"),
+           std::string("check 5 6"),
+           std::string("check 1 --seed x"),
+           std::string("sweep int_add 20x"),
+           std::string("sweep int_add 20 --grid 3x3junk"),
+           std::string("sweep int_add 20 --backoff-ms nan"),
+           std::string("sweep int_add 20 --seed -1"),
+           std::string("lint int_add --budget nan"),
+           "verify-model '" + model + "' --tclk inf",
+           "verify-model '" + model + "' --refine-budget 0",
+           "serve-check 80x '" + model + "' int_add",
+           "serve-check 70000 '" + model + "' int_add",
+           "serve-check 80 '" + model + "' int_add --clients -1",
+       }) {
+    const RunResult result = runCli(args);
+    EXPECT_EQ(result.exit_code, 2) << args << ": " << result.output;
+    EXPECT_NE(result.output.find("usage:"), std::string::npos) << args;
+  }
+  // Well-formed numbers, hex operands included, get past parsing to
+  // the missing model file: a runtime error.
+  EXPECT_EQ(runCli("predict '" + model + "' 0.9 50 0xdeadbeef 0x1234 0 0 400")
+                .exit_code,
+            1);
+}
+
 TEST(CliTest, MissingModelFileIsRuntimeErrorWithPathAndErrno) {
   const std::string path = testing::TempDir() + "no_such_model.bin";
   const RunResult result =

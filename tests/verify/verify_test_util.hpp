@@ -64,8 +64,9 @@ inline core::TevotModel modelFromTrees(
   forest.setTrees(trees);
   {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os << "tevot-model v1 history " << (history ? 1 : 0) << "\n";
+    os << "tevot-model v2 history " << (history ? 1 : 0) << " split 2\n";
     ml::saveForest(os, forest);
+    os << "end\n";
   }
   return core::TevotModel::load(path);
 }

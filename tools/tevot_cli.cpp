@@ -58,7 +58,9 @@
 //
 // The global `--jobs N` option (or TEVOT_JOBS) sets the worker count
 // for the parallel commands (`train`, `sweep`); N=0 means one job per
-// hardware thread. Results are bit-identical for every N.
+// hardware thread, up to kMaxJobs. Results are bit-identical for every N.
+// Every numeric argument must be a complete, finite, in-range number;
+// anything else is a usage error.
 //
 // Exit codes: 0 success, 1 runtime failure (I/O error, failed sweep
 // jobs), 2 usage error, 3 check/oracle violation.
@@ -69,6 +71,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -107,6 +110,42 @@ constexpr int kExitRuntime = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitCheckFailed = 3;
 constexpr int kExitInterrupted = 130;  // 128 + SIGINT, shell convention
+
+/// The most worker threads --jobs / TEVOT_JOBS may ask for.
+constexpr double kMaxJobs = 256;
+/// Bounds of the numeric arguments.
+constexpr double kMaxCycles = 1e8;
+constexpr double kMaxPicoseconds = 1e12;
+constexpr double kMaxWord = 4294967295.0;
+
+/// util::parseNumber, saying on stderr what `what` wanted when `text`
+/// is not a complete, finite number in [lo, hi] (whole for integral T).
+template <typename T>
+bool numberArg(const char* text, const char* what, double lo, double hi,
+               T* out) {
+  if (util::parseNumber(text, lo, hi, out)) return true;
+  std::fprintf(stderr, "tevot_cli: %s must be a %snumber in [%g, %g], not "
+               "'%s'\n", what, std::is_integral_v<T> ? "whole " : "", lo, hi,
+               text);
+  return false;
+}
+
+/// A voltage/temperature pair: V in (0, 10] V, T in [-273.15, 1000] C.
+bool cornerArgs(const char* v_text, const char* t_text, liberty::Corner* out) {
+  return numberArg(v_text, "voltage", 1e-3, 10.0, &out->voltage) &&
+         numberArg(t_text, "temperature", -273.15, 1000.0, &out->temperature);
+}
+
+/// "NVxNT", two whole numbers in [1, 1000].
+bool gridArg(const char* text, int* grid_v, int* grid_t) {
+  const std::string grid = text;
+  const std::size_t x = grid.find('x');
+  return x != std::string::npos &&
+         numberArg(grid.substr(0, x).c_str(), "grid voltages", 1, 1000,
+                   grid_v) &&
+         numberArg(grid.substr(x + 1).c_str(), "grid temperatures", 1, 1000,
+                   grid_t);
+}
 
 int usage() {
   std::fprintf(stderr,
@@ -150,10 +189,6 @@ bool fuFromName(const std::string& name, circuits::FuKind& kind) {
   else if (name == "fp_mul") kind = circuits::FuKind::kFpMul;
   else return false;
   return true;
-}
-
-std::uint32_t parseWord(const char* text) {
-  return static_cast<std::uint32_t>(std::strtoul(text, nullptr, 0));
 }
 
 int cmdFuList() {
@@ -273,21 +308,35 @@ int cmdTrain(const std::string& fu, const std::string& model_path,
   core::TevotModel model;
   model.train(traces, rng, &pool);
   model.save(model_path);
-  std::printf("trained on %zu corners x %ld cycles (jobs=%zu); saved %s\n",
-              traces.size(), cycles, pool.threadCount(),
-              model_path.c_str());
+  std::printf(
+      "trained on %zu corners x %ld cycles (jobs=%zu, split size %d); "
+      "saved %s\n",
+      traces.size(), cycles, pool.threadCount(), model.splitSize(),
+      model_path.c_str());
   return 0;
 }
 
-int cmdPredict(const std::string& model_path, double v, double t,
-               std::uint32_t a, std::uint32_t b, std::uint32_t prev_a,
-               std::uint32_t prev_b, const char* tclk_text) {
-  const core::TevotModel model = core::TevotModel::load(model_path);
+/// argv: model V T a b prev_a prev_b [tclk_ps].
+int cmdPredict(int argc, char** argv) {
+  liberty::Corner corner;
+  std::uint32_t words[4] = {};
+  const char* names[4] = {"a", "b", "prev_a", "prev_b"};
+  double tclk = 0.0;
+  if (!cornerArgs(argv[3], argv[4], &corner)) return usage();
+  for (int w = 0; w < 4; ++w) {
+    if (!numberArg(argv[5 + w], names[w], 0, kMaxWord, &words[w])) {
+      return usage();
+    }
+  }
+  if (argc == 10 &&
+      !numberArg(argv[9], "tclk_ps", 1e-9, kMaxPicoseconds, &tclk)) {
+    return usage();
+  }
+  const core::TevotModel model = core::TevotModel::load(argv[2]);
   const double delay =
-      model.predictDelay(a, b, prev_a, prev_b, {v, t});
+      model.predictDelay(words[0], words[1], words[2], words[3], corner);
   std::printf("predicted dynamic delay: %.1f ps\n", delay);
-  if (tclk_text != nullptr) {
-    const double tclk = std::atof(tclk_text);
+  if (argc == 10) {
     std::printf("at tclk = %.1f ps: %s\n", tclk,
                 delay > tclk ? "TIMING ERROR" : "timing correct");
   }
@@ -389,14 +438,12 @@ int cmdLint(int argc, char** argv, util::ThreadPool& pool) {
     } else if (arg == "--budget") {
       const char* v = value("--budget");
       if (v == nullptr) return usage();
-      budget_ps = std::atof(v);
-      if (budget_ps <= 0.0) return usage();
-    } else if (arg == "--grid") {
-      const char* v = value("--grid");
-      if (v == nullptr || std::sscanf(v, "%dx%d", &grid_v, &grid_t) != 2 ||
-          grid_v < 1 || grid_t < 1) {
+      if (!numberArg(v, "--budget", 1e-9, kMaxPicoseconds, &budget_ps)) {
         return usage();
       }
+    } else if (arg == "--grid") {
+      const char* v = value("--grid");
+      if (v == nullptr || !gridArg(v, &grid_v, &grid_t)) return usage();
     } else {
       circuits::FuKind kind;
       if (!fuFromName(arg, kind)) return usage();
@@ -530,29 +577,34 @@ int cmdSweep(int argc, char** argv, util::ThreadPool& pool) {
       options.checkpoint_dir = v;
     } else if (arg == "--grid") {
       const char* v = value("--grid");
-      if (v == nullptr || std::sscanf(v, "%dx%d", &grid_v, &grid_t) != 2 ||
-          grid_v < 1 || grid_t < 1) {
-        return usage();
-      }
+      if (v == nullptr || !gridArg(v, &grid_v, &grid_t)) return usage();
     } else if (arg == "--seed") {
       const char* v = value("--seed");
       if (v == nullptr) return usage();
-      seed = std::strtoull(v, nullptr, 0);
+      if (!numberArg(v, "--seed", 0, util::kMaxExactInteger, &seed)) {
+        return usage();
+      }
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--max-retries") {
       const char* v = value("--max-retries");
       if (v == nullptr) return usage();
-      options.max_retries = static_cast<int>(std::atol(v));
-      if (options.max_retries < 0) return usage();
+      if (!numberArg(v, "--max-retries", 0, 1000, &options.max_retries)) {
+        return usage();
+      }
     } else if (arg == "--backoff-ms") {
       const char* v = value("--backoff-ms");
       if (v == nullptr) return usage();
-      options.backoff_ms = std::atof(v);
+      if (!numberArg(v, "--backoff-ms", 0, 1e7, &options.backoff_ms)) {
+        return usage();
+      }
     } else if (arg == "--job-deadline") {
       const char* v = value("--job-deadline");
       if (v == nullptr) return usage();
-      options.job_deadline_ms = std::atof(v);
+      if (!numberArg(v, "--job-deadline", 0, 1e9,
+                     &options.job_deadline_ms)) {
+        return usage();
+      }
     } else if (arg == "--fail-fast") {
       options.fail_fast = true;
     } else if (arg == "--report") {
@@ -562,7 +614,9 @@ int cmdSweep(int argc, char** argv, util::ThreadPool& pool) {
     } else if (fu.empty()) {
       fu = arg;
     } else if (cycles < 0) {
-      cycles = std::atol(arg.c_str());
+      if (!numberArg(argv[i], "cycles-per-corner", 2, kMaxCycles, &cycles)) {
+        return usage();
+      }
     } else {
       return usage();
     }
@@ -653,13 +707,15 @@ int cmdVerifyModel(int argc, char** argv) {
     if (arg == "--tclk") {
       const char* v = value("--tclk");
       if (v == nullptr) return usage();
-      tclk_ps = std::atof(v);
-      if (tclk_ps <= 0.0) return usage();
+      if (!numberArg(v, "--tclk", 1e-9, kMaxPicoseconds, &tclk_ps)) {
+        return usage();
+      }
     } else if (arg == "--refine-budget") {
       const char* v = value("--refine-budget");
       if (v == nullptr) return usage();
-      refine_budget = std::atol(v);
-      if (refine_budget < 1) return usage();
+      if (!numberArg(v, "--refine-budget", 1, 1e9, &refine_budget)) {
+        return usage();
+      }
     } else if (arg == "--waivers") {
       const char* v = value("--waivers");
       if (v == nullptr) return usage();
@@ -674,11 +730,7 @@ int cmdVerifyModel(int argc, char** argv) {
       cert_path = v;
     } else if (arg == "--grid") {
       const char* v = value("--grid");
-      if (v == nullptr ||
-          std::sscanf(v, "%dx%d", &grid_v, &grid_t) != 2 || grid_v < 1 ||
-          grid_t < 1) {
-        return usage();
-      }
+      if (v == nullptr || !gridArg(v, &grid_v, &grid_t)) return usage();
     } else if (model_path.empty() && arg[0] != '-') {
       model_path = arg;
     } else {
@@ -764,17 +816,24 @@ int cmdServeCheck(int argc, char** argv) {
     if (arg == "--clients") {
       const char* v = value("--clients");
       if (v == nullptr) return usage();
-      options.clients = static_cast<int>(std::atol(v));
+      if (!numberArg(v, "--clients", 1, 1024, &options.clients)) {
+        return usage();
+      }
     } else if (arg == "--requests") {
       const char* v = value("--requests");
       if (v == nullptr) return usage();
-      options.requests_per_client = static_cast<int>(std::atol(v));
+      if (!numberArg(v, "--requests", 1, 1e7,
+                     &options.requests_per_client)) {
+        return usage();
+      }
     } else if (arg == "--seed") {
       const char* v = value("--seed");
       if (v == nullptr) return usage();
-      seed = std::strtoull(v, nullptr, 0);
+      if (!numberArg(v, "--seed", 0, util::kMaxExactInteger, &seed)) {
+        return usage();
+      }
     } else if (port < 0) {
-      port = static_cast<int>(std::atol(arg.c_str()));
+      if (!numberArg(argv[i], "port", 1, 65535, &port)) return usage();
     } else if (model_path.empty()) {
       model_path = arg;
     } else if (fu.empty()) {
@@ -807,19 +866,26 @@ int cmdServeCheck(int argc, char** argv) {
 int main(int argc, char** argv) {
   // Strip the global --jobs option (also honors TEVOT_JOBS) before
   // command dispatch so it can appear anywhere on the line.
+  // Checked before any thread starts: a wrapped or huge count is a
+  // usage error, not a request for that many workers.
   std::size_t jobs = 1;
-  if (const char* env = std::getenv("TEVOT_JOBS")) {
-    jobs = static_cast<std::size_t>(std::atol(env));
+  const char* env = std::getenv("TEVOT_JOBS");
+  if (env != nullptr && *env != '\0' &&
+      !numberArg(env, "TEVOT_JOBS", 0, kMaxJobs, &jobs)) {
+    return usage();
   }
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
+    const char* value = nullptr;
     if (i > 0 && std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<std::size_t>(std::atol(argv[++i]));
+      value = argv[++i];
     } else if (i > 0 && std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = static_cast<std::size_t>(std::atol(argv[i] + 7));
+      value = argv[i] + 7;
     } else {
       args.push_back(argv[i]);
+      continue;
     }
+    if (!numberArg(value, "--jobs", 0, kMaxJobs, &jobs)) return usage();
   }
   argc = static_cast<int>(args.size());
   argv = args.data();
@@ -832,45 +898,53 @@ int main(int argc, char** argv) {
       return cmdExportVerilog(argv[2], argv[3]);
     }
     if (command == "export-lib" && argc == 3) return cmdExportLib(argv[2]);
+    liberty::Corner corner;
     if (command == "sdf" && argc == 6) {
-      return cmdSdf(argv[2], std::atof(argv[3]), std::atof(argv[4]),
-                    argv[5]);
+      if (!cornerArgs(argv[3], argv[4], &corner)) return usage();
+      return cmdSdf(argv[2], corner.voltage, corner.temperature, argv[5]);
     }
     if (command == "sta" && argc == 5) {
-      return cmdSta(argv[2], std::atof(argv[3]), std::atof(argv[4]));
+      if (!cornerArgs(argv[3], argv[4], &corner)) return usage();
+      return cmdSta(argv[2], corner.voltage, corner.temperature);
     }
     if (command == "characterize" && (argc == 6 || argc == 7)) {
-      return cmdCharacterize(argv[2], std::atof(argv[3]),
-                             std::atof(argv[4]), std::atol(argv[5]),
-                             argc == 7 ? argv[6] : nullptr);
+      long cycles = 0;
+      if (!cornerArgs(argv[3], argv[4], &corner) ||
+          !numberArg(argv[5], "cycles", 2, kMaxCycles, &cycles)) {
+        return usage();
+      }
+      return cmdCharacterize(argv[2], corner.voltage, corner.temperature,
+                             cycles, argc == 7 ? argv[6] : nullptr);
     }
     if (command == "train" && (argc == 4 || argc == 5)) {
-      return cmdTrain(argv[2], argv[3],
-                      argc == 5 ? std::atol(argv[4]) : 1500, pool);
+      long cycles = 1500;
+      if (argc == 5 &&
+          !numberArg(argv[4], "cycles-per-corner", 2, kMaxCycles, &cycles)) {
+        return usage();
+      }
+      return cmdTrain(argv[2], argv[3], cycles, pool);
     }
     if (command == "predict" && (argc == 9 || argc == 10)) {
-      return cmdPredict(argv[2], std::atof(argv[3]), std::atof(argv[4]),
-                        parseWord(argv[5]), parseWord(argv[6]),
-                        parseWord(argv[7]), parseWord(argv[8]),
-                        argc == 10 ? argv[9] : nullptr);
+      return cmdPredict(argc, argv);
     }
     if (command == "check") {
       int n_seeds = 25;
       std::uint64_t base_seed = check::kDefaultSeedBase;
-      bool parsed = true;
       bool have_count = false;
       for (int i = 2; i < argc; ++i) {
         if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-          base_seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (!have_count) {
-          n_seeds = static_cast<int>(std::atol(argv[i]));
-          have_count = true;
+          if (!numberArg(argv[++i], "--seed", 0, util::kMaxExactInteger,
+                         &base_seed)) {
+            return usage();
+          }
+        } else if (have_count ||
+                   !numberArg(argv[i], "n-seeds", 1, 1e9, &n_seeds)) {
+          return usage();
         } else {
-          parsed = false;
+          have_count = true;
         }
       }
-      if (parsed && n_seeds > 0) return cmdCheck(n_seeds, base_seed);
-      return usage();
+      return cmdCheck(n_seeds, base_seed);
     }
     if (command == "sweep") return cmdSweep(argc, argv, pool);
     if (command == "lint") return cmdLint(argc, argv, pool);
