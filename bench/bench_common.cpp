@@ -47,18 +47,31 @@ BenchScale BenchScale::fromEnvironment(int argc, char** argv) {
       "TEVOT_IMAGES", static_cast<long>(scale.image_count)));
   scale.image_size = static_cast<int>(util::envInt(
       "TEVOT_IMAGE_SIZE", scale.image_size));
-  scale.jobs = static_cast<std::size_t>(
-      util::envInt("TEVOT_JOBS", static_cast<long>(scale.jobs)));
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      scale.jobs = static_cast<std::size_t>(std::atol(argv[i + 1]));
-      ++i;
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      scale.jobs = static_cast<std::size_t>(std::atol(argv[i] + 7));
-    }
+  if (!parseJobs(argc, argv, std::getenv("TEVOT_JOBS"), &scale.jobs)) {
+    std::fprintf(stderr,
+                 "%s: --jobs / TEVOT_JOBS must be a whole number in "
+                 "[0, %g]\n",
+                 argc > 0 ? argv[0] : "bench", util::kMaxJobs);
+    std::exit(2);
   }
   if (scale.jobs == 0) scale.jobs = util::ThreadPool::hardwareThreads();
   return scale;
+}
+
+bool BenchScale::parseJobs(int argc, char** argv, const char* env,
+                           std::size_t* jobs) {
+  const auto parse = [jobs](const char* text) {
+    return util::parseNumber(text, 0, util::kMaxJobs, jobs);
+  };
+  if (env != nullptr && *env != '\0' && !parse(env)) return false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+      if (!parse(argv[++i])) return false;
+    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
+      if (!parse(argv[i] + 7)) return false;
+    }
+  }
+  return true;
 }
 
 std::vector<DatasetStreams> buildDatasets(circuits::FuKind kind,

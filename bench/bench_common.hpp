@@ -45,8 +45,15 @@ struct BenchScale {
 
   /// Reads the default or TEVOT_FULL-scaled configuration, then
   /// applies a `--jobs N` command-line flag (also TEVOT_JOBS) when
-  /// argv is given.
+  /// argv is given. A bad jobs value exits with status 2 (usage).
   static BenchScale fromEnvironment(int argc = 0, char** argv = nullptr);
+
+  /// Sets `*jobs` from `env` (TEVOT_JOBS; null or empty = unset), then
+  /// from each `--jobs N` / `--jobs=N` in argv. False, before any
+  /// thread starts, when a value is not a whole number in
+  /// [0, util::kMaxJobs].
+  static bool parseJobs(int argc, char** argv, const char* env,
+                        std::size_t* jobs);
 };
 
 /// Named dataset: a training-side stream (defines base clocks and

@@ -1,11 +1,7 @@
 #include "check/golden.hpp"
 
 #include <cctype>
-#include <cerrno>
-#include <cstring>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "dta/dta.hpp"
 #include "dta/workload.hpp"
@@ -103,29 +99,6 @@ GoldenDiff compareGoldenTrace(const std::string& expected,
   }
   diff.description = "traces differ only in trailing bytes";
   return diff;
-}
-
-std::string readTextFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("readTextFile: cannot open " + path + ": " +
-                             std::strerror(errno));
-  }
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
-
-void writeTextFile(const std::string& path, const std::string& text) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) {
-    throw std::runtime_error("writeTextFile: cannot open " + path + ": " +
-                             std::strerror(errno));
-  }
-  os << text;
-  if (!os) {
-    throw std::runtime_error("writeTextFile: write failed for " + path);
-  }
 }
 
 }  // namespace tevot::check

@@ -57,10 +57,4 @@ struct GoldenDiff {
 GoldenDiff compareGoldenTrace(const std::string& expected,
                               const std::string& actual);
 
-/// Whole-file helpers for the goldens tool and tests. readTextFile
-/// throws std::runtime_error when the file cannot be opened;
-/// writeTextFile when it cannot be written.
-std::string readTextFile(const std::string& path);
-void writeTextFile(const std::string& path, const std::string& text);
-
 }  // namespace tevot::check

@@ -314,20 +314,6 @@ void checkSimVsReferenceOnFu(core::FuContext& context, std::uint64_t seed,
 
 namespace {
 
-ml::Dataset randomBinaryTask(util::Rng& rng, int rows, int cols) {
-  ml::Dataset data;
-  std::vector<float> row(static_cast<std::size_t>(cols));
-  for (int r = 0; r < rows; ++r) {
-    float sum = 0.0f;
-    for (auto& value : row) {
-      value = static_cast<float>(rng.nextDouble());
-      sum += value;
-    }
-    data.append(row, sum > 0.5f * static_cast<float>(cols) ? 1.0f : 0.0f);
-  }
-  return data;
-}
-
 ml::Dataset randomRegressionTask(util::Rng& rng, int rows, int cols) {
   ml::Dataset data;
   std::vector<float> row(static_cast<std::size_t>(cols));
@@ -342,122 +328,55 @@ ml::Dataset randomRegressionTask(util::Rng& rng, int rows, int cols) {
   return data;
 }
 
-/// save -> load -> save must reproduce the bytes; the reloaded model
-/// must predict bit-identically on every row.
-template <typename Model, typename Save, typename Load>
-void roundTripModel(const char* what, std::uint64_t seed,
-                    const Model& original, const ml::Dataset& data,
-                    const Save& save, const Load& load) {
-  std::ostringstream first;
-  save(first, original);
-  std::istringstream stored(first.str());
-  const Model reloaded = load(stored);
-  std::ostringstream second;
-  save(second, reloaded);
-  if (first.str() != second.str()) {
-    std::ostringstream msg;
-    msg << "model-round-trip seed " << seed << ": " << what
-        << " re-serialization is not byte-identical";
-    fail(msg);
-  }
-  for (std::size_t r = 0; r < data.size(); ++r) {
-    if (original.predict(data.x.row(r)) != reloaded.predict(data.x.row(r))) {
-      std::ostringstream msg;
-      msg << "model-round-trip seed " << seed << ": " << what
-          << " reloaded prediction differs on row " << r;
-      fail(msg);
-    }
-  }
+std::string savedBytes(const ml::RandomForestRegressor& forest) {
+  std::ostringstream os;
+  ml::saveForest(os, forest);
+  return os.str();
 }
 
 }  // namespace
 
 void checkModelRoundTrip(std::uint64_t seed, util::Rng& rng) {
-  const ml::Dataset cls = randomBinaryTask(rng, 60, 3);
-  const ml::Dataset reg = randomRegressionTask(rng, 60, 2);
+  const ml::Dataset data = randomRegressionTask(rng, 60, 2);
   ml::ForestParams params;
   params.n_trees = 5;
   params.tree.max_depth = 6;
 
-  {
-    ml::RandomForestClassifier forest;
-    util::Rng fit_rng = rng.fork();
-    forest.fit(cls, params, fit_rng);
-    roundTripModel(
-        "forest classifier", seed, forest, cls,
-        [](std::ostream& os, const ml::RandomForestClassifier& m) {
-          ml::saveForest(os, m);
-        },
-        [](std::istream& is) { return ml::loadForestClassifier(is); });
+  // Serial vs pooled fits from the same seed must serialize to the same
+  // bytes (the --jobs determinism guarantee as a property).
+  const std::uint64_t fit_seed = rng.next();
+  ml::RandomForestRegressor serial;
+  util::Rng serial_rng(fit_seed);
+  serial.fit(data, params, serial_rng);
+  ml::RandomForestRegressor pooled;
+  util::Rng pooled_rng(fit_seed);
+  util::ThreadPool pool(3);
+  pooled.fit(data, params, pooled_rng, &pool);
+  const std::string first = savedBytes(serial);
+  if (first != savedBytes(pooled)) {
+    std::ostringstream msg;
+    msg << "model-round-trip seed " << seed
+        << ": serial and pooled forest fits serialize differently";
+    fail(msg);
   }
-  {
-    // Serial vs pooled fits from the same seed must serialize to the
-    // same bytes (the --jobs determinism guarantee as a property).
-    const std::uint64_t fit_seed = rng.next();
-    ml::RandomForestRegressor serial;
-    util::Rng serial_rng(fit_seed);
-    serial.fit(reg, params, serial_rng);
-    ml::RandomForestRegressor pooled;
-    util::Rng pooled_rng(fit_seed);
-    util::ThreadPool pool(3);
-    pooled.fit(reg, params, pooled_rng, &pool);
-    std::ostringstream serial_text, pooled_text;
-    ml::saveForest(serial_text, serial);
-    ml::saveForest(pooled_text, pooled);
-    if (serial_text.str() != pooled_text.str()) {
+
+  // save -> load -> save must reproduce the bytes; the reloaded forest
+  // must predict bit-identically on every row.
+  std::istringstream stored(first);
+  const ml::RandomForestRegressor reloaded = ml::loadForestRegressor(stored);
+  if (savedBytes(reloaded) != first) {
+    std::ostringstream msg;
+    msg << "model-round-trip seed " << seed
+        << ": forest regressor re-serialization is not byte-identical";
+    fail(msg);
+  }
+  for (std::size_t r = 0; r < data.size(); ++r) {
+    if (serial.predict(data.x.row(r)) != reloaded.predict(data.x.row(r))) {
       std::ostringstream msg;
       msg << "model-round-trip seed " << seed
-          << ": serial and pooled forest fits serialize differently";
+          << ": forest regressor reloaded prediction differs on row " << r;
       fail(msg);
     }
-    roundTripModel(
-        "forest regressor", seed, serial, reg,
-        [](std::ostream& os, const ml::RandomForestRegressor& m) {
-          ml::saveForest(os, m);
-        },
-        [](std::istream& is) { return ml::loadForestRegressor(is); });
-  }
-  {
-    ml::DecisionTree tree;
-    util::Rng fit_rng = rng.fork();
-    tree.fit(cls, ml::TreeTask::kClassification, params.tree, fit_rng);
-    roundTripModel(
-        "decision tree", seed, tree, cls,
-        [](std::ostream& os, const ml::DecisionTree& m) {
-          ml::saveTree(os, m);
-        },
-        [](std::istream& is) { return ml::loadTree(is); });
-  }
-  {
-    ml::KnnClassifier knn(3);
-    knn.fit(cls);
-    roundTripModel(
-        "k-NN", seed, knn, cls,
-        [](std::ostream& os, const ml::KnnClassifier& m) {
-          ml::saveKnn(os, m);
-        },
-        [](std::istream& is) { return ml::loadKnn(is); });
-  }
-  {
-    ml::LinearParams linear_params;
-    linear_params.epochs = 5;
-    linear_params.seed = rng.next();
-    ml::LogisticRegression logistic;
-    logistic.fit(cls, linear_params);
-    roundTripModel(
-        "logistic regression", seed, logistic, cls,
-        [](std::ostream& os, const ml::LogisticRegression& m) {
-          ml::saveLinear(os, m);
-        },
-        [](std::istream& is) { return ml::loadLogistic(is); });
-    ml::LinearSvm svm;
-    svm.fit(cls, linear_params);
-    roundTripModel(
-        "linear SVM", seed, svm, cls,
-        [](std::ostream& os, const ml::LinearSvm& m) {
-          ml::saveLinear(os, m);
-        },
-        [](std::istream& is) { return ml::loadSvm(is); });
   }
 }
 

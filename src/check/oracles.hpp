@@ -101,8 +101,9 @@ void checkSimVsReferenceOnFu(core::FuContext& context, std::uint64_t seed,
 
 // -- oracle 3: model round-trip -------------------------------------
 
-/// Round-trips every serializable learner on small random tasks and
-/// checks serial-vs-pooled forest training bit-identity.
+/// Round-trips a forest regressor (the model format TevotModel files
+/// carry) on a small random task and checks serial-vs-pooled forest
+/// training bit-identity.
 void checkModelRoundTrip(std::uint64_t seed, util::Rng& rng);
 
 }  // namespace tevot::check

@@ -25,12 +25,24 @@ double msSince(Clock::time_point start) {
       .count();
 }
 
-/// True when a checkpoint plausibly belongs to `job`: the workload
-/// name matches and the sample count is exactly workload.size() - 1
-/// (the invariant dta::characterize guarantees).
+/// True when a checkpoint holds `job`'s workload: the same name and,
+/// as dta::characterize lays them out, sample i is cycle i + 1 of the
+/// job's operand stream. A stream drawn from another seed has the same
+/// name and length, so every operand pair is compared.
 bool checkpointMatchesJob(const DtaTrace& trace, const CharacterizeJob& job) {
-  return trace.workload_name == job.workload->name &&
-         trace.samples.size() == job.workload->size() - 1;
+  const std::vector<OperandPair>& ops = job.workload->ops;
+  if (trace.workload_name != job.workload->name ||
+      trace.samples.size() + 1 != ops.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < trace.samples.size(); ++i) {
+    const DtaSample& s = trace.samples[i];
+    if (s.a != ops[i + 1].a || s.b != ops[i + 1].b ||
+        s.prev_a != ops[i].a || s.prev_b != ops[i].b) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace

@@ -2,15 +2,28 @@
 //
 // A checkpoint pins one job's full characterization — corner,
 // workload name, every sample including the toggle log — so a killed
-// sweep can resume without recomputing completed corners. Doubles are
-// printed as C99 hexfloats (%a), which round-trip exactly, and the
-// file carries a trailing "end" sentinel so a truncated write is
-// always detected as a parse error, never read as a shorter trace.
-// Files are written atomically (temp file in the same directory, then
-// rename) so a reader can never observe a half-written checkpoint.
+// sweep can resume without recomputing completed corners. It is
+// written and read through util::TextWriter / util::TextReader
+// (util/text_io.hpp): doubles as "%a" hexfloats, which round-trip
+// exactly, and the file ends with an "end" line, so a truncated write
+// is always a parse error, never a shorter trace. The reader accepts
+// only what the writer writes: operand words that fit 32 bits, toggle
+// values 0 or 1, toggle times that are non-negative and never
+// decrease, and nothing after the end line. Files are written with
+// util::writeFileAtomic, so a reader never observes a half-written
+// checkpoint.
+//
+// Format:
+//   tevot-dtatrace v1
+//   corner <voltage> <temperature>
+//   workload <name, the rest of the line>
+//   sim_events <n>
+//   samples <n>
+//   <a> <b> <prev_a> <prev_b> <delay_ps> <start_word> <settled_word>
+//       <n_toggles> [<time_ps> <output_bit> <value>]...   (one line each)
+//   end
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -19,22 +32,17 @@
 
 namespace tevot::dta {
 
-/// Writes `trace` as checkpoint text. Throws util::StatusError
-/// (kIoError) when the stream fails.
-void writeTrace(std::ostream& os, const DtaTrace& trace);
+/// Checkpoint text of `trace`.
+std::string traceToString(const DtaTrace& trace);
 
 /// Parses checkpoint text. Throws util::StatusError (kParseError) on
-/// any malformed, truncated, or non-finite content.
-DtaTrace readTrace(std::istream& is);
+/// any malformed, truncated, out-of-range or non-finite content.
+DtaTrace traceFromString(std::string_view text);
 
-std::string traceToString(const DtaTrace& trace);
-DtaTrace traceFromString(const std::string& text);
-
-/// Atomic file write: writes `path`.tmp and renames it onto `path`.
-/// When `faults` is armed, the io.open / io.write fault points fire
-/// with `fault_key`. Throws util::StatusError (kIoError, message
-/// includes the path and errno text) on failure; on failure the
-/// temp file is removed and `path` is left untouched.
+/// Writes `trace` to `path` with util::writeFileAtomic; the io.open /
+/// io.write fault points fire with `fault_key`. Throws
+/// util::StatusError (kIoError, message includes the path and errno
+/// text) on failure, and then `path` is left untouched.
 void writeTraceFileAtomic(const std::string& path, const DtaTrace& trace,
                           util::FaultInjector* faults = nullptr,
                           std::string_view fault_key = {});

@@ -8,10 +8,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
+#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace tevot::fleet {
@@ -19,7 +19,8 @@ namespace tevot::fleet {
 namespace {
 
 /// Reads the child's stdout through `fd` until the port announcement
-/// or EOF/timeout; returns the port (<= 0 on failure).
+/// or EOF/timeout; returns the port (<= 0 on failure, and for an
+/// announcement that is not a port number in [1, 65535]).
 int readAnnouncement(int fd, double timeout_ms) {
   const char* marker = "listening on 127.0.0.1:";
   std::string out;
@@ -47,7 +48,15 @@ int readAnnouncement(int fd, double timeout_ms) {
     }
     const std::size_t pos = out.find(marker);
     if (pos != std::string::npos) {
-      return std::atoi(out.c_str() + pos + std::strlen(marker));
+      // The rest of the line is the port: digits only, in range.
+      const std::string_view rest =
+          std::string_view(out).substr(pos + std::strlen(marker));
+      int port = -1;
+      if (rest.find_first_not_of("0123456789") != std::string_view::npos ||
+          !util::parseNumber(rest, 1, 65535, &port)) {
+        return -1;
+      }
+      return port;
     }
     out.clear();
   }

@@ -66,15 +66,6 @@ SplitResult trainTestSplit(const Dataset& dataset, double train_fraction,
   return result;
 }
 
-void StandardScaler::setState(std::vector<float> mean,
-                              std::vector<float> inv_std) {
-  if (mean.size() != inv_std.size()) {
-    throw std::invalid_argument("StandardScaler::setState: width mismatch");
-  }
-  mean_ = std::move(mean);
-  inv_std_ = std::move(inv_std);
-}
-
 void StandardScaler::fit(const Matrix& x) {
   const std::size_t cols = x.cols();
   const std::size_t rows = x.rows();

@@ -86,11 +86,6 @@ class StandardScaler {
   void transformRow(std::span<const float> in, std::span<float> out) const;
   bool fitted() const { return !mean_.empty(); }
 
-  /// Serialization hooks (see serialize.hpp for the file formats).
-  std::span<const float> mean() const { return mean_; }
-  std::span<const float> invStd() const { return inv_std_; }
-  void setState(std::vector<float> mean, std::vector<float> inv_std);
-
  private:
   std::vector<float> mean_;
   std::vector<float> inv_std_;

@@ -15,19 +15,6 @@ void KnnClassifier::fit(const Dataset& data) {
   labels_ = data.y;
 }
 
-void KnnClassifier::setState(int k, StandardScaler scaler, Matrix train,
-                             std::vector<float> labels) {
-  if (k <= 0) throw std::invalid_argument("KnnClassifier: k must be > 0");
-  if (train.rows() != labels.size()) {
-    throw std::invalid_argument(
-        "KnnClassifier::setState: row/label count mismatch");
-  }
-  k_ = k;
-  scaler_ = std::move(scaler);
-  train_ = std::move(train);
-  labels_ = std::move(labels);
-}
-
 float KnnClassifier::predict(std::span<const float> features) const {
   if (!fitted()) throw std::logic_error("KnnClassifier: not fitted");
   std::vector<float> query(features.size());

@@ -21,14 +21,6 @@ class KnnClassifier {
 
   bool fitted() const { return train_.rows() > 0; }
 
-  /// Serialization hooks (see serialize.hpp for the file format).
-  int k() const { return k_; }
-  const StandardScaler& scaler() const { return scaler_; }
-  const Matrix& trainMatrix() const { return train_; }
-  std::span<const float> labels() const { return labels_; }
-  void setState(int k, StandardScaler scaler, Matrix train,
-                std::vector<float> labels);
-
  private:
   int k_;
   StandardScaler scaler_;

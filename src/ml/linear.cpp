@@ -19,34 +19,7 @@ void checkFitInput(const Dataset& data) {
   }
 }
 
-void setLinearState(std::vector<float>& weights_out, float& bias_out,
-                    StandardScaler& scaler_out, std::vector<float> weights,
-                    float bias, StandardScaler scaler) {
-  if (weights.empty()) {
-    throw std::invalid_argument("linear model setState: empty weights");
-  }
-  if (scaler.fitted() && scaler.mean().size() != weights.size()) {
-    throw std::invalid_argument(
-        "linear model setState: scaler/weight width mismatch");
-  }
-  weights_out = std::move(weights);
-  bias_out = bias;
-  scaler_out = std::move(scaler);
-}
-
 }  // namespace
-
-void LogisticRegression::setState(std::vector<float> weights, float bias,
-                                  StandardScaler scaler) {
-  setLinearState(weights_, bias_, scaler_, std::move(weights), bias,
-                 std::move(scaler));
-}
-
-void LinearSvm::setState(std::vector<float> weights, float bias,
-                         StandardScaler scaler) {
-  setLinearState(weights_, bias_, scaler_, std::move(weights), bias,
-                 std::move(scaler));
-}
 
 void LogisticRegression::fit(const Dataset& data,
                              const LinearParams& params) {

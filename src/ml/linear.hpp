@@ -28,12 +28,6 @@ class LogisticRegression {
   bool fitted() const { return !weights_.empty(); }
   std::span<const float> weights() const { return weights_; }
 
-  /// Serialization hooks (see serialize.hpp for the file format).
-  float bias() const { return bias_; }
-  const StandardScaler& scaler() const { return scaler_; }
-  void setState(std::vector<float> weights, float bias,
-                StandardScaler scaler);
-
  private:
   double margin(std::span<const float> standardized) const;
 
@@ -52,13 +46,6 @@ class LinearSvm {
   std::vector<float> predictBatch(const Matrix& x) const;
 
   bool fitted() const { return !weights_.empty(); }
-
-  /// Serialization hooks (see serialize.hpp for the file format).
-  std::span<const float> weights() const { return weights_; }
-  float bias() const { return bias_; }
-  const StandardScaler& scaler() const { return scaler_; }
-  void setState(std::vector<float> weights, float bias,
-                StandardScaler scaler);
 
  private:
   StandardScaler scaler_;

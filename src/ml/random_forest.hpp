@@ -38,9 +38,6 @@ class RandomForestClassifier {
 
   bool fitted() const { return !trees_.empty(); }
   std::span<const DecisionTree> trees() const { return trees_; }
-  void setTrees(std::vector<DecisionTree> trees) {
-    trees_ = std::move(trees);
-  }
 
  private:
   std::vector<DecisionTree> trees_;
@@ -98,13 +95,13 @@ std::vector<double> forestFeatureImportance(
 /// list is non-empty, every split's children are in range, every
 /// non-root node has exactly one parent, and every node is reachable
 /// from node 0. A cyclic or shared child would send the tree walk
-/// round forever; the serialize.hpp loaders reject such trees.
+/// round forever; the serialize.hpp loader rejects such trees.
 util::Status validateTreeShape(std::span<const DecisionTree::Node> nodes);
 
 /// Structural validation for model hot-reload: every tree passes
 /// validateTreeShape, every split's feature index < n_features, and
-/// every threshold/leaf value is finite. The serialize.hpp loaders
-/// enforce the shape on the way in; this re-checks an in-memory
+/// every threshold/leaf value is finite. The serialize.hpp loader
+/// enforces the shape on the way in; this re-checks an in-memory
 /// forest right before a serving swap, so a model built any other way
 /// (or corrupted in memory) can never be published to workers.
 util::Status validateForestStructure(std::span<const DecisionTree> trees,

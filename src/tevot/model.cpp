@@ -1,19 +1,14 @@
 #include "tevot/model.hpp"
 
-#include <unistd.h>
-
 #include <array>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 
 #include "ml/serialize.hpp"
 #include "tevot/operating_grid.hpp"
-#include "util/stream.hpp"
 #include "util/text_io.hpp"
 
 namespace tevot::core {
@@ -229,69 +224,26 @@ std::vector<double> TevotModel::featureImportance() const {
 void TevotModel::save(const std::string& path,
                       util::FaultInjector* faults) const {
   if (!trained()) throw std::logic_error("TevotModel::save: not trained");
-  // Write-to-temp + flush-check + atomic rename (the checkpoint
-  // writer's pattern): a full disk or dead fd surfaces as a typed
-  // error and the destination keeps its previous contents — readers
-  // never observe a truncated model.
-  // The temp name is per-process: concurrent saves to one destination
-  // must not steal each other's temp file (each rename then atomically
-  // installs a complete model, last writer wins).
-  const std::string tmp_path =
-      path + ".tmp." + std::to_string(::getpid());
-  if (faults != nullptr && faults->shouldFail("io.open", path)) {
-    throw util::StatusError(util::Status::ioError(
-        "TevotModel::save " + tmp_path + ": injected io.open fault"));
-  }
-  {
-    std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!os) {
-      throw util::StatusError(
-          util::ioErrorFor("TevotModel::save: cannot open", tmp_path,
-                           errno));
-    }
-    util::TextWriter out(os);
-    out.text("tevot-model v2 history ")
-        .number(config_.include_history ? 1 : 0)
-        .text(" split ")
-        .number(split_size_)
-        .text("\n");
-    ml::saveForest(out, forest_);
-    out.text("end\n");
-    out.flush();
-    os.flush();
-    const bool write_fault =
-        faults != nullptr && faults->shouldFail("io.write", path);
-    if (!os || write_fault) {
-      const int saved_errno = errno;
-      os.close();
-      std::remove(tmp_path.c_str());
-      if (write_fault) {
-        throw util::StatusError(util::Status::ioError(
-            "TevotModel::save " + tmp_path + ": injected io.write fault"));
-      }
-      throw util::StatusError(util::ioErrorFor(
-          "TevotModel::save: write failed for", tmp_path, saved_errno));
-    }
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    const util::Status status =
-        util::ioErrorFor("TevotModel::save: cannot rename", path, errno);
-    std::remove(tmp_path.c_str());
-    throw util::StatusError(status);
-  }
+  // Atomic: a full disk or dead fd surfaces as a typed error and the
+  // destination keeps its previous contents — readers never observe a
+  // truncated model. Concurrent saves to one destination each install
+  // a complete model, last writer wins.
+  util::writeFileAtomic(
+      path, "TevotModel::save",
+      [&](util::TextWriter& out) {
+        out.text("tevot-model v2 history ")
+            .number(config_.include_history ? 1 : 0)
+            .text(" split ")
+            .number(split_size_)
+            .text("\n");
+        ml::saveForest(out, forest_);
+        out.text("end\n");
+      },
+      faults, path);
 }
 
 TevotModel TevotModel::load(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw util::StatusError(
-        util::ioErrorFor("TevotModel::load: cannot open", path, errno));
-  }
-  const std::string text = util::readAll(is);
-  if (is.bad()) {
-    throw util::StatusError(
-        util::ioErrorFor("TevotModel::load: cannot read", path, errno));
-  }
+  const std::string text = util::readFile(path, "TevotModel::load");
   util::TextReader in(text);
   int history = 0;
   try {
@@ -318,9 +270,7 @@ TevotModel TevotModel::load(const std::string& path) {
     // The file ends with exactly "end\n": a cut anywhere, even inside
     // the last number, misses it, and trailing bytes mean a corrupt or
     // concatenated file, not a longer model.
-    in.expect("end");
-    in.expectEnd("end line");
-    if (text.back() != '\n') in.fail("end line without its newline");
+    in.expectLastLine("end");
     model.compileFlat();
     return model;
   } catch (const util::StatusError& error) {

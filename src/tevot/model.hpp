@@ -177,10 +177,9 @@ class TevotModel {
   util::Status validateForServing() const;
 
   /// Pre-trained model persistence (format v2: history flag, split
-  /// size, forest, end line; README "Model files"). save()
-  /// writes a temp file, verifies the stream after flushing, and
-  /// atomically renames into place — a full disk or closed fd yields
-  /// a typed util::StatusError (errno + path), never a silently
+  /// size, forest, end line; README "Model files"). save() writes
+  /// through util::writeFileAtomic — a full disk or closed fd yields a
+  /// typed util::StatusError (errno + path), never a silently
   /// truncated model. `faults` (nullable) is consulted at the io.open
   /// / io.write points, keyed by the destination path.
   void save(const std::string& path,

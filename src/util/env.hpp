@@ -35,6 +35,9 @@ bool fullScale();
 /// trailing characters, NaN or infinity.
 bool parseFiniteDouble(std::string_view text, double* out);
 
+/// The most worker threads a `--jobs` / TEVOT_JOBS value may ask for.
+inline constexpr double kMaxJobs = 256;
+
 /// The largest integer a double holds exactly (2^53): the upper bound
 /// for an integer flag that has no smaller natural one, such as a seed.
 inline constexpr double kMaxExactInteger = 9007199254740992.0;

@@ -14,10 +14,10 @@
 // Fault points currently wired in:
 //   job.exception  SweepRunner: throw before running a job attempt
 //   job.slow       SweepRunner: sleep slow_ms before running a job
-//   io.open        trace_io / TevotModel::save: fail opening a
-//                  checkpoint or model file
-//   io.write       trace_io / TevotModel::save: fail writing/renaming
-//                  a checkpoint or model file
+//   io.open        util::writeFileAtomic (checkpoints, models) and
+//                  dta::readTraceFile: fail opening the file
+//   io.write       util::writeFileAtomic: fail after writing, before
+//                  the rename
 //   serve.accept   Server: drop a just-accepted connection
 //   serve.parse    Server: fail one request line with FAULT_INJECTED
 //   serve.predict  Server: throw inside the model-backend call

@@ -1,11 +1,36 @@
 #include "util/text_io.hpp"
 
-#include <cmath>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+
+#include "util/fault_injection.hpp"
 #include "util/status.hpp"
 
 namespace tevot::util {
 namespace {
+
+/// Longest hex digit string to_chars writes for a double
+/// ("0.0000000000001p-1022", "1.fffffffffffffp+1023").
+constexpr std::size_t kMaxHexDigits = 24;
+
+/// The digits "%a" prints for a non-negative finite `magnitude` after
+/// its "0x" ("1.8p+1", "0.0000000000001p-1022"), written from `first`;
+/// returns their end. libstdc++ releases disagree on subnormals (GCC 12
+/// prints "%a"'s form, later ones "1p-1074"), so those take printf.
+char* hexDigits(char* first, char* last, double magnitude) {
+  if (magnitude == 0.0 || magnitude >= DBL_MIN) {
+    return std::to_chars(first, last, magnitude, std::chars_format::hex).ptr;
+  }
+  char buf[kMaxHexDigits + 3];
+  const int n = std::snprintf(buf, sizeof(buf), "%a", magnitude);
+  return std::copy(buf + 2, buf + n, first);
+}
 
 bool isSpace(char c) {
   return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
@@ -43,6 +68,17 @@ TextWriter& TextWriter::number(float value) {
   return *this;
 }
 
+TextWriter& TextWriter::hexDouble(double value) {
+  char* const start = room(kMaxNumber);
+  char* at = start;
+  if (std::signbit(value)) *at++ = '-';
+  *at++ = '0';
+  *at++ = 'x';
+  used_ = static_cast<std::size_t>(
+      hexDigits(at, start + kMaxNumber, std::fabs(value)) - buf_.get());
+  return *this;
+}
+
 void TextWriter::flush() {
   if (used_ == 0) return;
   os_.write(buf_.get(), static_cast<std::streamsize>(used_));
@@ -69,6 +105,13 @@ void TextReader::expect(std::string_view expected) {
   }
 }
 
+std::string_view TextReader::restOfLine() {
+  const std::size_t start = pos_;
+  const std::size_t newline = text_.find('\n', start);
+  pos_ = newline == std::string_view::npos ? text_.size() : newline + 1;
+  return text_.substr(start, newline - start);
+}
+
 float TextReader::finiteFloat(const char* what) {
   float value = 0.0f;
   skipSpace();
@@ -80,6 +123,42 @@ float TextReader::finiteFloat(const char* what) {
   }
   finishNumber(result, what);
   return value;
+}
+
+double TextReader::hexDouble(const char* what) {
+  skipSpace();
+  const std::size_t start = pos_;
+  const std::string_view token = word();
+  pos_ = start;
+  if (token.empty()) fail(std::string("truncated: expected ") + what);
+  // The one spelling TextWriter::hexDouble gives: an optional '-', then
+  // "0x", then the "%a" digits. Reformatting what from_chars read
+  // and comparing rejects every other spelling of the same value
+  // ("0X1P0", "0x1.80p+1", "0x3p+0") along with malformed tokens.
+  const bool negative = token.front() == '-';
+  const std::string_view magnitude = token.substr(negative ? 1 : 0);
+  const std::string_view digits =
+      magnitude.substr(magnitude.starts_with("0x") ? 2 : magnitude.size());
+  if (digits.empty() || digits.front() == '-') {
+    fail(std::string("bad ") + what);
+  }
+  double value = 0.0;
+  const std::from_chars_result result =
+      std::from_chars(digits.data(), digits.data() + digits.size(), value,
+                      std::chars_format::hex);
+  if (result.ec == std::errc() && !std::isfinite(value)) {
+    fail(std::string("non-finite ") + what);
+  }
+  char canonical[kMaxHexDigits];
+  if (result.ec != std::errc() ||
+      result.ptr != digits.data() + digits.size() ||
+      std::string_view(canonical, hexDigits(canonical,
+                                            canonical + kMaxHexDigits,
+                                            value)) != digits) {
+    fail(std::string("bad ") + what);
+  }
+  pos_ = start + token.size();
+  return negative ? -value : value;
 }
 
 void TextReader::finishNumber(const std::from_chars_result& result,
@@ -103,9 +182,85 @@ void TextReader::expectEnd(const char* after) {
   }
 }
 
+void TextReader::expectLastLine(std::string_view last) {
+  expect(last);
+  const std::string line = std::string(last) + " line";
+  expectEnd(line.c_str());
+  if (text_.back() != '\n') fail(line + " without its newline");
+}
+
 void TextReader::fail(const std::string& what) const {
   throw StatusError(
       Status::parseError(what + " at byte " + std::to_string(pos_)));
+}
+
+std::string readAll(std::istream& is) {
+  // Size the buffer from the stream when it can tell (a file).
+  std::string text;
+  if (const std::streampos here = is.tellg(); here >= 0) {
+    is.seekg(0, std::ios::end);
+    const std::streampos end = is.tellg();
+    is.clear();
+    is.seekg(here);
+    if (end > here) text.resize(static_cast<std::size_t>(end - here));
+  }
+  is.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(is.gcount()));
+  char chunk[4096];
+  while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(is.gcount()));
+  }
+  return text;
+}
+
+std::string readFile(const std::string& path, std::string_view who) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) {
+    throw StatusError(
+        ioErrorFor(std::string(who) + ": cannot open", path, errno));
+  }
+  std::string text = readAll(is);
+  if (is.bad()) {
+    throw StatusError(
+        ioErrorFor(std::string(who) + ": cannot read", path, errno));
+  }
+  return text;
+}
+
+void writeFileAtomic(const std::string& path, std::string_view who,
+                     const std::function<void(TextWriter&)>& write,
+                     FaultInjector* faults, std::string_view fault_key) {
+  const std::string op(who);
+  const std::string tmp_path = path + ".tmp." + std::to_string(::getpid());
+  if (faults != nullptr && faults->shouldFail("io.open", fault_key)) {
+    throw StatusError(
+        Status::ioError(op + " " + tmp_path + ": injected io.open fault"));
+  }
+  std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
+  if (!os) {
+    throw StatusError(ioErrorFor(op + ": cannot open", tmp_path, errno));
+  }
+  try {
+    {
+      TextWriter out(os);
+      write(out);
+    }
+    os.close();  // flushes; a full disk fails here at the latest
+    if (!os) {
+      throw StatusError(
+          ioErrorFor(op + ": write failed for", tmp_path, errno));
+    }
+    if (faults != nullptr && faults->shouldFail("io.write", fault_key)) {
+      throw StatusError(Status::ioError(op + " " + tmp_path +
+                                        ": injected io.write fault"));
+    }
+    if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+      throw StatusError(ioErrorFor(op + ": cannot rename", path, errno));
+    }
+  } catch (...) {
+    std::remove(tmp_path.c_str());
+    throw;
+  }
 }
 
 }  // namespace tevot::util

@@ -1,30 +1,41 @@
-// Number-exact text I/O for the saved-model formats.
+// Number-exact text I/O: the one path every saved model and sweep
+// checkpoint is written and read through.
 //
 // TextWriter formats numbers with std::to_chars into one fixed-size
 // chunk and hands the chunk to an ostream whenever it fills, so a
 // writer costs no per-number stream formatting and its memory does not
-// grow with the model. Integers are written exactly; a float is written
+// grow with the file. Integers are written exactly; a float is written
 // as printf's "%.9g" of its value, nine significant digits, which every
-// float parses back from bit for bit.
+// float parses back from bit for bit; a double is written exactly as
+// printf's "%a" hexfloat.
 //
 // TextReader is a bounded cursor over one in-memory buffer. Tokens are
 // separated by whitespace (space, \t, \n, \v, \f, \r). A number is
-// parsed with std::from_chars and must fill its whole token: "1x" or a
-// leading '+' is an error, not a 1. Floats must be finite and in range
-// ("nan", "inf" and "1e50" are rejected). Every failure throws
-// util::StatusError (kParseError) naming what was expected and the byte
-// offset, so a truncated file says where it broke off.
+// parsed with std::from_chars and must fill its whole token: "1x", a
+// leading '+' or a leading zero ("007") is an error, not a number.
+// Floats must be finite and in range ("nan", "inf" and "1e50" are
+// rejected); a hexfloat must be spelled exactly as the writer spells
+// it. Every failure throws util::StatusError (kParseError) naming what
+// was expected and the byte offset, so a truncated file says where it
+// broke off.
+//
+// readFile and writeFileAtomic are the file ends of the two: one read
+// into one buffer, and one write that no reader ever sees half done.
 #pragma once
 
 #include <charconv>
 #include <concepts>
 #include <cstddef>
+#include <functional>
+#include <istream>
 #include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
 
 namespace tevot::util {
+
+class FaultInjector;
 
 class TextWriter {
  public:
@@ -43,14 +54,17 @@ class TextWriter {
         std::to_chars(at, at + kMaxNumber, value).ptr - buf_.get());
     return *this;
   }
+  /// `value` as printf's "%a" ("0x1.8p+1", "-0x0p+0"), which parses
+  /// back to the same bits.
+  TextWriter& hexDouble(double value);
 
   /// Writes the buffered bytes to the stream; check the stream after.
   void flush();
 
  private:
   static constexpr std::size_t kChunk = 64 * 1024;
-  /// Longest number either overload writes ("-1.17549435e-38", or a
-  /// 64-bit integer with its sign).
+  /// Longest number any overload writes: "-1.17549435e-38", a 64-bit
+  /// integer with its sign, or "-0x1.fffffffffffffp+1023".
   static constexpr std::size_t kMaxNumber = 24;
 
   /// Start of `n` free bytes in the chunk, flushing it first if needed.
@@ -69,21 +83,46 @@ class TextReader {
   std::string_view word();
   /// Throws unless the next token is exactly `expected`.
   void expect(std::string_view expected);
+  /// The bytes after the cursor up to the end of their line (or of the
+  /// input); the newline is consumed, not returned.
+  std::string_view restOfLine();
 
   /// The next token as an Int. `what` names it in the error.
   template <std::integral Int>
   Int integer(const char* what) {
     Int value{};
     skipSpace();
+    const char* digits = here() + (here() != end() && *here() == '-');
+    if (end() - digits > 1 && *digits == '0' && isDigit(digits[1])) {
+      fail(std::string("leading zero in ") + what);
+    }
     finishNumber(std::from_chars(here(), end(), value), what);
+    return value;
+  }
+  /// The next token as an Int in [lo, hi].
+  template <std::integral Int>
+  Int integer(const char* what, Int lo, Int hi) {
+    const std::size_t start = pos_;
+    const Int value = integer<Int>(what);
+    if (value < lo || value > hi) {
+      pos_ = start;
+      fail(std::string("out-of-range ") + what);
+    }
     return value;
   }
   /// The next token as a finite float.
   float finiteFloat(const char* what);
+  /// The next token as a finite double written by TextWriter::hexDouble.
+  double hexDouble(const char* what);
 
   /// Throws unless nothing but whitespace is left; `after` names what
   /// the input should have ended with.
   void expectEnd(const char* after);
+  /// Throws unless the input ends with the line `last` (trailing
+  /// whitespace allowed, the newline required): a cut anywhere before
+  /// it misses the line, and bytes after it mean a corrupt or
+  /// concatenated file.
+  void expectLastLine(std::string_view last);
 
   std::size_t bytesLeft() const { return text_.size() - pos_; }
 
@@ -91,6 +130,7 @@ class TextReader {
   [[noreturn]] void fail(const std::string& what) const;
 
  private:
+  static bool isDigit(char c) { return c >= '0' && c <= '9'; }
   const char* here() const { return text_.data() + pos_; }
   const char* end() const { return text_.data() + text_.size(); }
   void skipSpace();
@@ -100,5 +140,28 @@ class TextReader {
   std::string_view text_;
   std::size_t pos_ = 0;
 };
+
+/// The rest of `is`, read in one piece when the stream can tell its
+/// size (a file) and to its end otherwise (a pipe). Check is.bad()
+/// after for a read error.
+std::string readAll(std::istream& is);
+
+/// The whole file at `path`. Throws util::StatusError (kIoError, with
+/// the path and errno text, prefixed by `who`) when it cannot be
+/// opened or read.
+std::string readFile(const std::string& path, std::string_view who);
+
+/// Writes `path` so that no reader ever sees part of it: `write` fills
+/// a TextWriter over the temp file `<path>.tmp.<pid>` (per process, so
+/// concurrent writers never share one), which is flushed and renamed
+/// onto `path`. When `faults` is armed, the io.open and io.write fault
+/// points fire with `fault_key`. Throws util::StatusError (kIoError,
+/// prefixed by `who`; errno text when the system failed) on failure,
+/// and then `path` keeps its previous contents and no temp file is
+/// left behind.
+void writeFileAtomic(const std::string& path, std::string_view who,
+                     const std::function<void(TextWriter&)>& write,
+                     FaultInjector* faults = nullptr,
+                     std::string_view fault_key = {});
 
 }  // namespace tevot::util

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/text_io.hpp"
+
 namespace tevot::check {
 namespace {
 
@@ -15,7 +17,7 @@ TEST(GoldenTraceTest, CommittedTracesMatchFreshRender) {
     const std::string path =
         std::string(TEVOT_GOLDEN_DIR) + "/" + goldenFileName(spec);
     std::string expected;
-    ASSERT_NO_THROW(expected = readTextFile(path))
+    ASSERT_NO_THROW(expected = util::readFile(path, "golden"))
         << "missing golden " << path
         << " — run tools/tevot_goldens tests/golden";
     const GoldenDiff diff =

@@ -1,7 +1,8 @@
-// Oracle 3 (model round-trip) as a ctest suite: serialize ->
-// deserialize -> serialize byte-identity, bit-identical predictions
-// after reload, and serial-vs-pooled forest-training determinism,
-// over random small tasks.
+// Oracle 3 (model round-trip) as a ctest suite: forest-regressor
+// serialize -> deserialize -> serialize byte-identity, bit-identical
+// predictions after reload, and serial-vs-pooled forest-training
+// determinism, over random small tasks. The forest regressor is the
+// one learner any shipped model file carries.
 #include "check/oracles.hpp"
 
 #include <gtest/gtest.h>

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <string>
@@ -326,6 +327,90 @@ TEST_F(SweepTest, CorruptCheckpointIsRecomputedOnResume) {
   for (std::size_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(result.traces[i].has_value());
     EXPECT_TRUE(tracesBitIdentical(*result.traces[i], reference_[i]));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(SweepTest, OutOfRangeOperandCheckpointIsRecomputedOnResume) {
+  const std::string dir = scratchDir("operand");
+  util::ThreadPool pool(2);
+  util::FaultInjector no_faults;
+  SweepOptions options;
+  options.faults = &no_faults;
+  options.checkpoint_dir = dir;
+  ASSERT_TRUE(runSweep(jobs_, pool, options).report.allOk());
+
+  // First sample's `a` becomes 2^32 + 1, which a 32-bit wrap would
+  // read as a = 1. The reader rejects it as out of range (and a = 1
+  // would not match the job's operands either).
+  const std::string path = dir + "/" + jobs_[1].name + ".trace";
+  std::string text;
+  {
+    std::ifstream is(path, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  std::size_t first_sample = 0;
+  for (int line = 0; line < 5; ++line) {
+    first_sample = text.find('\n', first_sample) + 1;
+  }
+  text.replace(first_sample, text.find(' ', first_sample) - first_sample,
+               "4294967297");
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << text;
+  }
+
+  std::atomic<int> executions{0};
+  SweepOptions resume_options;
+  resume_options.faults = &no_faults;
+  resume_options.checkpoint_dir = dir;
+  resume_options.resume = true;
+  resume_options.on_attempt = [&](std::size_t, int) { ++executions; };
+  const SweepResult result = runSweep(jobs_, pool, resume_options);
+  EXPECT_TRUE(result.report.allOk()) << result.report.toText();
+  EXPECT_EQ(executions.load(), 1);
+  EXPECT_EQ(result.report.outcomes[1].state, JobState::kSucceeded);
+  EXPECT_EQ(result.report.count(JobState::kRestored), 3u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(result.traces[i].has_value());
+    EXPECT_TRUE(tracesBitIdentical(*result.traces[i], reference_[i]));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(SweepTest, ResumeWithAnotherOperandStreamRecomputes) {
+  // Same job names, workload names and lengths, operands from another
+  // seed (a rerun with a different --seed over the same directory):
+  // no checkpoint holds these jobs' operands, so nothing is restored.
+  const std::string dir = scratchDir("reseeded");
+  util::ThreadPool pool(2);
+  util::FaultInjector no_faults;
+  SweepOptions options;
+  options.faults = &no_faults;
+  options.checkpoint_dir = dir;
+  ASSERT_TRUE(runSweep(jobs_, pool, options).report.allOk());
+
+  util::Rng rng(24);
+  std::vector<Workload> reseeded;
+  for (std::size_t c = 0; c < 4; ++c) {
+    reseeded.push_back(randomWorkloadFor(circuits::FuKind::kIntAdd, 8, rng));
+    ASSERT_EQ(reseeded[c].name, workloads_[c].name);
+  }
+  std::vector<CharacterizeJob> jobs = jobs_;
+  for (std::size_t c = 0; c < 4; ++c) jobs[c].workload = &reseeded[c];
+  util::ThreadPool serial(1);
+  const std::vector<DtaTrace> reference = characterizeAll(jobs, serial);
+
+  SweepOptions resume_options;
+  resume_options.faults = &no_faults;
+  resume_options.checkpoint_dir = dir;
+  resume_options.resume = true;
+  const SweepResult result = runSweep(jobs, pool, resume_options);
+  EXPECT_TRUE(result.report.allOk()) << result.report.toText();
+  EXPECT_EQ(result.report.count(JobState::kRestored), 0u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(result.traces[i].has_value());
+    EXPECT_TRUE(tracesBitIdentical(*result.traces[i], reference[i]));
   }
   std::filesystem::remove_all(dir);
 }

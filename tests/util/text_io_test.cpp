@@ -1,7 +1,8 @@
-// util::TextWriter / util::TextReader: the number rule every saved model
-// depends on. A written float must be exactly printf's "%.9g" (the
-// bytes the model files have always held) and must parse back to the
-// same bits; the reader must accept only whole, finite, in-range
+// util::TextWriter / util::TextReader: the number rules every saved
+// model and sweep checkpoint depends on. A written float must be
+// exactly printf's "%.9g" and a written double exactly printf's "%a"
+// (the bytes the files have always held), and both must parse back to
+// the same bits; the reader must accept only whole, finite, in-range
 // numbers and say where it stopped.
 #include "util/text_io.hpp"
 
@@ -27,6 +28,18 @@ std::string printfG9(float value) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.9g", static_cast<double>(value));
   return buf;
+}
+
+std::string printfA(double value) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%a", value);
+  return buf;
+}
+
+std::uint64_t doubleBitsOf(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
 }
 
 std::uint32_t bitsOf(float value) {
@@ -124,6 +137,36 @@ TEST(TextIoTest, FloatFormatIsPrintfG9AndParsesBackBitExact) {
     ASSERT_EQ(bitsOf(parsed), bitsOf(value)) << printfG9(value);
   }
   in.expectEnd("values");
+
+  // Doubles, the checkpoint number: exactly "%a" and back bit for bit
+  // over the edges, the subnormals and 10^5 random finite patterns.
+  std::vector<double> doubles = {
+      0.0,     -0.0,     std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::nextafter(DBL_MIN, 0.0),  // largest subnormal
+      DBL_MIN, -DBL_MIN, DBL_MAX,  -DBL_MAX, 1.0, 0.1, 247.74050504268172};
+  Rng rng(0x6e7a);
+  while (doubles.size() < 100000) {
+    double value = 0.0;
+    const std::uint64_t bits = rng.next();
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value)) doubles.push_back(value);
+  }
+  std::ostringstream hex_os;
+  {
+    TextWriter out(hex_os);
+    for (const double value : doubles) out.hexDouble(value).text(" ");
+  }
+  const std::string hex_text = hex_os.str();
+  std::string hex_expected;
+  for (const double value : doubles) hex_expected += printfA(value) + " ";
+  ASSERT_EQ(hex_text, hex_expected);
+  TextReader hex_in(hex_text);
+  for (const double value : doubles) {
+    ASSERT_EQ(doubleBitsOf(hex_in.hexDouble("value")), doubleBitsOf(value))
+        << printfA(value);
+  }
+  hex_in.expectEnd("values");
 }
 
 TEST(TextIoTest, IntegersAndTextAreWrittenExactly) {
@@ -172,12 +215,47 @@ TEST(TextIoTest, ReaderAcceptsOnlyWholeFiniteInRangeNumbers) {
     EXPECT_EQ(status.code, StatusCode::kParseError) << "'" << bad << "'";
   }
   EXPECT_EQ(readerFailure("-1", as_size).code, StatusCode::kParseError);
+  // One spelling per integer: no leading zeros.
+  for (const char* bad : {"007", "00", "-01"}) {
+    EXPECT_EQ(readerFailure(bad, as_int32).code, StatusCode::kParseError)
+        << "'" << bad << "'";
+  }
+  TextReader ranged("0 1 2");
+  EXPECT_EQ(ranged.integer<int>("bit", 0, 1), 0);
+  EXPECT_EQ(ranged.integer<int>("bit", 0, 1), 1);
+  EXPECT_THROW(ranged.integer<int>("bit", 0, 1), StatusError);
+
+  TextReader hex(" 0x1.8p+1 -0x0p+0 0x0.0000000000001p-1022 ");
+  EXPECT_EQ(hex.hexDouble("delay"), 3.0);
+  EXPECT_TRUE(std::signbit(hex.hexDouble("delay")));
+  EXPECT_EQ(hex.hexDouble("delay"), std::numeric_limits<double>::denorm_min());
+  hex.expectEnd("delays");
+  const auto as_hex = [](TextReader& in) { in.hexDouble("delay"); };
+  // Only the writer's spelling: other spellings of a value, other
+  // number forms, non-finite and out-of-range values are all errors.
+  for (const char* bad :
+       {"0x1p0", "0X1p+0", "0x1P+0", "0x1.80p+1", "0x3p+0", "0x1.Ap+0",
+        "0x0.8p+1", "1p+0", "1.5", "+0x1p+0", "--0x1p+0", "0x-1p+0", "0x",
+        "-0x", "-", "0xinf", "inf", "nan", "-0xnan", "0x1p+1024",
+        "0x1p-1080", "0x1.8p+1x", "0x1.8p+1,", ""}) {
+    const Status status = readerFailure(bad, as_hex);
+    EXPECT_EQ(status.code, StatusCode::kParseError) << "'" << bad << "'";
+  }
   for (const char* bad : {"nan", "-nan", "inf", "-inf", "infinity", "1e50",
                           "-1e50", "1e-50", "+0.5", "0.5x", "0.5.5", ".",
                           "", "e5"}) {
     const Status status = readerFailure(bad, as_float);
     EXPECT_EQ(status.code, StatusCode::kParseError) << "'" << bad << "'";
   }
+}
+
+TEST(TextIoTest, RestOfLineStopsAtTheNewline) {
+  TextReader in("workload  two words\nnext\nlast");
+  in.expect("workload");
+  EXPECT_EQ(in.restOfLine(), "  two words");
+  EXPECT_EQ(in.restOfLine(), "next");
+  EXPECT_EQ(in.restOfLine(), "last");
+  EXPECT_EQ(in.restOfLine(), "");
 }
 
 TEST(TextIoTest, ReaderErrorsNameWhatAndWhere) {

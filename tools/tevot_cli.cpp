@@ -58,7 +58,8 @@
 //
 // The global `--jobs N` option (or TEVOT_JOBS) sets the worker count
 // for the parallel commands (`train`, `sweep`); N=0 means one job per
-// hardware thread, up to kMaxJobs. Results are bit-identical for every N.
+// hardware thread, up to util::kMaxJobs. Results are bit-identical for
+// every N.
 // Every numeric argument must be a complete, finite, in-range number;
 // anything else is a usage error.
 //
@@ -111,8 +112,6 @@ constexpr int kExitUsage = 2;
 constexpr int kExitCheckFailed = 3;
 constexpr int kExitInterrupted = 130;  // 128 + SIGINT, shell convention
 
-/// The most worker threads --jobs / TEVOT_JOBS may ask for.
-constexpr double kMaxJobs = 256;
 /// Bounds of the numeric arguments.
 constexpr double kMaxCycles = 1e8;
 constexpr double kMaxPicoseconds = 1e12;
@@ -871,7 +870,7 @@ int main(int argc, char** argv) {
   std::size_t jobs = 1;
   const char* env = std::getenv("TEVOT_JOBS");
   if (env != nullptr && *env != '\0' &&
-      !numberArg(env, "TEVOT_JOBS", 0, kMaxJobs, &jobs)) {
+      !numberArg(env, "TEVOT_JOBS", 0, util::kMaxJobs, &jobs)) {
     return usage();
   }
   std::vector<char*> args;
@@ -885,7 +884,7 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
       continue;
     }
-    if (!numberArg(value, "--jobs", 0, kMaxJobs, &jobs)) return usage();
+    if (!numberArg(value, "--jobs", 0, util::kMaxJobs, &jobs)) return usage();
   }
   argc = static_cast<int>(args.size());
   argv = args.data();

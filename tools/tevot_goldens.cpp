@@ -14,6 +14,7 @@
 #include <string>
 
 #include "check/golden.hpp"
+#include "util/text_io.hpp"
 
 int main(int argc, char** argv) {
   bool check_mode = false;
@@ -41,13 +42,14 @@ int main(int argc, char** argv) {
           std::string(dir) + "/" + check::goldenFileName(spec);
       const std::string actual = check::renderGoldenTrace(spec);
       if (!check_mode) {
-        check::writeTextFile(path, actual);
+        util::writeFileAtomic(path, "tevot_goldens",
+                              [&](util::TextWriter& out) { out.text(actual); });
         std::printf("wrote %s\n", path.c_str());
         continue;
       }
       std::string expected;
       try {
-        expected = check::readTextFile(path);
+        expected = util::readFile(path, "tevot_goldens");
       } catch (const std::exception& error) {
         std::printf("FAIL %s: %s\n", path.c_str(), error.what());
         ok = false;
