@@ -20,6 +20,7 @@
 #include "sta/sta.hpp"
 #include "tevot/model.hpp"
 #include "tevot/pipeline.hpp"
+#include "util/text_io.hpp"
 #include "vcd/vcd.hpp"
 
 int main() {
@@ -69,8 +70,8 @@ int main() {
               workload.ops.size() - 1);
 
   // Parse the VCD back and extract the per-cycle dynamic delays.
-  std::ifstream is(vcd_path);
-  const vcd::VcdData data = vcd::parseVcd(is);
+  const vcd::VcdData data =
+      vcd::parseVcdString(util::readFile(vcd_path, "sdf_vcd_flow"));
   const std::vector<double> delays = dta::extractDelaysFromVcd(
       data, options.window_ps, workload.ops.size() - 1);
 

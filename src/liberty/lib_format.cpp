@@ -1,13 +1,11 @@
 #include "liberty/lib_format.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
+#include <string_view>
+
+#include "util/status.hpp"
+#include "util/text_io.hpp"
 
 namespace tevot::liberty {
 namespace {
@@ -18,107 +16,132 @@ std::string formatNumber(double value) {
   return buffer;
 }
 
-/// Liberty-ish tokenizer: punctuation "{}():;" as single tokens,
-/// everything else as atoms; skips whitespace and /* comments */.
-class LibertyLexer {
- public:
-  explicit LibertyLexer(std::istream& is) : is_(is) {}
+/// Liberty tokens: "{}():;" are tokens of their own.
+constexpr std::string_view kPunct = "{}():;";
 
-  std::string next() {
-    skip();
-    const int c = is_.get();
-    if (c == EOF) return {};
-    if (c == '{' || c == '}' || c == '(' || c == ')' || c == ':' ||
-        c == ';') {
-      return std::string(1, static_cast<char>(c));
-    }
-    if (c == '"') {
-      std::string atom;
-      int q;
-      while ((q = is_.get()) != EOF && q != '"') {
-        atom.push_back(static_cast<char>(q));
-      }
-      return atom;
-    }
-    std::string atom(1, static_cast<char>(c));
-    while (true) {
-      const int p = is_.peek();
-      if (p == EOF || std::isspace(static_cast<unsigned char>(p)) ||
-          p == '{' || p == '}' || p == '(' || p == ')' || p == ':' ||
-          p == ';') {
-        break;
-      }
-      atom.push_back(static_cast<char>(is_.get()));
-    }
-    return atom;
+void expect(util::TextReader& in, const char* want) {
+  if (in.token(kPunct, want) != want) {
+    in.fail(std::string("expected '") + want + "'");
   }
+}
 
-  std::string expect(const char* what) {
-    std::string tok = next();
-    if (tok.empty()) {
-      throw std::runtime_error(
-          std::string("Liberty parse error: unexpected EOF, expected ") +
-          what);
-    }
-    return tok;
-  }
+/// Skips ": value ;", the rest of an attribute this parser ignores.
+void skipAttribute(util::TextReader& in) {
+  expect(in, ":");
+  in.token(kPunct, "attribute value");
+  expect(in, ";");
+}
 
-  void expectToken(const std::string& literal) {
-    const std::string tok = expect(literal.c_str());
-    if (tok != literal) {
-      throw std::runtime_error("Liberty parse error: expected '" + literal +
-                               "', got '" + tok + "'");
-    }
-  }
-
- private:
-  void skip() {
-    while (true) {
-      const int p = is_.peek();
-      if (p == EOF) return;
-      if (std::isspace(static_cast<unsigned char>(p))) {
-        is_.get();
-        continue;
-      }
-      if (p == '/') {
-        is_.get();
-        if (is_.peek() == '*') {
-          is_.get();
-          int prev = 0, c;
-          while ((c = is_.get()) != EOF) {
-            if (prev == '*' && c == '/') break;
-            prev = c;
-          }
-          continue;
-        }
-        is_.unget();
-        return;
-      }
-      return;
-    }
-  }
-
-  std::istream& is_;
+/// A numeric attribute of a group: its name and where it lands.
+template <typename Group>
+struct Number {
+  const char* name;
+  double Group::*field;
 };
 
-double parseNumber(const std::string& token, const std::string& context) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(token, &consumed);
-    if (consumed != token.size()) throw std::invalid_argument(token);
-    // Reject "nan"/"inf", which stod accepts: a library carrying a
-    // non-finite delay or sensitivity is corrupt.
-    if (!std::isfinite(value)) {
-      throw std::runtime_error("Liberty parse error: non-finite number '" +
-                               token + "' for " + context);
-    }
-    return value;
-  } catch (const std::runtime_error&) {
-    throw;
-  } catch (const std::exception&) {
-    throw std::runtime_error("Liberty parse error: bad number '" + token +
-                             "' for " + context);
+constexpr Number<VtParams> kLibraryNumbers[] = {
+    {"nom_voltage", &VtParams::vnom},
+    {"nom_temperature", &VtParams::tnom_c},
+    {"tevot_vth0", &VtParams::vth0},
+    {"tevot_dvth_dt", &VtParams::dvth_dt},
+    {"tevot_alpha", &VtParams::alpha},
+    {"tevot_mobility_exponent", &VtParams::mobility_exponent},
+    {"tevot_vth_sigma", &VtParams::vth_sigma},
+};
+constexpr Number<CellVtSensitivity> kCellNumbers[] = {
+    {"tevot_alpha_delta", &CellVtSensitivity::alpha_delta},
+    {"tevot_mobility_delta", &CellVtSensitivity::mobility_delta},
+};
+constexpr Number<CellTiming> kTimingNumbers[] = {
+    {"intrinsic_rise", &CellTiming::intrinsic_rise_ps},
+    {"intrinsic_fall", &CellTiming::intrinsic_fall_ps},
+    {"rise_resistance", &CellTiming::slope_rise_ps},
+    {"fall_resistance", &CellTiming::slope_fall_ps},
+};
+
+/// When `name` is in `numbers`, reads ": <number> ;" into its field of
+/// `group` and returns true.
+template <typename Group, std::size_t N>
+bool readNumber(util::TextReader& in, const Number<Group> (&numbers)[N],
+                std::string_view name, Group& group) {
+  for (const Number<Group>& number : numbers) {
+    if (name != number.name) continue;
+    expect(in, ":");
+    group.*number.field = in.decimal(kPunct, number.name);
+    expect(in, ";");
+    return true;
   }
+  return false;
+}
+
+/// pin (<name>) { ... } after "pin": the timing group's numbers go into
+/// `timing`, other pin attributes (direction) are skipped.
+void parsePin(util::TextReader& in, CellTiming& timing) {
+  expect(in, "(");
+  in.token(kPunct, "pin name");
+  expect(in, ")");
+  expect(in, "{");
+  for (std::string_view name;
+       (name = in.token(kPunct, "pin attribute or '}'")) != "}";) {
+    if (name != "timing") {
+      skipAttribute(in);
+      continue;
+    }
+    expect(in, "(");
+    expect(in, ")");
+    expect(in, "{");
+    for (std::string_view arc;
+         (arc = in.token(kPunct, "timing attribute or '}'")) != "}";) {
+      if (!readNumber(in, kTimingNumbers, arc, timing)) {
+        in.fail("unsupported timing attribute '" + std::string(arc) + "'");
+      }
+    }
+  }
+}
+
+/// cell (<name>) { ... } after "cell"; other cell attributes (area,
+/// ...) are skipped.
+void parseCell(util::TextReader& in, CellLibrary& cells) {
+  expect(in, "(");
+  const std::string_view cell_name = in.token(kPunct, "cell name");
+  netlist::CellKind kind;
+  if (!netlist::cellFromName(cell_name, kind)) {
+    in.fail("unknown cell '" + std::string(cell_name) + "'");
+  }
+  expect(in, ")");
+  expect(in, "{");
+  CellTiming timing{};
+  CellVtSensitivity sensitivity{};
+  for (std::string_view name;
+       (name = in.token(kPunct, "cell attribute, pin or '}'")) != "}";) {
+    if (name == "pin") {
+      parsePin(in, timing);
+    } else if (!readNumber(in, kCellNumbers, name, sensitivity)) {
+      skipAttribute(in);
+    }
+  }
+  cells.setTiming(kind, timing);
+  cells.setVtSensitivity(kind, sensitivity);
+}
+
+LibertyLibrary parseLiberty(util::TextReader& in) {
+  LibertyLibrary library;
+  library.cells = CellLibrary();  // zeroed; file contents fill it in
+  expect(in, "library");
+  expect(in, "(");
+  library.name = in.token(kPunct, "library name");
+  expect(in, ")");
+  expect(in, "{");
+  for (std::string_view name;
+       (name = in.token(kPunct, "attribute, cell or '}'")) != "}";) {
+    if (name == "cell") {
+      parseCell(in, library.cells);
+    } else if (!readNumber(in, kLibraryNumbers, name, library.vt_params)) {
+      skipAttribute(in);  // delay_model, time_unit, ...
+    }
+  }
+  in.expectEnd("library group");
+  return library;
 }
 
 }  // namespace
@@ -173,134 +196,23 @@ std::string toLibertyString(const LibertyLibrary& library) {
 
 void writeLibertyFile(const std::string& path,
                       const LibertyLibrary& library) {
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error("writeLibertyFile: cannot open " + path + ": " +
-                             std::strerror(errno));
-  }
-  writeLiberty(os, library);
+  util::writeFileAtomic(path, "writeLibertyFile", [&](util::TextWriter& out) {
+    out.text(toLibertyString(library));
+  });
 }
 
-LibertyLibrary parseLiberty(std::istream& is) {
-  LibertyLexer lex(is);
-  LibertyLibrary library;
-  library.cells = CellLibrary();  // zeroed; file contents fill it in
-
-  lex.expectToken("library");
-  lex.expectToken("(");
-  library.name = lex.expect("library name");
-  lex.expectToken(")");
-  lex.expectToken("{");
-
-  auto parseScalar = [&](const std::string& name) {
-    lex.expectToken(":");
-    const std::string value = lex.expect("attribute value");
-    lex.expectToken(";");
-    return std::pair<std::string, std::string>{name, value};
-  };
-
-  while (true) {
-    std::string tok = lex.expect("attribute, cell, or '}'");
-    if (tok == "}") break;
-    if (tok == "cell") {
-      lex.expectToken("(");
-      const std::string cell_name = lex.expect("cell name");
-      lex.expectToken(")");
-      lex.expectToken("{");
-      netlist::CellKind kind;
-      if (!netlist::cellFromName(cell_name, kind)) {
-        throw std::runtime_error("Liberty parse error: unknown cell '" +
-                                 cell_name + "'");
-      }
-      CellTiming timing{};
-      CellVtSensitivity sensitivity{};
-      while (true) {
-        std::string inner = lex.expect("cell attribute, pin, or '}'");
-        if (inner == "}") break;
-        if (inner == "pin") {
-          lex.expectToken("(");
-          lex.expect("pin name");
-          lex.expectToken(")");
-          lex.expectToken("{");
-          while (true) {
-            std::string pin_tok = lex.expect("pin attribute or '}'");
-            if (pin_tok == "}") break;
-            if (pin_tok == "timing") {
-              lex.expectToken("(");
-              lex.expectToken(")");
-              lex.expectToken("{");
-              while (true) {
-                std::string arc = lex.expect("timing attribute or '}'");
-                if (arc == "}") break;
-                const auto [name, value] = parseScalar(arc);
-                const double number = parseNumber(value, name);
-                if (name == "intrinsic_rise") {
-                  timing.intrinsic_rise_ps = number;
-                } else if (name == "intrinsic_fall") {
-                  timing.intrinsic_fall_ps = number;
-                } else if (name == "rise_resistance") {
-                  timing.slope_rise_ps = number;
-                } else if (name == "fall_resistance") {
-                  timing.slope_fall_ps = number;
-                } else {
-                  throw std::runtime_error(
-                      "Liberty parse error: unsupported timing attribute "
-                      "'" +
-                      name + "'");
-                }
-              }
-            } else {
-              parseScalar(pin_tok);  // e.g. direction — accepted, ignored
-            }
-          }
-        } else {
-          const auto [name, value] = parseScalar(inner);
-          if (name == "tevot_alpha_delta") {
-            sensitivity.alpha_delta = parseNumber(value, name);
-          } else if (name == "tevot_mobility_delta") {
-            sensitivity.mobility_delta = parseNumber(value, name);
-          }
-          // Other cell attributes (area, ...) are accepted and ignored.
-        }
-      }
-      library.cells.setTiming(kind, timing);
-      library.cells.setVtSensitivity(kind, sensitivity);
-      continue;
-    }
-    // Library-level scalar attribute.
-    const auto [name, value] = parseScalar(tok);
-    if (name == "nom_voltage") {
-      library.vt_params.vnom = parseNumber(value, name);
-    } else if (name == "nom_temperature") {
-      library.vt_params.tnom_c = parseNumber(value, name);
-    } else if (name == "tevot_vth0") {
-      library.vt_params.vth0 = parseNumber(value, name);
-    } else if (name == "tevot_dvth_dt") {
-      library.vt_params.dvth_dt = parseNumber(value, name);
-    } else if (name == "tevot_alpha") {
-      library.vt_params.alpha = parseNumber(value, name);
-    } else if (name == "tevot_mobility_exponent") {
-      library.vt_params.mobility_exponent = parseNumber(value, name);
-    } else if (name == "tevot_vth_sigma") {
-      library.vt_params.vth_sigma = parseNumber(value, name);
-    }
-    // delay_model / time_unit / unknown scalars: accepted, ignored.
+LibertyLibrary parseLibertyString(std::string_view text) {
+  util::TextReader in(text);
+  try {
+    return parseLiberty(in);
+  } catch (const util::StatusError& error) {
+    throw util::StatusError(util::Status::parseError(
+        "Liberty parse error: " + error.status().message));
   }
-  return library;
-}
-
-LibertyLibrary parseLibertyString(const std::string& text) {
-  std::istringstream is(text);
-  return parseLiberty(is);
 }
 
 LibertyLibrary parseLibertyFile(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    throw std::runtime_error("parseLibertyFile: cannot open " + path + ": " +
-                             std::strerror(errno));
-  }
-  return parseLiberty(is);
+  return parseLibertyString(util::readFile(path, "parseLibertyFile"));
 }
 
 }  // namespace tevot::liberty

@@ -1,15 +1,14 @@
 #include "netlist/verilog.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <sstream>
-#include <stdexcept>
+#include <string_view>
 #include <vector>
+
+#include "util/status.hpp"
+#include "util/text_io.hpp"
 
 namespace tevot::netlist {
 namespace {
@@ -128,86 +127,21 @@ std::string toVerilogString(const Netlist& nl) {
 }
 
 void writeVerilogFile(const std::string& path, const Netlist& nl) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("writeVerilogFile: cannot open " + path + ": " +
-                             std::strerror(errno));
-  writeVerilog(os, nl);
+  util::writeFileAtomic(path, "writeVerilogFile", [&](util::TextWriter& out) {
+    out.text(toVerilogString(nl));
+  });
 }
 
 namespace {
 
-struct Token {
-  std::string text;
-};
+/// Verilog tokens: "();,.=" are tokens of their own.
+constexpr std::string_view kPunct = "();,.=";
 
-class VerilogLexer {
- public:
-  explicit VerilogLexer(std::istream& is) : is_(is) {}
-
-  /// Tokens: identifiers/literals, or single punctuation characters
-  /// from "();,.=".
-  std::string next() {
-    skip();
-    const int c = is_.get();
-    if (c == EOF) return {};
-    if (std::strchr("();,.=", c) != nullptr) {
-      return std::string(1, static_cast<char>(c));
-    }
-    std::string tok(1, static_cast<char>(c));
-    while (true) {
-      const int p = is_.peek();
-      if (p == EOF || std::isspace(static_cast<unsigned char>(p)) ||
-          std::strchr("();,.=", p) != nullptr) {
-        break;
-      }
-      tok.push_back(static_cast<char>(is_.get()));
-    }
-    return tok;
+void expect(util::TextReader& in, const char* want) {
+  if (in.token(kPunct, want) != want) {
+    in.fail(std::string("expected '") + want + "'");
   }
-
-  std::string expect(const char* what) {
-    std::string tok = next();
-    if (tok.empty()) {
-      throw std::runtime_error(
-          std::string("Verilog parse error: unexpected EOF, expected ") +
-          what);
-    }
-    return tok;
-  }
-
-  void expectToken(const std::string& literal) {
-    const std::string tok = expect(literal.c_str());
-    if (tok != literal) {
-      throw std::runtime_error("Verilog parse error: expected '" + literal +
-                               "', got '" + tok + "'");
-    }
-  }
-
- private:
-  void skip() {
-    while (true) {
-      const int p = is_.peek();
-      if (p == EOF) return;
-      if (std::isspace(static_cast<unsigned char>(p))) {
-        is_.get();
-        continue;
-      }
-      if (p == '/') {
-        is_.get();
-        if (is_.peek() == '/') {
-          std::string line;
-          std::getline(is_, line);
-          continue;
-        }
-        is_.unget();
-        return;
-      }
-      return;
-    }
-  }
-
-  std::istream& is_;
-};
+}
 
 struct Instance {
   CellKind kind;
@@ -216,117 +150,93 @@ struct Instance {
   std::vector<std::string> ins;  // by pin order A, B, C
 };
 
-}  // namespace
-
-Netlist parseVerilog(std::istream& is) {
-  VerilogLexer lex(is);
-  lex.expectToken("module");
-  const std::string module_name = lex.expect("module name");
-  lex.expectToken("(");
+/// The module in `in`. Errors found once the whole module is read (a
+/// duplicate input, a cycle, an undriven output) name its end.
+Netlist parseVerilog(util::TextReader& in) {
+  expect(in, "module");
+  const std::string module_name(in.token(kPunct, "module name"));
+  expect(in, "(");
   // Port list: names only; direction comes from the declarations.
-  while (true) {
-    const std::string tok = lex.expect("port or ')'");
-    if (tok == ")") break;
-    if (tok == ",") continue;
-    // port identifier, ignored here
+  while (in.token(kPunct, "port or ')'") != ")") {
   }
-  lex.expectToken(";");
+  expect(in, ";");
 
   std::vector<std::string> input_names;
   std::vector<std::string> output_names;
   std::vector<Instance> instances;
   std::vector<std::pair<std::string, std::string>> assigns;  // lhs = rhs
 
-  while (true) {
-    std::string tok = lex.expect("declaration, instance, or endmodule");
-    if (tok == "endmodule") {
-      const std::string trailing = lex.next();
-      if (!trailing.empty()) {
-        throw std::runtime_error(
-            "Verilog parse error: trailing content after endmodule: '" +
-            trailing + "'");
-      }
-      break;
-    }
+  for (std::string_view tok;
+       (tok = in.token(kPunct, "declaration, instance or endmodule")) !=
+       "endmodule";) {
     if (tok == "input" || tok == "output" || tok == "wire") {
       const bool is_input = tok == "input";
       const bool is_output = tok == "output";
       while (true) {
-        const std::string name = lex.expect("identifier");
-        if (name == "[") {
-          throw std::runtime_error(
-              "Verilog parse error: vector declarations unsupported");
+        const std::string_view name = in.token(kPunct, "identifier");
+        if (name.starts_with('[')) {
+          in.fail("vector declarations unsupported");
         }
-        if (is_input) input_names.push_back(name);
-        if (is_output) output_names.push_back(name);
-        const std::string sep = lex.expect("',' or ';'");
+        if (is_input) input_names.emplace_back(name);
+        if (is_output) output_names.emplace_back(name);
+        const std::string_view sep = in.token(kPunct, "',' or ';'");
         if (sep == ";") break;
         if (sep != ",") {
-          throw std::runtime_error(
-              "Verilog parse error: bad declaration separator '" + sep +
-              "'");
+          in.fail("bad declaration separator '" + std::string(sep) + "'");
         }
       }
       continue;
     }
     if (tok == "assign") {
-      const std::string lhs = lex.expect("assign lhs");
-      lex.expectToken("=");
-      const std::string rhs = lex.expect("assign rhs");
-      lex.expectToken(";");
-      assigns.emplace_back(lhs, rhs);
+      std::string lhs(in.token(kPunct, "assign lhs"));
+      expect(in, "=");
+      std::string rhs(in.token(kPunct, "assign rhs"));
+      expect(in, ";");
+      assigns.emplace_back(std::move(lhs), std::move(rhs));
       continue;
     }
     // Otherwise: a cell instance.
     CellKind kind;
     if (!cellFromName(tok, kind)) {
-      throw std::runtime_error("Verilog parse error: unsupported construct "
-                               "or unknown cell '" +
-                               tok + "'");
+      in.fail("unsupported construct or unknown cell '" + std::string(tok) +
+              "'");
     }
     Instance instance;
     instance.kind = kind;
-    instance.name = lex.expect("instance name");
-    lex.expectToken("(");
+    instance.name = in.token(kPunct, "instance name");
+    expect(in, "(");
     std::map<std::string, std::string> pins;
-    while (true) {
-      const std::string p = lex.expect("'.' or ')'");
-      if (p == ")") break;
+    for (std::string_view p; (p = in.token(kPunct, "'.' or ')'")) != ")";) {
       if (p == ",") continue;
       if (p != ".") {
-        throw std::runtime_error(
-            "Verilog parse error: expected named connection, got '" + p +
-            "'");
+        in.fail("expected named connection, got '" + std::string(p) + "'");
       }
-      const std::string pin = lex.expect("pin name");
-      lex.expectToken("(");
-      const std::string net = lex.expect("net name");
-      lex.expectToken(")");
+      const std::string_view pin = in.token(kPunct, "pin name");
+      expect(in, "(");
+      const std::string_view net = in.token(kPunct, "net name");
+      expect(in, ")");
       if (!pins.emplace(pin, net).second) {
-        throw std::runtime_error("Verilog parse error: duplicate pin ." +
-                                 pin + " on " + instance.name);
+        in.fail("duplicate pin ." + std::string(pin) + " on " + instance.name);
       }
     }
-    lex.expectToken(";");
+    expect(in, ";");
     const auto y = pins.find("Y");
     if (y == pins.end()) {
-      throw std::runtime_error("Verilog parse error: instance " +
-                               instance.name + " has no .Y output");
+      in.fail("instance " + instance.name + " has no .Y output");
     }
     instance.y = y->second;
     const int arity = cellFanin(kind);
     for (int i = 0; i < arity; ++i) {
-      const auto in = pins.find(kPinNames[i]);
-      if (in == pins.end()) {
-        throw std::runtime_error(std::string("Verilog parse error: "
-                                             "instance ") +
-                                 instance.name + " missing pin ." +
-                                 kPinNames[i]);
+      const auto pin = pins.find(kPinNames[i]);
+      if (pin == pins.end()) {
+        in.fail("instance " + instance.name + " missing pin ." +
+                kPinNames[i]);
       }
-      instance.ins.push_back(in->second);
+      instance.ins.push_back(pin->second);
     }
     instances.push_back(std::move(instance));
   }
+  in.expectEnd("endmodule");
 
   // Build the netlist: inputs first, then instances in topological
   // order (Kahn over net definitions), consts on demand.
@@ -334,8 +244,7 @@ Netlist parseVerilog(std::istream& is) {
   std::map<std::string, NetId> net_of;
   for (const std::string& name : input_names) {
     if (net_of.count(name)) {
-      throw std::runtime_error("Verilog parse error: duplicate input '" +
-                               name + "'");
+      in.fail("duplicate input '" + name + "'");
     }
     net_of[name] = nl.addInput(name);
   }
@@ -367,8 +276,8 @@ Netlist parseVerilog(std::istream& is) {
       const Instance& instance = instances[i];
       std::vector<NetId> ins;
       bool ready = true;
-      for (const std::string& in : instance.ins) {
-        const NetId net = resolveOperand(in);
+      for (const std::string& name : instance.ins) {
+        const NetId net = resolveOperand(name);
         if (net == kNoNet) {
           ready = false;
           break;
@@ -377,8 +286,7 @@ Netlist parseVerilog(std::istream& is) {
       }
       if (!ready) continue;
       if (net_of.count(instance.y)) {
-        throw std::runtime_error("Verilog parse error: net '" +
-                                 instance.y + "' multiply driven");
+        in.fail("net '" + instance.y + "' multiply driven");
       }
       net_of[instance.y] = nl.addGate(instance.kind, ins, instance.y);
       placed[i] = true;
@@ -386,9 +294,7 @@ Netlist parseVerilog(std::istream& is) {
       progress = true;
     }
     if (!progress) {
-      throw std::runtime_error(
-          "Verilog parse error: combinational cycle or undriven net in "
-          "instance graph");
+      in.fail("combinational cycle or undriven net in instance graph");
     }
   }
 
@@ -401,24 +307,27 @@ Netlist parseVerilog(std::istream& is) {
     if (alias != alias_of.end()) source = alias->second;
     const NetId net = resolveOperand(source);
     if (net == kNoNet) {
-      throw std::runtime_error("Verilog parse error: output '" + out +
-                               "' is never driven");
+      in.fail("output '" + out + "' is never driven");
     }
     nl.markOutput(net, out);
   }
   return nl;
 }
 
-Netlist parseVerilogString(const std::string& text) {
-  std::istringstream is(text);
-  return parseVerilog(is);
+}  // namespace
+
+Netlist parseVerilogString(std::string_view text) {
+  util::TextReader in(text);
+  try {
+    return parseVerilog(in);
+  } catch (const util::StatusError& error) {
+    throw util::StatusError(util::Status::parseError(
+        "Verilog parse error: " + error.status().message));
+  }
 }
 
 Netlist parseVerilogFile(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("parseVerilogFile: cannot open " + path + ": " +
-                             std::strerror(errno));
-  return parseVerilog(is);
+  return parseVerilogString(util::readFile(path, "parseVerilogFile"));
 }
 
 }  // namespace tevot::netlist

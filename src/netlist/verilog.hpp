@@ -11,13 +11,15 @@
 // Supported subset: one module; `input`/`output`/`wire` scalar
 // declarations; primitive-cell instances with named port connections
 // (.Y/.A/.B/.C); `1'b0`/`1'b1` constant connections; `assign out = in;`
-// aliases for outputs driven by named nets; line comments. Vectors,
-// behavioural constructs and hierarchies are rejected with a
-// diagnostic.
+// aliases for outputs driven by named nets; // and /* */ comments.
+// The parser reads with util::TextReader::token, with "();,.=" as
+// tokens of their own. Vectors, behavioural constructs and hierarchies
+// are rejected with a diagnostic.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "netlist/netlist.hpp"
 
@@ -27,15 +29,19 @@ namespace tevot::netlist {
 /// netlist.
 void writeVerilog(std::ostream& os, const Netlist& nl);
 std::string toVerilogString(const Netlist& nl);
+/// Writes atomically (util::writeFileAtomic); a failed open or write
+/// throws util::StatusError (kIoError) and leaves `path` as it was.
 void writeVerilogFile(const std::string& path, const Netlist& nl);
 
 /// Parses a structural Verilog module (the subset above) back into a
 /// Netlist. Gate creation order follows a topological order of the
 /// parsed instances (instances may appear in any order in the file).
-/// Throws std::runtime_error with a diagnostic on unsupported or
-/// malformed input.
-Netlist parseVerilog(std::istream& is);
-Netlist parseVerilogString(const std::string& text);
+/// Unsupported or malformed input throws util::StatusError
+/// (kParseError, "Verilog parse error: ... at byte N"), as do an
+/// instance graph with a cycle, an undriven output and anything but
+/// whitespace after `endmodule`.
+Netlist parseVerilogString(std::string_view text);
+/// A failed open or read throws util::StatusError (kIoError).
 Netlist parseVerilogFile(const std::string& path);
 
 }  // namespace tevot::netlist

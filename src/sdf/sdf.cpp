@@ -1,13 +1,12 @@
 #include "sdf/sdf.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/status.hpp"
+#include "util/text_io.hpp"
 
 namespace tevot::sdf {
 namespace {
@@ -19,123 +18,119 @@ std::string formatPs(double ps) {
   return buf;
 }
 
-/// Tiny S-expression-ish tokenizer over SDF text.
-class Lexer {
- public:
-  explicit Lexer(std::istream& is) : is_(is) {}
+/// SDF tokens: parentheses and the ':' of a min:typ:max triple stand
+/// alone, so "(1.5:1.5:1.5)" is seven tokens.
+constexpr std::string_view kPunct = "():";
 
-  /// Token kinds: "(", ")", or an atom (word/number/quoted string).
-  std::string next() {
-    skipSpace();
-    const int c = is_.get();
-    if (c == EOF) return {};
-    if (c == '(' || c == ')') return std::string(1, static_cast<char>(c));
-    if (c == '"') {
-      std::string atom;
-      int q;
-      while ((q = is_.get()) != EOF && q != '"') {
-        atom.push_back(static_cast<char>(q));
-      }
-      return atom;
-    }
-    std::string atom(1, static_cast<char>(c));
-    while (true) {
-      const int p = is_.peek();
-      if (p == EOF || p == '(' || p == ')' ||
-          std::isspace(static_cast<unsigned char>(p))) {
-        break;
-      }
-      atom.push_back(static_cast<char>(is_.get()));
-    }
-    return atom;
-  }
-
-  std::string expect(const std::string& what) {
-    std::string tok = next();
-    if (tok.empty()) {
-      throw std::runtime_error("SDF parse error: unexpected EOF, expected " +
-                               what);
-    }
-    return tok;
-  }
-
-  void expectToken(const std::string& literal) {
-    const std::string tok = expect("'" + literal + "'");
-    if (tok != literal) {
-      throw std::runtime_error("SDF parse error: expected '" + literal +
-                               "', got '" + tok + "'");
-    }
-  }
-
- private:
-  void skipSpace() {
-    while (true) {
-      const int p = is_.peek();
-      if (p == EOF) return;
-      if (std::isspace(static_cast<unsigned char>(p))) {
-        is_.get();
-        continue;
-      }
-      // // comments (not standard SDF but harmless to accept)
-      if (p == '/') {
-        is_.get();
-        if (is_.peek() == '/') {
-          std::string line;
-          std::getline(is_, line);
-          continue;
-        }
-        is_.unget();
-        return;
-      }
-      return;
-    }
-  }
-
-  std::istream& is_;
-};
-
-double parseDouble(const std::string& tok, const char* context) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(tok, &consumed);
-    if (consumed != tok.size()) throw std::invalid_argument(tok);
-    // stod happily parses "nan" and "inf"; a delay file carrying
-    // either is garbage, never a valid annotation.
-    if (!std::isfinite(value)) {
-      throw std::runtime_error(
-          std::string("SDF parse error: non-finite number '") + tok +
-          "' in " + context);
-    }
-    return value;
-  } catch (const std::runtime_error&) {
-    throw;
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("SDF parse error: bad number '") +
-                             tok + "' in " + context);
+void expect(util::TextReader& in, const char* want) {
+  if (in.token(kPunct, want) != want) {
+    in.fail(std::string("expected '") + want + "'");
   }
 }
 
-/// Parses "(v:v:v)" with the opening paren already consumed by caller
-/// logic; here we consume from "(" through ")" and return typ.
-double parseTriple(Lexer& lex, const char* context) {
-  lex.expectToken("(");
-  const std::string triple = lex.expect("min:typ:max triple");
-  lex.expectToken(")");
-  const std::size_t first = triple.find(':');
-  const std::size_t second = triple.rfind(':');
-  if (first == std::string::npos || second == first) {
-    throw std::runtime_error(
-        std::string("SDF parse error: malformed triple in ") + context);
-  }
-  const double min = parseDouble(triple.substr(0, first), context);
-  const double typ =
-      parseDouble(triple.substr(first + 1, second - first - 1), context);
-  const double max = parseDouble(triple.substr(second + 1), context);
+/// The contents of a "..." token; a bare token stands for itself.
+std::string_view unquoted(std::string_view token) {
+  return token.starts_with('"') ? token.substr(1, token.size() - 2) : token;
+}
+
+/// "v:v:v" with three finite, equal fields; returns v.
+double triple(util::TextReader& in, const char* what) {
+  const double min = in.decimal(kPunct, what);
+  expect(in, ":");
+  const double typ = in.decimal(kPunct, what);
+  expect(in, ":");
+  const double max = in.decimal(kPunct, what);
   if (min != typ || typ != max) {
-    throw std::runtime_error(
-        std::string("SDF parse error: unequal min:typ:max in ") + context);
+    in.fail(std::string("unequal min:typ:max in ") + what);
   }
   return typ;
+}
+
+/// The gate an INSTANCE names: 'g' and its index in the netlist.
+netlist::GateId instance(util::TextReader& in, const netlist::Netlist& nl) {
+  const std::string_view name = in.token(kPunct, "instance name");
+  std::size_t id = nl.gateCount();
+  if (name.starts_with('g')) {
+    try {
+      id = util::TextReader(name.substr(1)).integer<std::size_t>("instance");
+    } catch (const util::StatusError&) {
+      // Not a gate index; reported below with the whole name.
+    }
+  }
+  if (id >= nl.gateCount()) {
+    in.fail("instance '" + std::string(name) + "' is not a netlist gate");
+  }
+  return static_cast<netlist::GateId>(id);
+}
+
+liberty::CornerDelays parseSdf(util::TextReader& in,
+                               const netlist::Netlist& nl) {
+  liberty::CornerDelays delays;
+  delays.rise_ps.assign(nl.gateCount(), 0.0);
+  delays.fall_ps.assign(nl.gateCount(), 0.0);
+  std::vector<bool> seen(nl.gateCount(), false);
+  std::size_t cells_seen = 0;
+
+  expect(in, "(");
+  expect(in, "DELAYFILE");
+  while (true) {
+    const std::string_view open =
+        in.token(kPunct, "header entry, CELL or ')'");
+    if (open == ")") break;
+    if (open != "(") in.fail("expected '('");
+    const std::string_view keyword = in.token(kPunct, "section keyword");
+    if (keyword == "SDFVERSION" || keyword == "TIMESCALE") {
+      in.token(kPunct, "header value");
+    } else if (keyword == "DESIGN") {
+      if (unquoted(in.token(kPunct, "design name")) != nl.name()) {
+        in.fail("DESIGN does not match netlist '" + nl.name() + "'");
+      }
+    } else if (keyword == "VOLTAGE") {
+      delays.corner.voltage = triple(in, "VOLTAGE");
+    } else if (keyword == "TEMPERATURE") {
+      delays.corner.temperature = triple(in, "TEMPERATURE");
+    } else if (keyword == "CELL") {
+      // (CELLTYPE "...") (INSTANCE gN) (DELAY (ABSOLUTE (IOPATH ...)))
+      expect(in, "(");
+      expect(in, "CELLTYPE");
+      const std::string_view celltype = unquoted(in.token(kPunct, "cell type"));
+      expect(in, ")");
+      expect(in, "(");
+      expect(in, "INSTANCE");
+      const netlist::GateId g = instance(in, nl);
+      expect(in, ")");
+      if (seen[g]) in.fail("duplicate instance g" + std::to_string(g));
+      seen[g] = true;
+      netlist::CellKind kind;
+      if (!netlist::cellFromName(celltype, kind) || kind != nl.gate(g).kind) {
+        in.fail("CELLTYPE '" + std::string(celltype) +
+                "' contradicts netlist for g" + std::to_string(g));
+      }
+      for (const char* word : {"(", "DELAY", "(", "ABSOLUTE", "(", "IOPATH"}) {
+        expect(in, word);
+      }
+      in.token(kPunct, "input port spec");   // "*"
+      in.token(kPunct, "output port name");  // display name, unused
+      expect(in, "(");
+      delays.rise_ps[g] = triple(in, "IOPATH rise");
+      expect(in, ")");
+      expect(in, "(");
+      delays.fall_ps[g] = triple(in, "IOPATH fall");
+      expect(in, ")");
+      expect(in, ")");  // IOPATH
+      expect(in, ")");  // ABSOLUTE
+      expect(in, ")");  // DELAY
+      ++cells_seen;
+    } else {
+      in.fail("unsupported section '" + std::string(keyword) + "'");
+    }
+    expect(in, ")");
+  }
+  if (cells_seen != nl.gateCount()) {
+    in.fail("cell count does not match netlist");
+  }
+  in.expectEnd("DELAYFILE");
+  return delays;
 }
 
 }  // namespace
@@ -179,138 +174,27 @@ std::string toSdfString(const netlist::Netlist& nl,
   return os.str();
 }
 
-liberty::CornerDelays parseSdf(std::istream& is, const netlist::Netlist& nl) {
-  Lexer lex(is);
-  liberty::CornerDelays delays;
-  delays.rise_ps.assign(nl.gateCount(), 0.0);
-  delays.fall_ps.assign(nl.gateCount(), 0.0);
-  std::vector<bool> seen(nl.gateCount(), false);
-
-  lex.expectToken("(");
-  lex.expectToken("DELAYFILE");
-  std::size_t cells_seen = 0;
-  while (true) {
-    std::string tok = lex.expect("header entry, CELL, or ')'");
-    if (tok == ")") break;
-    if (tok != "(") {
-      throw std::runtime_error("SDF parse error: expected '(', got '" + tok +
-                               "'");
-    }
-    const std::string keyword = lex.expect("section keyword");
-    if (keyword == "SDFVERSION" || keyword == "TIMESCALE" ||
-        keyword == "DESIGN") {
-      const std::string value = lex.expect("header value");
-      if (keyword == "DESIGN" && value != nl.name()) {
-        throw std::runtime_error("SDF parse error: DESIGN '" + value +
-                                 "' does not match netlist '" + nl.name() +
-                                 "'");
-      }
-      lex.expectToken(")");
-    } else if (keyword == "VOLTAGE" || keyword == "TEMPERATURE") {
-      const std::string triple = lex.expect("triple");
-      const std::size_t colon = triple.find(':');
-      const double value =
-          parseDouble(colon == std::string::npos ? triple
-                                                 : triple.substr(0, colon),
-                      keyword.c_str());
-      if (keyword == "VOLTAGE") {
-        delays.corner.voltage = value;
-      } else {
-        delays.corner.temperature = value;
-      }
-      lex.expectToken(")");
-    } else if (keyword == "CELL") {
-      // (CELLTYPE "...") (INSTANCE gN) (DELAY (ABSOLUTE (IOPATH ...)))
-      lex.expectToken("(");
-      lex.expectToken("CELLTYPE");
-      const std::string celltype = lex.expect("cell type");
-      lex.expectToken(")");
-      lex.expectToken("(");
-      lex.expectToken("INSTANCE");
-      const std::string instance = lex.expect("instance name");
-      lex.expectToken(")");
-      if (instance.size() < 2 || instance[0] != 'g') {
-        throw std::runtime_error("SDF parse error: bad instance '" +
-                                 instance + "'");
-      }
-      netlist::GateId gate_id = 0;
-      try {
-        std::size_t consumed = 0;
-        const unsigned long parsed = std::stoul(instance.substr(1), &consumed);
-        if (consumed != instance.size() - 1) {
-          throw std::invalid_argument(instance);
-        }
-        gate_id = static_cast<netlist::GateId>(parsed);
-      } catch (const std::exception&) {
-        throw std::runtime_error("SDF parse error: bad instance '" +
-                                 instance + "'");
-      }
-      if (gate_id >= nl.gateCount()) {
-        throw std::runtime_error("SDF parse error: instance '" + instance +
-                                 "' not in netlist");
-      }
-      if (seen[gate_id]) {
-        throw std::runtime_error("SDF parse error: duplicate instance '" +
-                                 instance + "'");
-      }
-      seen[gate_id] = true;
-      netlist::CellKind kind;
-      if (!netlist::cellFromName(celltype, kind) ||
-          kind != nl.gate(gate_id).kind) {
-        throw std::runtime_error("SDF parse error: CELLTYPE '" + celltype +
-                                 "' contradicts netlist for " + instance);
-      }
-      lex.expectToken("(");
-      lex.expectToken("DELAY");
-      lex.expectToken("(");
-      lex.expectToken("ABSOLUTE");
-      lex.expectToken("(");
-      lex.expectToken("IOPATH");
-      lex.expect("input port spec");   // "*"
-      lex.expect("output port name");  // display name, unused
-      delays.rise_ps[gate_id] = parseTriple(lex, "IOPATH rise");
-      delays.fall_ps[gate_id] = parseTriple(lex, "IOPATH fall");
-      lex.expectToken(")");  // IOPATH
-      lex.expectToken(")");  // ABSOLUTE
-      lex.expectToken(")");  // DELAY
-      lex.expectToken(")");  // CELL
-      ++cells_seen;
-    } else {
-      throw std::runtime_error("SDF parse error: unsupported section '" +
-                               keyword + "'");
-    }
-  }
-  if (cells_seen != nl.gateCount()) {
-    throw std::runtime_error(
-        "SDF parse error: cell count does not match netlist");
-  }
-  return delays;
-}
-
-liberty::CornerDelays parseSdfString(const std::string& text,
+liberty::CornerDelays parseSdfString(std::string_view text,
                                      const netlist::Netlist& nl) {
-  std::istringstream is(text);
-  return parseSdf(is, nl);
+  util::TextReader in(text);
+  try {
+    return parseSdf(in, nl);
+  } catch (const util::StatusError& error) {
+    throw util::StatusError(
+        util::Status::parseError("SDF parse error: " + error.status().message));
+  }
 }
 
 void writeSdfFile(const std::string& path, const netlist::Netlist& nl,
                   const liberty::CornerDelays& delays) {
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error("writeSdfFile: cannot open " + path + ": " +
-                             std::strerror(errno));
-  }
-  writeSdf(os, nl, delays);
+  util::writeFileAtomic(path, "writeSdfFile", [&](util::TextWriter& out) {
+    out.text(toSdfString(nl, delays));
+  });
 }
 
 liberty::CornerDelays parseSdfFile(const std::string& path,
                                    const netlist::Netlist& nl) {
-  std::ifstream is(path);
-  if (!is) {
-    throw std::runtime_error("parseSdfFile: cannot open " + path + ": " +
-                             std::strerror(errno));
-  }
-  return parseSdf(is, nl);
+  return parseSdfString(util::readFile(path, "parseSdfFile"), nl);
 }
 
 }  // namespace tevot::sdf

@@ -12,11 +12,14 @@
 // INSTANCE and a single ABSOLUTE IOPATH carrying (rise)(fall) triples
 // with equal min:typ:max. This matches what the simulator consumes;
 // interconnect delays, conditional paths and timing checks are out of
-// scope and rejected by the parser.
+// scope and rejected by the parser. The parser reads with
+// util::TextReader::token: '(', ')' and ':' are tokens of their own,
+// "..." strings and // or /* */ comments are allowed.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "liberty/corner.hpp"
 #include "netlist/netlist.hpp"
@@ -32,15 +35,18 @@ std::string toSdfString(const netlist::Netlist& nl,
                         const liberty::CornerDelays& delays);
 
 /// Parses SDF text produced by writeSdf back into CornerDelays for the
-/// same netlist. Throws std::runtime_error with a line-ish diagnostic
-/// on malformed input, on a DESIGN name mismatch, on a gate-count
-/// mismatch, or on a CELLTYPE that contradicts the netlist.
-liberty::CornerDelays parseSdf(std::istream& is, const netlist::Netlist& nl);
-
-liberty::CornerDelays parseSdfString(const std::string& text,
+/// same netlist. Malformed input throws util::StatusError (kParseError,
+/// "SDF parse error: ... at byte N"): a token the subset does not allow,
+/// a triple whose three fields are not finite and equal, a DESIGN name,
+/// CELLTYPE or gate count that contradicts the netlist, an INSTANCE
+/// that is not 'g' and a gate index, or anything but whitespace after
+/// the closing ')'.
+liberty::CornerDelays parseSdfString(std::string_view text,
                                      const netlist::Netlist& nl);
 
-/// Writes to / reads from a file path.
+/// Writes to / reads from a file path. The write is atomic
+/// (util::writeFileAtomic); a failed open, read or write throws
+/// util::StatusError (kIoError).
 void writeSdfFile(const std::string& path, const netlist::Netlist& nl,
                   const liberty::CornerDelays& delays);
 liberty::CornerDelays parseSdfFile(const std::string& path,

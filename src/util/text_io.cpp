@@ -96,6 +96,42 @@ std::string_view TextReader::word() {
   return text_.substr(start, pos_ - start);
 }
 
+void TextReader::skipSpaceAndComments() {
+  while (true) {
+    skipSpace();
+    const std::string_view rest = text_.substr(pos_);
+    if (rest.starts_with("//")) {
+      pos_ = std::min(text_.find('\n', pos_), text_.size());
+    } else if (rest.starts_with("/*")) {
+      const std::size_t close = text_.find("*/", pos_ + 2);
+      if (close == std::string_view::npos) fail("unterminated comment");
+      pos_ = close + 2;
+    } else {
+      return;
+    }
+  }
+}
+
+std::string_view TextReader::token(std::string_view punct,
+                                   const char* what) {
+  skipSpaceAndComments();
+  if (pos_ == text_.size()) fail(std::string("truncated: expected ") + what);
+  const std::size_t start = pos_;
+  if (text_[pos_] == '"') {
+    const std::size_t close = text_.find('"', pos_ + 1);
+    if (close == std::string_view::npos) fail("unterminated string");
+    pos_ = close + 1;
+  } else if (punct.find(text_[pos_]) != std::string_view::npos) {
+    ++pos_;
+  } else {
+    while (pos_ < text_.size() && !isSpace(text_[pos_]) &&
+           punct.find(text_[pos_]) == std::string_view::npos) {
+      ++pos_;
+    }
+  }
+  return text_.substr(start, pos_ - start);
+}
+
 void TextReader::expect(std::string_view expected) {
   skipSpace();
   const std::size_t start = pos_;
@@ -159,6 +195,22 @@ double TextReader::hexDouble(const char* what) {
   }
   pos_ = start + token.size();
   return negative ? -value : value;
+}
+
+double TextReader::decimal(std::string_view punct, const char* what) {
+  const std::string_view token = this->token(punct, what);
+  double value = 0.0;
+  const std::from_chars_result result =
+      std::from_chars(token.data(), token.data() + token.size(), value,
+                      std::chars_format::general);
+  if (result.ec == std::errc() && result.ptr == token.data() + token.size() &&
+      std::isfinite(value)) {
+    return value;
+  }
+  // from_chars reads "nan" and "inf" and leaves `value` alone on error.
+  pos_ = static_cast<std::size_t>(token.data() - text_.data());
+  fail((std::isfinite(value) ? "bad " : "non-finite ") + std::string(what) +
+       " '" + std::string(token.substr(0, 24)) + "'");
 }
 
 void TextReader::finishNumber(const std::from_chars_result& result,

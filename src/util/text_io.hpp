@@ -1,5 +1,6 @@
 // Number-exact text I/O: the one path every saved model and sweep
-// checkpoint is written and read through.
+// checkpoint is written and read through, and the one cursor the SDF,
+// Liberty, Verilog and VCD loaders read with.
 //
 // TextWriter formats numbers with std::to_chars into one fixed-size
 // chunk and hands the chunk to an ostream whenever it fills, so a
@@ -15,9 +16,11 @@
 // leading '+' or a leading zero ("007") is an error, not a number.
 // Floats must be finite and in range ("nan", "inf" and "1e50" are
 // rejected); a hexfloat must be spelled exactly as the writer spells
-// it. Every failure throws util::StatusError (kParseError) naming what
-// was expected and the byte offset, so a truncated file says where it
-// broke off.
+// it. token() splits the source-language formats (SDF, Liberty,
+// Verilog) the same way, with punctuation, quoted strings and comments
+// on top, and decimal() reads their "%.17g" numbers. Every failure
+// throws util::StatusError (kParseError) naming what was expected and
+// the byte offset, so a truncated file says where it broke off.
 //
 // readFile and writeFileAtomic are the file ends of the two: one read
 // into one buffer, and one write that no reader ever sees half done.
@@ -86,6 +89,13 @@ class TextReader {
   /// The bytes after the cursor up to the end of their line (or of the
   /// input); the newline is consumed, not returned.
   std::string_view restOfLine();
+  /// The next token of a source-language text (SDF, Liberty,
+  /// Verilog): each character of `punct` is a token of its own and
+  /// ends a word, a "..." string is one token (quotes included), and
+  /// // and /* */ comments are skipped like whitespace. Throws at the
+  /// end of the input (`what` names the token) and on an unterminated
+  /// string or comment.
+  std::string_view token(std::string_view punct, const char* what);
 
   /// The next token as an Int. `what` names it in the error.
   template <std::integral Int>
@@ -114,6 +124,9 @@ class TextReader {
   float finiteFloat(const char* what);
   /// The next token as a finite double written by TextWriter::hexDouble.
   double hexDouble(const char* what);
+  /// The next token(punct) as a finite decimal double ("0.9",
+  /// "-1.5e-3"); the number must be the whole token.
+  double decimal(std::string_view punct, const char* what);
 
   /// Throws unless nothing but whitespace is left; `after` names what
   /// the input should have ended with.
@@ -134,6 +147,8 @@ class TextReader {
   const char* here() const { return text_.data() + pos_; }
   const char* end() const { return text_.data() + text_.size(); }
   void skipSpace();
+  /// Skips whitespace and // and /* */ comments.
+  void skipSpaceAndComments();
   /// Checks a from_chars result covers a whole token and moves past it.
   void finishNumber(const std::from_chars_result& result, const char* what);
 

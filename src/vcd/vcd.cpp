@@ -1,8 +1,11 @@
 #include "vcd/vcd.hpp"
 
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/status.hpp"
+#include "util/text_io.hpp"
 
 namespace tevot::vcd {
 namespace {
@@ -87,97 +90,90 @@ void VcdWriter::finish(std::uint64_t end_time_ps) {
   }
 }
 
-VcdData parseVcd(std::istream& is) {
-  VcdData data;
-  std::vector<SignalId> id_map;  // dense decode table is built lazily
-  // Every step stays <= kMaxSignalId * kIdBase + 93, so the decode
-  // cannot wrap.
-  auto decodeId = [](const std::string& code) -> std::uint64_t {
-    std::uint64_t v = 0;
-    for (auto it = code.rbegin(); it != code.rend(); ++it) {
-      const char c = *it;
-      if (c < kIdFirst || c > '~') {
-        throw std::runtime_error("VCD parse error: bad id code '" + code +
-                                 "'");
-      }
-      v = v * kIdBase + static_cast<std::uint64_t>(c - kIdFirst);
-      if (v > kMaxSignalId) {
-        throw std::runtime_error("VCD parse error: id code '" + code +
-                                 "' exceeds the signal cap");
-      }
-    }
-    return v;
-  };
+namespace {
 
+/// The signal `code` names (VcdWriter::idCode read back). Every step
+/// stays <= kMaxSignalId * kIdBase + 93, so the decode cannot wrap.
+SignalId decodeId(const util::TextReader& in, std::string_view code) {
+  if (code.empty()) in.fail("value change without an id code");
+  std::uint64_t v = 0;
+  for (auto it = code.rbegin(); it != code.rend(); ++it) {
+    if (*it < kIdFirst || *it > '~') {
+      in.fail("bad id code '" + std::string(code) + "'");
+    }
+    v = v * kIdBase + static_cast<std::uint64_t>(*it - kIdFirst);
+    if (v > kMaxSignalId) {
+      in.fail("id code '" + std::string(code) + "' exceeds the signal cap");
+    }
+  }
+  return static_cast<SignalId>(v);
+}
+
+VcdData parseVcd(util::TextReader& in) {
+  VcdData data;
   std::uint64_t now = 0;
   bool in_definitions = true;
-  std::string tok;
-  while (is >> tok) {
+  bool in_dumpvars = false;
+  for (std::string_view tok = in.word(); !tok.empty(); tok = in.word()) {
     if (tok == "$date" || tok == "$version" || tok == "$timescale" ||
         tok == "$scope" || tok == "$upscope" || tok == "$comment") {
-      std::string word;
-      std::ostringstream body;
-      while (is >> word && word != "$end") body << word << ' ';
-      if (tok == "$timescale") {
-        std::string ts = body.str();
-        if (!ts.empty() && ts.back() == ' ') ts.pop_back();
-        data.timescale = ts;
+      std::string body;
+      for (std::string_view word = in.word(); word != "$end";
+           word = in.word()) {
+        if (word.empty()) in.fail(std::string(tok) + " without $end");
+        if (!body.empty()) body += ' ';
+        body += word;
       }
+      if (tok == "$timescale") data.timescale = std::move(body);
     } else if (tok == "$var") {
-      std::string type, width, code, name, end;
-      if (!(is >> type >> width >> code >> name >> end) || end != "$end") {
-        throw std::runtime_error("VCD parse error: malformed $var");
-      }
-      if (width != "1") {
-        throw std::runtime_error(
-            "VCD parse error: only scalar signals supported");
-      }
-      const std::uint64_t id = decodeId(code);
+      in.word();  // type
+      const std::string_view width = in.word();
+      const std::string_view code = in.word();
+      const std::string_view name = in.word();
+      if (in.word() != "$end") in.fail("malformed $var");
+      if (width != "1") in.fail("only scalar signals supported");
+      const SignalId id = decodeId(in, code);
       if (id >= data.signal_names.size()) {
         data.signal_names.resize(id + 1);
       }
       data.signal_names[id] = name;
     } else if (tok == "$enddefinitions") {
-      std::string end;
-      is >> end;
+      in.expect("$end");
       in_definitions = false;
-    } else if (tok == "$dumpvars" || tok == "$end") {
-      // Initial-value section markers; values inside are parsed below.
-    } else if (!tok.empty() && tok[0] == '#') {
-      // stoull would throw a bare std::invalid_argument (or accept
-      // trailing garbage) on a corrupt timestamp; keep the error typed.
+    } else if (tok == "$dumpvars" || (tok == "$end" && in_dumpvars)) {
+      // The initial values between them are read as value changes.
+      in_dumpvars = tok == "$dumpvars";
+    } else if (tok[0] == '#') {
       try {
-        std::size_t consumed = 0;
-        now = std::stoull(tok.substr(1), &consumed);
-        if (consumed != tok.size() - 1) throw std::invalid_argument(tok);
-      } catch (const std::exception&) {
-        throw std::runtime_error("VCD parse error: bad timestamp '" + tok +
-                                 "'");
+        now = util::TextReader(tok.substr(1))
+                  .integer<std::uint64_t>("timestamp");
+      } catch (const util::StatusError&) {
+        in.fail("bad timestamp '" + std::string(tok) + "'");
       }
-    } else if (!tok.empty() && (tok[0] == '0' || tok[0] == '1')) {
-      if (in_definitions) {
-        throw std::runtime_error(
-            "VCD parse error: value change before $enddefinitions");
-      }
-      const bool value = tok[0] == '1';
-      const std::uint64_t id = decodeId(tok.substr(1));
+    } else if (tok[0] == '0' || tok[0] == '1') {
+      if (in_definitions) in.fail("value change before $enddefinitions");
+      const SignalId id = decodeId(in, tok.substr(1));
       if (id >= data.signal_names.size()) {
-        throw std::runtime_error("VCD parse error: change for unknown signal");
+        in.fail("change for unknown signal");
       }
-      data.changes.push_back(
-          Change{now, static_cast<SignalId>(id), value});
+      data.changes.push_back(Change{now, id, tok[0] == '1'});
     } else {
-      throw std::runtime_error("VCD parse error: unexpected token '" + tok +
-                               "'");
+      in.fail("unexpected token '" + std::string(tok) + "'");
     }
   }
-  (void)id_map;
   return data;
 }
 
-VcdData parseVcdString(const std::string& text) {
-  std::istringstream is(text);
-  return parseVcd(is);
+}  // namespace
+
+VcdData parseVcdString(std::string_view text) {
+  util::TextReader in(text);
+  try {
+    return parseVcd(in);
+  } catch (const util::StatusError& error) {
+    throw util::StatusError(util::Status::parseError(
+        "VCD parse error: " + error.status().message));
+  }
 }
 
 }  // namespace tevot::vcd

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tevot::vcd {
@@ -65,9 +66,15 @@ class VcdWriter {
 };
 
 /// Parses VCD text (the subset produced by VcdWriter: scalar signals,
-/// one module scope, 0/1 values). Throws std::runtime_error on
-/// malformed input.
-VcdData parseVcd(std::istream& is);
-VcdData parseVcdString(const std::string& text);
+/// one module scope, 0/1 values), split into whitespace-separated words
+/// by util::TextReader::word. Malformed input throws util::StatusError
+/// (kParseError, "VCD parse error: ... at byte N"): a section without
+/// its $end, a $var that is not scalar, an $enddefinitions not followed
+/// by $end, a $end that closes no $dumpvars, a timestamp that is not a
+/// whole unsigned number, or a value change before $enddefinitions,
+/// without an id code or for an unknown signal. VCD has no end marker:
+/// a file cut after a whole record, or inside a timestamp's digits,
+/// parses as the shorter dump.
+VcdData parseVcdString(std::string_view text);
 
 }  // namespace tevot::vcd

@@ -110,6 +110,7 @@ TEST(DvfsBinaryTest, MalformedNumericFlagIsUsageError) {
       {"--hysteresis", "nan"},  {"--deadline-ms", "-1"},
       {"--seed", "abc"},        {"--escape-budget", "1.5"},
       {"--serve-port", "70000"}, {"--jobs", "abc"},
+      {"--jobs", "257"},
   };
   for (const auto& [flag, value] : cases) {
     const RunResult result =

@@ -73,9 +73,8 @@ TEST(EndToEndTest, SdfFilePathMatchesInMemoryCharacterization) {
 
   std::ostringstream os;
   sdf::writeSdf(os, context.netlist(), direct);
-  std::istringstream is(os.str());
   const liberty::CornerDelays parsed =
-      sdf::parseSdf(is, context.netlist());
+      sdf::parseSdfString(os.str(), context.netlist());
 
   util::Rng rng(92);
   const auto workload =

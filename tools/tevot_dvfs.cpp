@@ -25,7 +25,7 @@
 // additionally requires --jobs 1.
 //
 // Numeric flags must be complete, finite numbers in range (--cycles
-// >= 2, --window >= 1, --jobs <= 1024, integers up to 2^53, no
+// >= 2, --window >= 1, --jobs <= 256, integers up to 2^53, no
 // negative guardband, hysteresis or deadline); anything else is a
 // usage error.
 //
@@ -56,8 +56,6 @@ constexpr int kExitUsage = 2;
 constexpr int kExitEscapes = 3;
 
 constexpr double kNoLimit = std::numeric_limits<double>::max();
-// Every job is a worker thread.
-constexpr double kMaxJobs = 1024;
 
 int usage() {
   std::fprintf(
@@ -169,7 +167,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--deadline-ms") {
       if (!number(0, kNoLimit, &options.deadline_ms)) return usage();
     } else if (arg == "--jobs") {
-      if (!number(0, kMaxJobs, &jobs)) return usage();
+      if (!number(0, util::kMaxJobs, &jobs)) return usage();
     } else if (arg == "--json") {
       if ((v = value()) == nullptr) return usage();
       json_path = v;
