@@ -15,13 +15,20 @@
 //
 // Run:  ./guardband_explorer [clock_ps]
 #include <cstdio>
-#include <cstdlib>
 
 #include "tevot/operating_grid.hpp"
 #include "tevot/pipeline.hpp"
+#include "util/env.hpp"
 
 int main(int argc, char** argv) {
   using namespace tevot;
+
+  // 0 (the default) picks the clock below.
+  double tclk = 0.0;
+  if (argc > 2 || (argc > 1 && !util::parseNumber(argv[1], 0.0, 1e12, &tclk))) {
+    std::fprintf(stderr, "usage: guardband_explorer [clock_ps in [0, 1e12]]\n");
+    return 2;
+  }
 
   core::FuContext context(circuits::FuKind::kIntMul);
   util::Rng rng(77);
@@ -39,8 +46,7 @@ int main(int argc, char** argv) {
 
   // Target clock: by default 5% faster than the error-free clock at
   // 0.93 V (i.e. safe at nominal, aggressive at low voltage).
-  double tclk = argc > 1 ? std::atof(argv[1]) : 0.0;
-  if (tclk <= 0.0) {
+  if (tclk == 0.0) {
     tclk = dta::speedupClockPs(train_traces[6].baseClockPs(), 0.05);
   }
   std::printf("Guardband exploration for %s at %.0f C, clock %.1f ps\n\n",

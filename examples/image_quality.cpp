@@ -12,7 +12,6 @@
 //
 // Run:  ./image_quality [voltage] [temperature]
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 
@@ -20,12 +19,21 @@
 #include "apps/profile.hpp"
 #include "apps/synth_images.hpp"
 #include "tevot/pipeline.hpp"
+#include "util/env.hpp"
 
 int main(int argc, char** argv) {
   using namespace tevot;
 
-  const liberty::Corner corner{argc > 1 ? std::atof(argv[1]) : 0.85,
-                               argc > 2 ? std::atof(argv[2]) : 50.0};
+  liberty::Corner corner{0.85, 50.0};
+  if (argc > 3 ||
+      (argc > 1 && !util::parseNumber(argv[1], 1e-3, 10.0, &corner.voltage)) ||
+      (argc > 2 &&
+       !util::parseNumber(argv[2], -273.15, 1000.0, &corner.temperature))) {
+    std::fprintf(stderr,
+                 "usage: image_quality [voltage in [0.001, 10] V] "
+                 "[temperature in [-273.15, 1000] C]\n");
+    return 2;
+  }
   constexpr circuits::FuKind kFus[] = {circuits::FuKind::kIntAdd,
                                        circuits::FuKind::kIntMul};
 

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string_view>
 #include <vector>
@@ -151,13 +152,19 @@ struct Instance {
 };
 
 /// The module in `in`. Errors found once the whole module is read (a
-/// duplicate input, a cycle, an undriven output) name its end.
+/// port list that differs from the declarations, an assign onto an
+/// input, a duplicate input, a cycle, an undriven output) name its end.
 Netlist parseVerilog(util::TextReader& in) {
   expect(in, "module");
   const std::string module_name(in.token(kPunct, "module name"));
   expect(in, "(");
   // Port list: names only; direction comes from the declarations.
-  while (in.token(kPunct, "port or ')'") != ")") {
+  std::set<std::string> ports;
+  for (std::string_view port;
+       (port = in.token(kPunct, "port or ')'")) != ")";) {
+    if (port != "," && !ports.emplace(port).second) {
+      in.fail("port '" + std::string(port) + "' listed twice");
+    }
   }
   expect(in, ";");
 
@@ -237,6 +244,17 @@ Netlist parseVerilog(util::TextReader& in) {
     instances.push_back(std::move(instance));
   }
   in.expectEnd("endmodule");
+
+  // No assign drives an input, and the ports are exactly the inputs
+  // and outputs.
+  std::set<std::string> declared(input_names.begin(), input_names.end());
+  for (const auto& [lhs, rhs] : assigns) {
+    if (declared.count(lhs)) in.fail("assign onto input '" + lhs + "'");
+  }
+  declared.insert(output_names.begin(), output_names.end());
+  if (declared != ports) {
+    in.fail("port list is not the declared inputs and outputs");
+  }
 
   // Build the netlist: inputs first, then instances in topological
   // order (Kahn over net definitions), consts on demand.

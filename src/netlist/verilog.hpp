@@ -37,9 +37,10 @@ void writeVerilogFile(const std::string& path, const Netlist& nl);
 /// Netlist. Gate creation order follows a topological order of the
 /// parsed instances (instances may appear in any order in the file).
 /// Unsupported or malformed input throws util::StatusError
-/// (kParseError, "Verilog parse error: ... at byte N"), as do an
-/// instance graph with a cycle, an undriven output and anything but
-/// whitespace after `endmodule`.
+/// (kParseError, "Verilog parse error: ... at byte N"), as do a port
+/// list that is not exactly the declared inputs and outputs, an
+/// `assign` onto an input, an instance graph with a cycle, an undriven
+/// output and anything but whitespace after `endmodule`.
 Netlist parseVerilogString(std::string_view text);
 /// A failed open or read throws util::StatusError (kIoError).
 Netlist parseVerilogFile(const std::string& path);

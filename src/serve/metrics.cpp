@@ -1,39 +1,87 @@
 #include "serve/metrics.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 #include <vector>
 
+#include "util/text_io.hpp"
+
 namespace tevot::serve {
+namespace {
+
+using M = MetricsSnapshot;
+
+/// How mergeFrom combines a field: add it, keep the smallest nonzero
+/// (the oldest model set), or recompute it from the merged histogram.
+enum class Merge { kSum, kOldest, kDerived };
+
+/// One field of the metrics line: the text toLine writes ahead of the
+/// value, then `count` as a decimal integer or `ms` as "%.3f".
+struct Field {
+  std::string_view before;
+  std::uint64_t M::*count;
+  double M::*ms;
+  Merge merge;
+};
+
+/// The metrics line, field by field in the order toLine writes them;
+/// toLine, mergeFrom and parseMetricsLine all read this one table.
+constexpr Field kFields[] = {
+    {"requests=", &M::requests, nullptr, Merge::kSum},
+    {" ok=", &M::ok, nullptr, Merge::kSum},
+    {" shed=", &M::shed, nullptr, Merge::kSum},
+    {" deadline=", &M::deadline, nullptr, Merge::kSum},
+    {" errors=", &M::errors, nullptr, Merge::kSum},
+    {" connections=", &M::connections, nullptr, Merge::kSum},
+    {" dropped=", &M::connections_dropped, nullptr, Merge::kSum},
+    {" in_flight=", &M::in_flight, nullptr, Merge::kSum},
+    {"/", &M::max_connections, nullptr, Merge::kSum},
+    {" breakers_open=", &M::breakers_open, nullptr, Merge::kSum},
+    {" breaker_opens=", &M::breaker_opens, nullptr, Merge::kSum},
+    {" reloads=", &M::reloads, nullptr, Merge::kSum},
+    {" reload_failures=", &M::reload_failures, nullptr, Merge::kSum},
+    {" generation=", &M::generation, nullptr, Merge::kOldest},
+    {" p50_ms=", nullptr, &M::p50_ms, Merge::kDerived},
+    {" p95_ms=", nullptr, &M::p95_ms, Merge::kDerived},
+    {" p99_ms=", nullptr, &M::p99_ms, Merge::kDerived},
+    {" max_ms=", nullptr, &M::max_ms, Merge::kDerived},
+    {" latency_count=", &M::latency_count, nullptr, Merge::kDerived},
+};
+
+/// The (bucket, count) pairs of a lat_hist value ("-" when empty).
+bool parseBuckets(std::string_view text,
+                  std::vector<std::pair<std::size_t, std::size_t>>* out) {
+  if (text == "-") return true;
+  for (std::size_t at = 0; at <= text.size();) {
+    const std::size_t comma = std::min(text.find(',', at), text.size());
+    const std::string_view entry = text.substr(at, comma - at);
+    const std::size_t colon = entry.find(':');
+    auto& [bucket, count] = out->emplace_back();
+    if (colon == std::string_view::npos ||
+        !util::parseInteger(entry.substr(0, colon), &bucket) ||
+        !util::parseInteger(entry.substr(colon + 1), &count)) {
+      return false;
+    }
+    at = comma + 1;
+  }
+  return true;
+}
+
+}  // namespace
 
 std::string MetricsSnapshot::toLine() const {
-  char buf[640];
-  std::snprintf(
-      buf, sizeof(buf),
-      "requests=%llu ok=%llu shed=%llu deadline=%llu errors=%llu "
-      "connections=%llu dropped=%llu in_flight=%zu/%zu breakers_open=%zu "
-      "breaker_opens=%llu reloads=%llu reload_failures=%llu "
-      "generation=%llu p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f max_ms=%.3f "
-      "latency_count=%llu",
-      static_cast<unsigned long long>(requests),
-      static_cast<unsigned long long>(ok),
-      static_cast<unsigned long long>(shed),
-      static_cast<unsigned long long>(deadline),
-      static_cast<unsigned long long>(errors),
-      static_cast<unsigned long long>(connections),
-      static_cast<unsigned long long>(connections_dropped), in_flight,
-      max_connections, breakers_open,
-      static_cast<unsigned long long>(breaker_opens),
-      static_cast<unsigned long long>(reloads),
-      static_cast<unsigned long long>(reload_failures),
-      static_cast<unsigned long long>(generation), p50_ms, p95_ms, p99_ms,
-      max_ms, static_cast<unsigned long long>(latency_count));
-  std::string line = buf;
+  std::string line;
+  char buf[96];  // the longest piece: " lat_min=%a lat_max=%a lat_hist="
+  for (const Field& field : kFields) {
+    line += field.before;
+    if (field.count != nullptr) {
+      line += std::to_string(this->*field.count);
+    } else {
+      std::snprintf(buf, sizeof(buf), "%.3f", this->*field.ms);
+      line += buf;
+    }
+  }
   // Exact-distribution tail: hexfloat min/max plus the non-empty
   // buckets, so a parse on the far side of a pipe or socket rebuilds
   // the histogram bit-for-bit. "-" marks an empty histogram.
@@ -53,24 +101,15 @@ std::string MetricsSnapshot::toLine() const {
 }
 
 void MetricsSnapshot::mergeFrom(const MetricsSnapshot& other) {
-  connections += other.connections;
-  connections_dropped += other.connections_dropped;
-  requests += other.requests;
-  ok += other.ok;
-  shed += other.shed;
-  deadline += other.deadline;
-  errors += other.errors;
-  reloads += other.reloads;
-  reload_failures += other.reload_failures;
-  breaker_opens += other.breaker_opens;
-  in_flight += other.in_flight;
-  max_connections += other.max_connections;
-  breakers_open += other.breakers_open;
-  generation = generation == 0
-                   ? other.generation
-                   : (other.generation == 0
-                          ? generation
-                          : std::min(generation, other.generation));
+  for (const Field& field : kFields) {
+    if (field.merge == Merge::kSum) {
+      this->*field.count += other.*field.count;
+    } else if (field.merge == Merge::kOldest) {
+      std::uint64_t& mine = this->*field.count;
+      const std::uint64_t theirs = other.*field.count;
+      if (mine == 0 || (theirs != 0 && theirs < mine)) mine = theirs;
+    }
+  }
   latency.merge(other.latency);
   refreshLatencyFields();
 }
@@ -83,129 +122,62 @@ void MetricsSnapshot::refreshLatencyFields() {
   latency_count = latency.count();
 }
 
-namespace {
-
-bool parseU64(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || errno == ERANGE) return false;
-  *out = value;
-  return true;
-}
-
-bool parseDouble(const char* text, double* out) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text) return false;
-  *out = value;
-  return true;
-}
-
-}  // namespace
-
 bool parseMetricsLine(std::string_view line, MetricsSnapshot* out) {
+  // Skip the leading tag ("stats", "tevot_serve: final stats:"): the
+  // words before the first k=v token.
+  util::TextReader in(line);
+  std::string_view word = in.word();
+  while (!word.empty() && word.find('=') == std::string_view::npos) {
+    word = in.word();
+  }
+  if (word.empty()) return false;
+  const std::string_view body =
+      line.substr(static_cast<std::size_t>(word.data() - line.data()));
+
+  // Each field is its literal `before`, then a value up to the next
+  // ' ' or '/'.
+  std::size_t pos = 0;
+  std::string_view value;
+  const auto next = [&](std::string_view before) {
+    if (!body.substr(pos).starts_with(before)) return false;
+    pos += before.size();
+    const std::size_t end = std::min(body.find_first_of(" /", pos),
+                                     body.size());
+    value = body.substr(pos, end - pos);
+    pos = end;
+    return true;
+  };
   MetricsSnapshot snap;
-  bool saw_requests = false;
+  for (const Field& field : kFields) {
+    if (!next(field.before) ||
+        (field.merge != Merge::kDerived &&
+         !util::parseInteger(value, &(snap.*field.count)))) {
+      return false;
+    }
+  }
+  // The derived fields are recomputed from the histogram below, and the
+  // final comparison checks the line spelled them that way.
   double lat_min = 0.0;
   double lat_max = 0.0;
   std::vector<std::pair<std::size_t, std::size_t>> buckets;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    const std::size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') ++pos;
-    const std::string_view token = line.substr(start, pos - start);
-    if (token.empty()) continue;
-    const std::size_t eq = token.find('=');
-    if (eq == std::string_view::npos) {
-      // A leading tag ("stats", "tevot_serve:", …) is tolerated, but
-      // only before any k=v token — junk between pairs is malformed.
-      if (saw_requests || !buckets.empty()) return false;
-      continue;
-    }
-    const std::string key(token.substr(0, eq));
-    const std::string value(token.substr(eq + 1));
-    std::uint64_t u64 = 0;
-    if (key == "requests") {
-      if (!parseU64(value.c_str(), &snap.requests)) return false;
-      saw_requests = true;
-    } else if (key == "ok") {
-      if (!parseU64(value.c_str(), &snap.ok)) return false;
-    } else if (key == "shed") {
-      if (!parseU64(value.c_str(), &snap.shed)) return false;
-    } else if (key == "deadline") {
-      if (!parseU64(value.c_str(), &snap.deadline)) return false;
-    } else if (key == "errors") {
-      if (!parseU64(value.c_str(), &snap.errors)) return false;
-    } else if (key == "connections") {
-      if (!parseU64(value.c_str(), &snap.connections)) return false;
-    } else if (key == "dropped") {
-      if (!parseU64(value.c_str(), &snap.connections_dropped)) return false;
-    } else if (key == "in_flight") {
-      const std::size_t slash = value.find('/');
-      if (slash == std::string::npos) return false;
-      std::uint64_t in_flight = 0;
-      std::uint64_t capacity = 0;
-      if (!parseU64(value.substr(0, slash).c_str(), &in_flight) ||
-          !parseU64(value.substr(slash + 1).c_str(), &capacity)) {
-        return false;
-      }
-      snap.in_flight = static_cast<std::size_t>(in_flight);
-      snap.max_connections = static_cast<std::size_t>(capacity);
-    } else if (key == "breakers_open") {
-      if (!parseU64(value.c_str(), &u64)) return false;
-      snap.breakers_open = static_cast<std::size_t>(u64);
-    } else if (key == "breaker_opens") {
-      if (!parseU64(value.c_str(), &snap.breaker_opens)) return false;
-    } else if (key == "reloads") {
-      if (!parseU64(value.c_str(), &snap.reloads)) return false;
-    } else if (key == "reload_failures") {
-      if (!parseU64(value.c_str(), &snap.reload_failures)) return false;
-    } else if (key == "generation") {
-      if (!parseU64(value.c_str(), &snap.generation)) return false;
-    } else if (key == "p50_ms") {
-      if (!parseDouble(value.c_str(), &snap.p50_ms)) return false;
-    } else if (key == "p95_ms") {
-      if (!parseDouble(value.c_str(), &snap.p95_ms)) return false;
-    } else if (key == "p99_ms") {
-      if (!parseDouble(value.c_str(), &snap.p99_ms)) return false;
-    } else if (key == "max_ms") {
-      if (!parseDouble(value.c_str(), &snap.max_ms)) return false;
-    } else if (key == "latency_count") {
-      if (!parseU64(value.c_str(), &snap.latency_count)) return false;
-    } else if (key == "lat_min") {
-      if (!parseDouble(value.c_str(), &lat_min)) return false;
-    } else if (key == "lat_max") {
-      if (!parseDouble(value.c_str(), &lat_max)) return false;
-    } else if (key == "lat_hist") {
-      if (value == "-") continue;
-      std::size_t offset = 0;
-      while (offset < value.size()) {
-        std::size_t comma = value.find(',', offset);
-        if (comma == std::string::npos) comma = value.size();
-        const std::string entry = value.substr(offset, comma - offset);
-        const std::size_t colon = entry.find(':');
-        if (colon == std::string::npos) return false;
-        std::uint64_t bucket = 0;
-        std::uint64_t count = 0;
-        if (!parseU64(entry.substr(0, colon).c_str(), &bucket) ||
-            !parseU64(entry.substr(colon + 1).c_str(), &count)) {
-          return false;
-        }
-        buckets.emplace_back(static_cast<std::size_t>(bucket),
-                             static_cast<std::size_t>(count));
-        offset = comma + 1;
-      }
-    }
-    // Unknown keys are skipped (forward compatibility).
+  if (!next(" lat_min=") || !util::parseHexDouble(value, &lat_min) ||
+      !next(" lat_max=") || !util::parseHexDouble(value, &lat_max) ||
+      !next(" lat_hist=") || !parseBuckets(value, &buckets)) {
+    return false;
   }
-  if (!saw_requests) return false;
-  if (!buckets.empty()) {
-    snap.latency =
-        util::LatencyHistogram::fromBuckets(buckets, lat_min, lat_max);
-    snap.refreshLatencyFields();
+  // min and max are samples of the first and last non-empty buckets.
+  if (!buckets.empty() &&
+      (!(0.0 <= lat_min && lat_min <= lat_max) ||
+       util::LatencyHistogram::bucketIndex(lat_min) != buckets.front().first ||
+       util::LatencyHistogram::bucketIndex(lat_max) != buckets.back().first)) {
+    return false;
   }
+  snap.latency = util::LatencyHistogram::fromBuckets(buckets, lat_min, lat_max);
+  snap.refreshLatencyFields();
+  // Only toLine's own spelling of this snapshot is a metrics line:
+  // leading zeros, repeated or reordered keys, unsorted or empty
+  // buckets and percentiles the histogram does not give all differ.
+  if (snap.toLine() != body) return false;
   *out = snap;
   return true;
 }

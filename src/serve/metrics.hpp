@@ -8,11 +8,12 @@
 // responses, the drain-time summary, the bench JSON and the fleet
 // router's cross-process aggregation all render from the same struct.
 //
-// toLine()/parseMetricsLine() are exact inverses for everything that
-// matters downstream: counters and gauges round-trip as integers, and
-// the latency distribution rides along as raw histogram buckets plus
-// hexfloat min/max, so a router merging parsed worker lines computes
-// the same percentiles as one process holding every sample.
+// toLine()/parseMetricsLine() are exact inverses: counters and gauges
+// round-trip as integers, and the latency distribution rides along as
+// raw histogram buckets plus hexfloat min/max, so a router merging
+// parsed worker lines computes the same percentiles as one process
+// holding every sample. The field list is one table in metrics.cpp
+// that toLine, mergeFrom and parseMetricsLine all read.
 #pragma once
 
 #include <array>
@@ -37,9 +38,9 @@ struct MetricsSnapshot {
   std::uint64_t reloads = 0;
   std::uint64_t reload_failures = 0;
   std::uint64_t breaker_opens = 0;
-  std::size_t in_flight = 0;        ///< predicts being computed now
-  std::size_t max_connections = 0;  ///< in_flight's capacity
-  std::size_t breakers_open = 0;
+  std::uint64_t in_flight = 0;        ///< predicts being computed now
+  std::uint64_t max_connections = 0;  ///< in_flight's capacity
+  std::uint64_t breakers_open = 0;
   std::uint64_t generation = 0;  ///< model-set generation
   double p50_ms = 0.0;
   double p95_ms = 0.0;
@@ -65,11 +66,14 @@ struct MetricsSnapshot {
   void refreshLatencyFields();
 };
 
-/// Parses a toLine() rendering (leading "stats " tolerated) back into
-/// an exact snapshot: integers round-trip, the histogram is rebuilt
-/// from lat_hist/lat_min/lat_max, and percentiles are recomputed from
-/// it. False when the line is not a metrics line (missing requests=
-/// or a malformed k=v token).
+/// Parses a toLine() rendering back into an exact snapshot: integers
+/// round-trip, the histogram is rebuilt from lat_hist/lat_min/lat_max,
+/// and percentiles are recomputed from it. Leading words without '='
+/// are a tag and skipped ("stats ", "tevot_serve: final stats: ");
+/// after them the line must be exactly what toLine writes for the
+/// snapshot it parses to, so every other line (a malformed or repeated
+/// field, a number in another spelling, a min/max outside the first or
+/// last bucket) is rejected with false.
 bool parseMetricsLine(std::string_view line, MetricsSnapshot* out);
 
 /// What one request line adds to the counters: its requests (one per

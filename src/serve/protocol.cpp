@@ -1,46 +1,10 @@
 #include "serve/protocol.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <vector>
 
-#include "util/env.hpp"
+#include "util/text_io.hpp"
 
 namespace tevot::serve {
-namespace {
-
-std::vector<std::string_view> tokenize(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) {
-      ++pos;
-    }
-    const std::size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ' && line[pos] != '\t') {
-      ++pos;
-    }
-    if (pos > start) tokens.push_back(line.substr(start, pos - start));
-  }
-  return tokens;
-}
-
-/// 32-bit operand, base 0 (0x hex accepted), entire token.
-bool parseWord32(std::string_view token, std::uint32_t* out) {
-  const std::string text(token);
-  if (!text.empty() && (text[0] == '-' || text[0] == '+')) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 0);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) return false;
-  if (value > 0xffffffffull) return false;
-  *out = static_cast<std::uint32_t>(value);
-  return true;
-}
-
-}  // namespace
-
 const char* responseStatusName(ResponseStatus status) {
   switch (status) {
     case ResponseStatus::kOk: return "OK";
@@ -123,13 +87,13 @@ Response Response::error(ErrorCode code, std::string detail) {
 }
 
 util::Status parseRequest(std::string_view line, Request* out) {
-  const std::vector<std::string_view> tokens = tokenize(line);
-  if (tokens.empty()) {
+  util::TextReader in(line);
+  const std::string_view verb = in.word();
+  if (verb.empty()) {
     return util::Status::parseError("empty request");
   }
-  const std::string_view verb = tokens[0];
   if (verb == "health" || verb == "stats" || verb == "reload") {
-    if (tokens.size() != 1) {
+    if (!in.word().empty()) {
       return util::Status::parseError(std::string(verb) +
                                       " takes no arguments");
     }
@@ -144,14 +108,20 @@ util::Status parseRequest(std::string_view line, Request* out) {
                                     "'");
   }
   // Shared head: <fu> <V> <T> <tclk_ps>, then either the single
-  // operand tuple or <n> and n tuples, then an optional deadline.
-  if (tokens.size() < (is_batch ? 10u : 9u)) {
-    return util::Status::parseError(std::string(verb) +
-                                    " is missing arguments, got " +
-                                    std::to_string(tokens.size() - 1));
+  // operand tuple or <n> and n tuples, then an optional deadline. A
+  // line too short for the head and one tuple is malformed.
+  std::string_view head[9];
+  const std::size_t head_words = is_batch ? 9 : 8;
+  for (std::size_t i = 0; i < head_words; ++i) {
+    head[i] = in.word();
+    if (head[i].empty()) {
+      return util::Status::parseError(std::string(verb) +
+                                      " is missing arguments, got " +
+                                      std::to_string(i));
+    }
   }
   out->kind = RequestKind::kPredict;
-  out->fu = std::string(tokens[1]);
+  out->fu = std::string(head[0]);
   out->batch.clear();
   struct Field {
     const char* name;
@@ -159,52 +129,49 @@ util::Status parseRequest(std::string_view line, Request* out) {
     double* value;
   };
   const Field doubles[] = {
-      {"V", tokens[2], &out->voltage},
-      {"T", tokens[3], &out->temperature},
-      {"tclk_ps", tokens[4], &out->tclk_ps},
+      {"V", head[1], &out->voltage},
+      {"T", head[2], &out->temperature},
+      {"tclk_ps", head[3], &out->tclk_ps},
   };
   for (const Field& field : doubles) {
-    if (!util::parseFiniteDouble(field.token, field.value)) {
+    if (!util::parseReal(field.token, field.value)) {
       return util::Status::invalidArgument(
           std::string(field.name) + " '" + std::string(field.token) +
           "' is not a finite number");
     }
   }
   std::size_t tuple_count = 1;
-  std::size_t tuples_at = 5;  // first tuple token index
   if (is_batch) {
-    std::uint32_t n = 0;
-    if (!parseWord32(tokens[5], &n)) {
+    if (!util::parseInteger(head[4], &tuple_count)) {
       return util::Status::invalidArgument(
-          "n '" + std::string(tokens[5]) + "' is not a batch size");
+          "n '" + std::string(head[4]) + "' is not a batch size");
     }
-    if (n == 0) {
+    if (tuple_count == 0) {
       return util::Status::invalidArgument(
           "predictN needs at least one operand tuple");
     }
-    if (n > kMaxBatchTuples) {
+    if (tuple_count > kMaxBatchTuples) {
       return util::Status::invalidArgument(
-          "predictN batch of " + std::to_string(n) + " exceeds the cap of " +
-          std::to_string(kMaxBatchTuples));
+          "predictN batch of " + std::to_string(tuple_count) +
+          " exceeds the cap of " + std::to_string(kMaxBatchTuples));
     }
-    tuple_count = n;
-    tuples_at = 6;
   }
-  const std::size_t after_tuples = tuples_at + 4 * tuple_count;
-  if (tokens.size() != after_tuples && tokens.size() != after_tuples + 1) {
-    return util::Status::invalidArgument(
-        std::string(verb) + " expects " + std::to_string(tuple_count) +
-        " operand tuple(s) and an optional deadline, got " +
-        std::to_string(tokens.size() - tuples_at) + " trailing tokens");
-  }
+  out->batch.reserve(tuple_count);
+  const std::string_view* const first_tuple = head + head_words - 4;
   const char* const tuple_names[] = {"a", "b", "prev_a", "prev_b"};
   for (std::size_t tuple = 0; tuple < tuple_count; ++tuple) {
     BatchOperand operand;
     std::uint32_t* const slots[] = {&operand.a, &operand.b,
                                     &operand.prev_a, &operand.prev_b};
     for (std::size_t w = 0; w < 4; ++w) {
-      const std::string_view token = tokens[tuples_at + 4 * tuple + w];
-      if (!parseWord32(token, slots[w])) {
+      const std::string_view token =
+          tuple == 0 ? first_tuple[w] : in.word();
+      if (token.empty()) {
+        return util::Status::invalidArgument(
+            std::string(verb) + " expects " + std::to_string(tuple_count) +
+            " operand tuple(s), got " + std::to_string(tuple));
+      }
+      if (!util::parseIntegerOrHex(token, slots[w])) {
         return util::Status::invalidArgument(
             std::string(tuple_names[w]) + " '" + std::string(token) +
             "' in tuple " + std::to_string(tuple) +
@@ -214,12 +181,17 @@ util::Status parseRequest(std::string_view line, Request* out) {
     out->batch.push_back(operand);
   }
   out->deadline_ms = 0.0;
-  if (tokens.size() == after_tuples + 1 &&
-      (!util::parseFiniteDouble(tokens[after_tuples], &out->deadline_ms) ||
-       out->deadline_ms < 0.0)) {
+  if (const std::string_view deadline = in.word();
+      !deadline.empty() && (!util::parseReal(deadline, &out->deadline_ms) ||
+                            out->deadline_ms < 0.0)) {
     return util::Status::invalidArgument(
-        "deadline_ms '" + std::string(tokens[after_tuples]) +
+        "deadline_ms '" + std::string(deadline) +
         "' is not a finite non-negative number");
+  }
+  if (!in.word().empty()) {
+    return util::Status::invalidArgument(
+        std::string(verb) + " expects " + std::to_string(tuple_count) +
+        " operand tuple(s) and an optional deadline, got more tokens");
   }
   if (out->tclk_ps <= 0.0) {
     return util::Status::invalidArgument("tclk_ps must be > 0");
@@ -232,10 +204,11 @@ std::string formatBatchRequest(const std::string& fu, double voltage,
                                std::span<const BatchOperand> operands,
                                double deadline_ms) {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "predictN %s %a %a %a %zu",
-                fu.c_str(), voltage, temperature, tclk_ps,
-                operands.size());
-  std::string line = buf;
+  std::snprintf(buf, sizeof(buf), " %a %a %a %zu", voltage, temperature,
+                tclk_ps, operands.size());
+  std::string line = "predictN ";
+  line += fu;  // appended, not printed: a NUL in it reaches the server
+  line += buf;
   for (const BatchOperand& operand : operands) {
     std::snprintf(buf, sizeof(buf), " %u %u %u %u", operand.a, operand.b,
                   operand.prev_a, operand.prev_b);
@@ -257,55 +230,48 @@ Response responseForParseFailure(const util::Status& status) {
 
 bool parseResponse(std::string_view line, Response* out) {
   if (line.empty() || line.size() > 2 * kMaxLineBytes) return false;
-  const std::vector<std::string_view> tokens = tokenize(line);
-  if (tokens.empty()) return false;
-  const std::string_view head = tokens[0];
-  const auto rest_after = [&](std::size_t n) {
-    // Raw remainder after the n-th token (tokens view into `line`, so
-    // pointer arithmetic gives the exact offset).
-    std::size_t pos = static_cast<std::size_t>(tokens[n - 1].data() -
-                                               line.data()) +
-                      tokens[n - 1].size();
-    while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) {
-      ++pos;
-    }
-    return std::string(line.substr(pos));
+  util::TextReader in(line);
+  const std::string_view head = in.word();
+  // The raw rest of the line from `word` on (words view into `line`).
+  const auto from = [&](std::string_view word) {
+    return std::string(line.substr(static_cast<std::size_t>(
+        word.data() - line.data())));
   };
   if (head == "OK") {
     out->status = ResponseStatus::kOk;
     out->code = ErrorCode::kNone;
-    if (tokens.size() == 3 && tokens[1].substr(0, 6) == "delay=" &&
-        tokens[2].substr(0, 4) == "err=") {
-      double delay = 0.0;
-      if (!util::parseFiniteDouble(tokens[1].substr(6), &delay)) return false;
-      const std::string_view err = tokens[2].substr(4);
-      if (err != "0" && err != "1") return false;
-      out->delay_ps = delay;
-      out->timing_error = err == "1";
+    const std::string_view first = in.word();
+    if (first.starts_with("delay=")) {
+      const std::string_view err = in.word();
+      if (!util::parseHexDouble(first.substr(6), &out->delay_ps) ||
+          (err != "err=0" && err != "err=1") || !in.word().empty()) {
+        return false;
+      }
+      out->timing_error = err == "err=1";
       out->detail.clear();
       return true;
     }
     // Control-surface payloads: OK health …, OK stats …, OK reload …
-    if (tokens.size() >= 2 &&
-        (tokens[1] == "health" || tokens[1] == "stats" ||
-         tokens[1] == "reload")) {
-      out->detail = rest_after(1);
+    if (first == "health" || first == "stats" || first == "reload") {
+      out->detail = from(first);
       return true;
     }
     return false;
   }
   if (head == "SHED" || head == "DEADLINE") {
-    if (tokens.size() < 2) return false;
+    const std::string_view first = in.word();
+    if (first.empty()) return false;
     out->status =
         head == "SHED" ? ResponseStatus::kShed : ResponseStatus::kDeadline;
     out->code = ErrorCode::kNone;
-    out->detail = rest_after(1);
+    out->detail = from(first);
     return true;
   }
   if (head == "ERROR") {
-    if (tokens.size() < 3) return false;
+    const std::string_view code = in.word();
+    const std::string_view first = in.word();
+    if (first.empty()) return false;
     out->status = ResponseStatus::kError;
-    const std::string_view code = tokens[1];
     bool known = false;
     for (const ErrorCode candidate :
          {ErrorCode::kParse, ErrorCode::kBadRequest, ErrorCode::kOversized,
@@ -319,7 +285,7 @@ bool parseResponse(std::string_view line, Response* out) {
       }
     }
     if (!known) return false;
-    out->detail = rest_after(2);
+    out->detail = from(first);
     return true;
   }
   return false;

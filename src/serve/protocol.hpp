@@ -1,7 +1,7 @@
 // Wire protocol of tevot_serve: newline-delimited text, one request
 // per line, exactly one response line per request.
 //
-// Request grammar (tokens separated by spaces/tabs; lines over
+// Request grammar (tokens separated by whitespace; lines over
 // kMaxLineBytes are rejected with ERROR OVERSIZED; blank lines are
 // ignored):
 //   predict <fu> <V> <T> <tclk_ps> <a> <b> <prev_a> <prev_b> [deadline_ms]
@@ -10,10 +10,19 @@
 //   health
 //   stats
 //   reload
-// Operands accept 0x-prefixed hex; V/T/tclk/deadline are decimal or
-// hexfloat doubles and must be finite (NaN/inf are BAD_REQUEST, never
-// a crash or a silent wrong answer); tclk must be > 0 and deadline
-// >= 0 (0 = server default).
+//
+// Numbers on the wire follow the util::text_io number rule, each token
+// read whole (so "1x", "+1" and " 5" are never a number):
+//   - an operand is decimal without a leading zero, or "0x" and hex
+//     digits without a leading zero; no sign, at most 2^32-1 ("010"
+//     is an error, not octal 8);
+//   - n is decimal without a leading zero;
+//   - V, T, tclk and the deadline are finite decimals ("0.9", "25",
+//     "1e-3") or hexfloats in printf's "%a" spelling ("0x1.9p+4").
+//     NaN, infinity, overflow and underflow ("1e-400", which would
+//     read as 0, the server-default deadline) are BAD_REQUEST, never
+//     a crash or a silent wrong answer;
+//   - tclk must be > 0 and the deadline >= 0 (0 = server default).
 //
 // predictN is the batch form: n operand tuples sharing one corner,
 // clock, and deadline, answered with exactly n typed response lines
@@ -36,8 +45,9 @@
 //   DEADLINE <detail>                     per-request deadline exceeded
 //   ERROR <CODE> <detail>                 typed failure, see ErrorCode
 //
-// delay is printed with printf %a (hexfloat), so a client parsing it
-// with strtod recovers the server's double bit-for-bit — the property
+// delay is printed with printf %a (hexfloat), and parseResponse
+// accepts only that spelling (util::parseHexDouble), so a client
+// recovers the server's double bit-for-bit — the property
 // check::checkServeResilience pins against offline evaluation.
 #pragma once
 

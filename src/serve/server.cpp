@@ -94,11 +94,12 @@ Response Server::handleControl(const Request& request) {
       char buf[160];
       std::snprintf(buf, sizeof(buf),
                     "health status=%s generation=%llu models=%zu "
-                    "in_flight=%zu/%zu",
+                    "in_flight=%llu/%llu",
                     core_.draining() ? "draining" : "serving",
                     static_cast<unsigned long long>(snap.generation),
-                    registry_.snapshot()->models.size(), snap.in_flight,
-                    snap.max_connections);
+                    registry_.snapshot()->models.size(),
+                    static_cast<unsigned long long>(snap.in_flight),
+                    static_cast<unsigned long long>(snap.max_connections));
       return Response::payload(buf);
     }
     case RequestKind::kStats:

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace tevot::util {
@@ -15,19 +15,8 @@ std::string envString(const char* name, const std::string& fallback) {
 
 long envInt(const char* name, long fallback) {
   const std::string raw = envString(name, "");
-  if (raw.empty()) return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || (end != nullptr && *end != '\0')) return fallback;
-  return value;
-}
-
-double envDouble(const char* name, double fallback) {
-  const std::string raw = envString(name, "");
-  if (raw.empty()) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || (end != nullptr && *end != '\0')) return fallback;
+  long value = fallback;
+  parseInteger(std::string_view(raw), &value);
   return value;
 }
 
@@ -41,15 +30,24 @@ bool envFlag(const char* name, bool fallback) {
 
 bool fullScale() { return envFlag("TEVOT_FULL"); }
 
-bool parseFiniteDouble(std::string_view text, double* out) {
-  const std::string copy(text);
-  char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  if (end == copy.c_str() || *end != '\0' || !std::isfinite(value)) {
-    return false;
-  }
-  *out = value;
+bool FlagReader::next() {
+  if (++at_ >= argc_) return false;
+  flag_ = argv_[at_];
   return true;
+}
+
+const char* FlagReader::value() {
+  if (at_ + 1 >= argc_) {
+    std::fprintf(stderr, "%s: %s needs a value\n", tool_, flag_.c_str());
+    return nullptr;
+  }
+  return argv_[++at_];
+}
+
+void FlagReader::badValue(const char* text, double lo, double hi,
+                          bool whole) const {
+  std::fprintf(stderr, "%s: %s must be a %snumber in [%g, %g], not '%s'\n",
+               tool_, flag_.c_str(), whole ? "whole " : "", lo, hi, text);
 }
 
 }  // namespace tevot::util

@@ -8,6 +8,7 @@
 
 #include "util/env.hpp"
 #include "util/status.hpp"
+#include "util/text_io.hpp"
 
 namespace tevot::util {
 
@@ -152,7 +153,10 @@ FaultPlan FaultInjector::planFromSpec(const std::string& spec) {
     }
     const std::string key = pair.substr(0, eq);
     const std::string value = pair.substr(eq + 1);
-    char* end = nullptr;
+    const auto bad = [&] {
+      return std::invalid_argument("fault spec: bad " + key + " '" + value +
+                                   "'");
+    };
     if (key == "points") {
       std::istringstream points(value);
       std::string point;
@@ -163,28 +167,21 @@ FaultPlan FaultInjector::planFromSpec(const std::string& spec) {
         throw std::invalid_argument("fault spec: empty points list");
       }
     } else if (key == "rate") {
-      plan.rate = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || plan.rate < 0.0 ||
-          plan.rate > 1.0) {
-        throw std::invalid_argument("fault spec: bad rate '" + value + "'");
+      if (!parseDecimal(std::string_view(value), &plan.rate) ||
+          plan.rate < 0.0 || plan.rate > 1.0) {
+        throw bad();
       }
     } else if (key == "seed") {
-      plan.seed = std::strtoull(value.c_str(), &end, 0);
-      if (end == value.c_str() || *end != '\0') {
-        throw std::invalid_argument("fault spec: bad seed '" + value + "'");
-      }
+      if (!parseInteger(std::string_view(value), &plan.seed)) throw bad();
     } else if (key == "attempts") {
-      plan.fail_attempts =
-          static_cast<int>(std::strtol(value.c_str(), &end, 10));
-      if (end == value.c_str() || *end != '\0' || plan.fail_attempts < 1) {
-        throw std::invalid_argument("fault spec: bad attempts '" + value +
-                                    "'");
+      if (!parseInteger(std::string_view(value), &plan.fail_attempts) ||
+          plan.fail_attempts < 1) {
+        throw bad();
       }
     } else if (key == "slow-ms" || key == "slow_ms") {
-      plan.slow_ms = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || plan.slow_ms < 0.0) {
-        throw std::invalid_argument("fault spec: bad slow-ms '" + value +
-                                    "'");
+      if (!parseDecimal(std::string_view(value), &plan.slow_ms) ||
+          plan.slow_ms < 0.0) {
+        throw bad();
       }
     } else {
       throw std::invalid_argument("fault spec: unknown key '" + key + "'");

@@ -87,8 +87,10 @@ class FaultInjector {
   /// Forgets all attempt counts, keeping the plan (a "new run").
   void resetCounters();
 
-  /// Parses a TEVOT_FAULTS-style spec. Throws std::invalid_argument
-  /// on unknown keys or malformed values.
+  /// Parses a TEVOT_FAULTS-style spec; each value is read by the number
+  /// rule (util::parseInteger / parseDecimal, so "seed=010" and
+  /// "rate=1e-400" are errors). Throws std::invalid_argument on unknown
+  /// keys or malformed values.
   static FaultPlan planFromSpec(const std::string& spec);
 
   /// Process-wide injector, armed once from the TEVOT_FAULTS

@@ -1,11 +1,11 @@
 #include "util/json.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+
+#include "util/text_io.hpp"
 
 namespace tevot::util::json {
 
@@ -225,13 +225,11 @@ class Parser {
     const std::size_t start = pos_;
     skipAll("0123456789+-.eE");
     if (pos_ == start) fail("expected a value");
-    const std::string text(input_.substr(start, pos_ - start));
-    char* end = nullptr;
-    errno = 0;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || errno == ERANGE) {
+    const std::string_view text = input_.substr(start, pos_ - start);
+    double value = 0.0;
+    if (!parseDecimal(text, &value)) {
       pos_ = start;
-      fail("malformed number '" + text + "'");
+      fail("malformed number '" + std::string(text) + "'");
     }
     return value;
   }

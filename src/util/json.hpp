@@ -7,9 +7,10 @@
 // float with %.9g, so parse(write(x)) == x bit for bit; a non-finite
 // value is written as null. Strings are escaped by escape().
 //
-// The reader is strict: malformed input, trailing bytes, nesting deeper
-// than kMaxDepth or a repeated object key is a kParseError naming the
-// byte offset, never a half-built Value.
+// The reader is strict: numbers go through util::parseDecimal (the
+// text_io number rule), and malformed input, trailing bytes, nesting
+// deeper than kMaxDepth or a repeated object key is a kParseError
+// naming the byte offset, never a half-built Value.
 #pragma once
 
 #include <concepts>

@@ -32,12 +32,31 @@ char* hexDigits(char* first, char* last, double magnitude) {
   return std::copy(buf + 2, buf + n, first);
 }
 
-bool isSpace(char c) {
-  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
-         c == '\f';
-}
-
 }  // namespace
+
+bool parseHexDouble(std::string_view token, double* out) {
+  // Reformatting what from_chars read and comparing rejects every
+  // other spelling of the same value along with malformed tokens.
+  const bool negative = token.starts_with('-');
+  const std::string_view magnitude = token.substr(negative ? 1 : 0);
+  if (!magnitude.starts_with("0x")) return false;
+  const std::string_view digits = magnitude.substr(2);
+  if (digits.starts_with('-')) return false;
+  double value = 0.0;
+  const char* const last = digits.data() + digits.size();
+  const std::from_chars_result result =
+      std::from_chars(digits.data(), last, value, std::chars_format::hex);
+  char canonical[kMaxHexDigits];
+  if (result.ec != std::errc() || result.ptr != last ||
+      !std::isfinite(value) ||
+      std::string_view(canonical, hexDigits(canonical,
+                                            canonical + kMaxHexDigits,
+                                            value)) != digits) {
+    return false;
+  }
+  *out = negative ? -value : value;
+  return true;
+}
 
 TextWriter::TextWriter(std::ostream& os)
     : os_(os), buf_(std::make_unique<char[]>(kChunk)) {}
@@ -148,79 +167,21 @@ std::string_view TextReader::restOfLine() {
   return text_.substr(start, newline - start);
 }
 
-float TextReader::finiteFloat(const char* what) {
-  float value = 0.0f;
-  skipSpace();
-  const std::from_chars_result result =
-      std::from_chars(here(), end(), value, std::chars_format::general);
-  // from_chars reads "nan" and "inf"; no saved model holds them.
-  if (result.ec == std::errc() && !std::isfinite(value)) {
-    fail(std::string("non-finite ") + what);
-  }
-  finishNumber(result, what);
-  return value;
-}
-
 double TextReader::hexDouble(const char* what) {
-  skipSpace();
-  const std::size_t start = pos_;
-  const std::string_view token = word();
-  pos_ = start;
-  if (token.empty()) fail(std::string("truncated: expected ") + what);
-  // The one spelling TextWriter::hexDouble gives: an optional '-', then
-  // "0x", then the "%a" digits. Reformatting what from_chars read
-  // and comparing rejects every other spelling of the same value
-  // ("0X1P0", "0x1.80p+1", "0x3p+0") along with malformed tokens.
-  const bool negative = token.front() == '-';
-  const std::string_view magnitude = token.substr(negative ? 1 : 0);
-  const std::string_view digits =
-      magnitude.substr(magnitude.starts_with("0x") ? 2 : magnitude.size());
-  if (digits.empty() || digits.front() == '-') {
-    fail(std::string("bad ") + what);
-  }
-  double value = 0.0;
-  const std::from_chars_result result =
-      std::from_chars(digits.data(), digits.data() + digits.size(), value,
-                      std::chars_format::hex);
-  if (result.ec == std::errc() && !std::isfinite(value)) {
-    fail(std::string("non-finite ") + what);
-  }
-  char canonical[kMaxHexDigits];
-  if (result.ec != std::errc() ||
-      result.ptr != digits.data() + digits.size() ||
-      std::string_view(canonical, hexDigits(canonical,
-                                            canonical + kMaxHexDigits,
-                                            value)) != digits) {
-    fail(std::string("bad ") + what);
-  }
-  pos_ = start + token.size();
-  return negative ? -value : value;
+  return number<double>(
+      what, [](const char* first, const char* last, double* out) {
+        const char* const end = std::find_if(first, last, isSpace);
+        return parseHexDouble({first, end}, out) ? end : nullptr;
+      });
 }
 
 double TextReader::decimal(std::string_view punct, const char* what) {
   const std::string_view token = this->token(punct, what);
   double value = 0.0;
-  const std::from_chars_result result =
-      std::from_chars(token.data(), token.data() + token.size(), value,
-                      std::chars_format::general);
-  if (result.ec == std::errc() && result.ptr == token.data() + token.size() &&
-      std::isfinite(value)) {
-    return value;
-  }
-  // from_chars reads "nan" and "inf" and leaves `value` alone on error.
+  if (parseDecimal(token, &value)) return value;
   pos_ = static_cast<std::size_t>(token.data() - text_.data());
-  fail((std::isfinite(value) ? "bad " : "non-finite ") + std::string(what) +
-       " '" + std::string(token.substr(0, 24)) + "'");
-}
-
-void TextReader::finishNumber(const std::from_chars_result& result,
-                              const char* what) {
-  if (pos_ == text_.size()) fail(std::string("truncated: expected ") + what);
-  if (result.ec != std::errc() ||
-      (result.ptr != end() && !isSpace(*result.ptr))) {
-    fail(std::string("bad ") + what);
-  }
-  pos_ = static_cast<std::size_t>(result.ptr - text_.data());
+  fail("bad " + std::string(what) + " '" + std::string(token.substr(0, 24)) +
+       "'");
 }
 
 void TextReader::expectEnd(const char* after) {

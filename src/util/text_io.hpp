@@ -1,6 +1,15 @@
-// Number-exact text I/O: the one path every saved model and sweep
-// checkpoint is written and read through, and the one cursor the SDF,
-// Liberty, Verilog and VCD loaders read with.
+// Number-exact text I/O: the one number rule, the one path every saved
+// model and sweep checkpoint is written and read through, and the one
+// cursor the SDF, Liberty, Verilog and VCD loaders read with.
+//
+// The number rule reads one whole token with std::from_chars, never a
+// valid prefix of it. parseInteger takes digits with '-' for signed
+// types only, no '+' and no leading zero ("007", "-0"), in range;
+// parseDecimal a finite decimal in range ("nan", "+1", "1e999" and
+// "1e-999", which would read as 0, are rejected); parseHexDouble a
+// finite double in TextWriter::hexDouble's "%a" spelling only. The
+// wire, the metrics line, flags, env knobs, fault specs and JSON call
+// these; TextReader is their cursor front end.
 //
 // TextWriter formats numbers with std::to_chars into one fixed-size
 // chunk and hands the chunk to an ostream whenever it fills, so a
@@ -11,22 +20,19 @@
 // printf's "%a" hexfloat.
 //
 // TextReader is a bounded cursor over one in-memory buffer. Tokens are
-// separated by whitespace (space, \t, \n, \v, \f, \r). A number is
-// parsed with std::from_chars and must fill its whole token: "1x", a
-// leading '+' or a leading zero ("007") is an error, not a number.
-// Floats must be finite and in range ("nan", "inf" and "1e50" are
-// rejected); a hexfloat must be spelled exactly as the writer spells
-// it. token() splits the source-language formats (SDF, Liberty,
-// Verilog) the same way, with punctuation, quoted strings and comments
-// on top, and decimal() reads their "%.17g" numbers. Every failure
-// throws util::StatusError (kParseError) naming what was expected and
-// the byte offset, so a truncated file says where it broke off.
+// separated by whitespace (space, \t, \n, \v, \f, \r). token() splits
+// the source-language formats (SDF, Liberty, Verilog) the same way,
+// with punctuation, quoted strings and comments on top, and decimal()
+// reads their "%.17g" numbers. Every failure throws util::StatusError
+// (kParseError) naming what was expected and the byte offset, so a
+// truncated file says where it broke off.
 //
 // readFile and writeFileAtomic are the file ends of the two: one read
 // into one buffer, and one write that no reader ever sees half done.
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <concepts>
 #include <cstddef>
 #include <functional>
@@ -39,6 +45,79 @@
 namespace tevot::util {
 
 class FaultInjector;
+
+/// The core of the number rule, which the whole-token parse functions
+/// below and TextReader both read through: reads the Int in base `base`
+/// at the start of [first, last) and returns the end of what it read,
+/// or nullptr (leaving `*out` unspecified) when no number in the rule's
+/// spelling starts there.
+template <std::integral Int>
+const char* readInteger(const char* first, const char* last, Int* out,
+                        int base = 10) {
+  const std::from_chars_result result =
+      std::from_chars(first, last, *out, base);
+  if (result.ec != std::errc()) return nullptr;
+  const char* const digits = first + (*first == '-');
+  // One spelling per integer: "007" and "-0" are not numbers.
+  if (*digits == '0' && (digits != first || result.ptr - digits > 1)) {
+    return nullptr;
+  }
+  return result.ptr;
+}
+
+/// The finite, in-range decimal float or double at `first`.
+template <std::floating_point Float>
+const char* readDecimal(const char* first, const char* last, Float* out) {
+  const std::from_chars_result result =
+      std::from_chars(first, last, *out, std::chars_format::general);
+  // from_chars reads "nan" and "inf"; it fails on underflow to 0.
+  return result.ec == std::errc() && std::isfinite(*out) ? result.ptr
+                                                          : nullptr;
+}
+
+/// `token` as an Int in base `base`; false, with `*out` untouched, when
+/// it is not exactly one. So for every parse function below.
+template <std::integral Int>
+bool parseInteger(std::string_view token, Int* out, int base = 10) {
+  Int value{};
+  const char* const last = token.data() + token.size();
+  if (token.empty() ||
+      readInteger(token.data(), last, &value, base) != last) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// `token` as a decimal float or double ("0.9", "-1.5e-3", "25").
+template <std::floating_point Float>
+bool parseDecimal(std::string_view token, Float* out) {
+  Float value{};
+  const char* const last = token.data() + token.size();
+  if (token.empty() || readDecimal(token.data(), last, &value) != last) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// `token` as a double in TextWriter::hexDouble's spelling; every other
+/// spelling of the value ("0X1P0", "0x1.80p+1", "0x3p+0") is rejected.
+bool parseHexDouble(std::string_view token, double* out);
+
+/// `token` as a UInt in decimal or as "0x" and hex digits, each by
+/// parseInteger: how operand words are spelled on the wire and the
+/// command line.
+template <std::unsigned_integral UInt>
+bool parseIntegerOrHex(std::string_view token, UInt* out) {
+  return token.starts_with("0x") ? parseInteger(token.substr(2), out, 16)
+                                 : parseInteger(token, out);
+}
+
+/// `token` by parseDecimal or by parseHexDouble.
+inline bool parseReal(std::string_view token, double* out) {
+  return parseDecimal(token, out) || parseHexDouble(token, out);
+}
 
 class TextWriter {
  public:
@@ -100,14 +179,10 @@ class TextReader {
   /// The next token as an Int. `what` names it in the error.
   template <std::integral Int>
   Int integer(const char* what) {
-    Int value{};
-    skipSpace();
-    const char* digits = here() + (here() != end() && *here() == '-');
-    if (end() - digits > 1 && *digits == '0' && isDigit(digits[1])) {
-      fail(std::string("leading zero in ") + what);
-    }
-    finishNumber(std::from_chars(here(), end(), value), what);
-    return value;
+    return number<Int>(what, [](const char* first, const char* last,
+                                Int* out) {
+      return readInteger(first, last, out);
+    });
   }
   /// The next token as an Int in [lo, hi].
   template <std::integral Int>
@@ -121,7 +196,9 @@ class TextReader {
     return value;
   }
   /// The next token as a finite float.
-  float finiteFloat(const char* what);
+  float finiteFloat(const char* what) {
+    return number<float>(what, readDecimal<float>);
+  }
   /// The next token as a finite double written by TextWriter::hexDouble.
   double hexDouble(const char* what);
   /// The next token(punct) as a finite decimal double ("0.9",
@@ -143,14 +220,30 @@ class TextReader {
   [[noreturn]] void fail(const std::string& what) const;
 
  private:
-  static bool isDigit(char c) { return c >= '0' && c <= '9'; }
-  const char* here() const { return text_.data() + pos_; }
-  const char* end() const { return text_.data() + text_.size(); }
+  static bool isSpace(char c) {
+    return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+           c == '\f';
+  }
   void skipSpace();
   /// Skips whitespace and // and /* */ comments.
   void skipSpaceAndComments();
-  /// Checks a from_chars result covers a whole token and moves past it.
-  void finishNumber(const std::from_chars_result& result, const char* what);
+  /// The next token as a T: `read` (a core of the number rule) must
+  /// read a number at the cursor that ends at whitespace or the end of
+  /// the input. Throws naming `what` otherwise.
+  template <typename T, typename Read>
+  T number(const char* what, Read read) {
+    skipSpace();
+    const char* const first = text_.data() + pos_;
+    const char* const last = text_.data() + text_.size();
+    T value{};
+    const char* const end = read(first, last, &value);
+    if (end != nullptr && (end == last || isSpace(*end))) {
+      pos_ = static_cast<std::size_t>(end - text_.data());
+      return value;
+    }
+    fail((first == last ? "truncated: expected " : "bad ") +
+         std::string(what));
+  }
 
   std::string_view text_;
   std::size_t pos_ = 0;

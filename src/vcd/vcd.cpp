@@ -136,6 +136,9 @@ VcdData parseVcd(util::TextReader& in) {
       if (id >= data.signal_names.size()) {
         data.signal_names.resize(id + 1);
       }
+      if (!data.signal_names[id].empty()) {
+        in.fail("id code '" + std::string(code) + "' declared twice");
+      }
       data.signal_names[id] = name;
     } else if (tok == "$enddefinitions") {
       in.expect("$end");
@@ -144,12 +147,15 @@ VcdData parseVcd(util::TextReader& in) {
       // The initial values between them are read as value changes.
       in_dumpvars = tok == "$dumpvars";
     } else if (tok[0] == '#') {
-      try {
-        now = util::TextReader(tok.substr(1))
-                  .integer<std::uint64_t>("timestamp");
-      } catch (const util::StatusError&) {
+      std::uint64_t time = 0;
+      if (!util::parseInteger(tok.substr(1), &time)) {
         in.fail("bad timestamp '" + std::string(tok) + "'");
       }
+      if (time < now) {
+        in.fail("timestamp '" + std::string(tok) + "' before #" +
+                std::to_string(now));
+      }
+      now = time;
     } else if (tok[0] == '0' || tok[0] == '1') {
       if (in_definitions) in.fail("value change before $enddefinitions");
       const SignalId id = decodeId(in, tok.substr(1));

@@ -70,8 +70,9 @@ class VcdWriter {
 /// by util::TextReader::word. Malformed input throws util::StatusError
 /// (kParseError, "VCD parse error: ... at byte N"): a section without
 /// its $end, a $var that is not scalar, an $enddefinitions not followed
-/// by $end, a $end that closes no $dumpvars, a timestamp that is not a
-/// whole unsigned number, or a value change before $enddefinitions,
+/// by $end, a $end that closes no $dumpvars, a $var that reuses an id
+/// code, a timestamp that is not a whole unsigned number or is earlier
+/// than the one before it, or a value change before $enddefinitions,
 /// without an id code or for an unknown signal. VCD has no end marker:
 /// a file cut after a whole record, or inside a timestamp's digits,
 /// parses as the shorter dump.

@@ -251,6 +251,36 @@ TEST_F(MalformedVerilogTest, EmptyGarbageAndBadModulesAreTypedErrors) {
   EXPECT_TRUE(parseFails("module m (a, q); input a; output q; endmodule"));
 }
 
+TEST_F(MalformedVerilogTest, PortListIsExactlyTheInputsAndOutputs) {
+  // Ports x and y were declared nowhere, and a and q were no ports.
+  EXPECT_TRUE(parseFails(
+      "module m (x, y); input a; output q; wire w;\n"
+      "INV g0 (.Y(w), .A(a)); assign q = w; endmodule"));
+  EXPECT_TRUE(parseFails(  // output q left out
+      "module m (a); input a; output q; wire w;\n"
+      "INV g0 (.Y(w), .A(a)); assign q = w; endmodule"));
+  EXPECT_TRUE(parseFails(  // a wire is no port
+      "module m (a, q, w); input a; output q; wire w;\n"
+      "INV g0 (.Y(w), .A(a)); assign q = w; endmodule"));
+  EXPECT_TRUE(parseFails(
+      "module m (a, a, q); input a; output q; wire w;\n"
+      "INV g0 (.Y(w), .A(a)); assign q = w; endmodule"));
+  EXPECT_NO_THROW(netlist::parseVerilogString(
+      "module m (q, a); input a; output q; wire w;\n"
+      "INV g0 (.Y(w), .A(a)); assign q = w; endmodule"));
+}
+
+TEST_F(MalformedVerilogTest, AssignOntoAnInputIsRejected) {
+  // It rebound input a to a constant driver.
+  for (const char* rhs : {"1'b1", "w"}) {
+    const std::string text =
+        "module m (a, q); input a; output q; wire w;\n"
+        "INV g0 (.Y(w), .A(a)); assign q = w; assign a = " +
+        std::string(rhs) + "; endmodule";
+    EXPECT_TRUE(parseFails(text)) << rhs;
+  }
+}
+
 TEST_F(MalformedVerilogTest, EveryTruncationIsATypedError) {
   expectEveryCutFails(verilog_text_, [](std::string_view text) {
     netlist::parseVerilogString(text);
@@ -285,6 +315,37 @@ TEST(MalformedVcdTest, BadTimestampsAreTypedErrors) {
   EXPECT_TRUE(fails("#99999999999999999999999 1!"));
   EXPECT_TRUE(fails("#-1 1!"));
   EXPECT_NO_THROW(vcd::parseVcdString(header + "#5 1!"));
+}
+
+TEST(MalformedVcdTest, TimeGoingBackwardsIsAParseError) {
+  // Changes are ordered by time; "#3" after "#5" gave a second change
+  // earlier than the first.
+  const std::string header =
+      "$var wire 1 ! clk $end $enddefinitions $end ";
+  try {
+    vcd::parseVcdString(header + "#5 1! #3 0!");
+    ADD_FAILURE() << "parsed";
+  } catch (const util::StatusError& error) {
+    EXPECT_EQ(error.status().code, util::StatusCode::kParseError);
+    EXPECT_NE(error.status().message.find("at byte"), std::string::npos)
+        << error.status().message;
+  }
+  EXPECT_EQ(vcd::parseVcdString(header + "#5 1! #5 0! #6 1!").changes.size(),
+            3u);
+}
+
+TEST(MalformedVcdTest, ReusedIdCodeIsAParseError) {
+  // The second $var renamed signal 0 to b and a was lost.
+  try {
+    vcd::parseVcdString(
+        "$var wire 1 ! a $end $var wire 1 ! b $end $enddefinitions $end "
+        "#0 1!");
+    ADD_FAILURE() << "parsed";
+  } catch (const util::StatusError& error) {
+    EXPECT_EQ(error.status().code, util::StatusCode::kParseError);
+    EXPECT_NE(error.status().message.find("at byte"), std::string::npos)
+        << error.status().message;
+  }
 }
 
 TEST(MalformedVcdTest, ChangesBeforeDefinitionsOrUnknownSignalsFail) {
@@ -329,17 +390,36 @@ TEST(MalformedVcdTest, TruncationParsesOnlyAtRecordEnds) {
   const vcd::VcdData whole = vcd::parseVcdString(text);
   ASSERT_GT(whole.changes.size(), 33u);
 
+  // The time of the timestamp before each timestamp line.
+  ASSERT_TRUE(text.ends_with('\n'));
+  std::map<std::size_t, std::uint64_t> time_before;
+  std::uint64_t last_time = 0;
+  for (std::size_t at = 0; at < text.size(); at = text.find('\n', at) + 1) {
+    if (text[at] != '#') continue;
+    time_before[at] = last_time;
+    ASSERT_TRUE(util::parseInteger(
+        std::string_view(text).substr(at + 1, text.find('\n', at) - at - 1),
+        &last_time));
+  }
+
   // VCD has no end marker, so a cut parses exactly when it ends a line
-  // (a whole record) or falls inside a timestamp's digits; the parse
-  // then holds a prefix of the changes. Every other cut — inside a
-  // section, a $var, "$enddefinitions $end", a keyword or a value
-  // change — is a kParseError.
+  // (a whole record) or falls inside a timestamp's digits and leaves a
+  // time no earlier than the one before; the parse then holds a prefix
+  // of the changes. Every other cut — inside a section, a $var,
+  // "$enddefinitions $end", a keyword or a value change, or a cut
+  // timestamp that goes back in time — is a kParseError.
   std::size_t parsed = 0;
   for (std::size_t cut = 0; cut <= text.size(); ++cut) {
     const std::size_t line = cut == 0 ? 0 : text.rfind('\n', cut - 1) + 1;
     const bool record_end = cut == 0 || cut == text.size() ||
                             text[cut] == '\n' || text[cut - 1] == '\n';
-    const bool in_timestamp = text[line] == '#' && cut >= line + 2;
+    std::uint64_t cut_time = 0;
+    const bool in_timestamp =
+        text[line] == '#' && cut >= line + 2 &&
+        util::parseInteger(
+            std::string_view(text).substr(line + 1, cut - line - 1),
+            &cut_time) &&
+        cut_time >= time_before[line];
     const std::string prefix = text.substr(0, cut);
     if (record_end || in_timestamp) {
       const vcd::VcdData data = vcd::parseVcdString(prefix);

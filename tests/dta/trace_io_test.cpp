@@ -11,11 +11,12 @@
 #include <cerrno>
 #include <cmath>
 #include <filesystem>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "circuits/fu.hpp"
+#include "text_mutations.hpp"
 #include "tevot/pipeline.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -58,14 +59,6 @@ std::string withToken(const std::string& text, std::size_t line,
   for (std::size_t f = 0; f < field; ++f) at = text.find(' ', at) + 1;
   const std::size_t end = text.find_first_of(" \n", at);
   return text.substr(0, at) + token + text.substr(end);
-}
-
-/// The whitespace-separated tokens of `text`.
-std::vector<std::string> tokensOf(const std::string& text) {
-  std::istringstream is(text);
-  std::vector<std::string> tokens;
-  for (std::string token; is >> token;) tokens.push_back(token);
-  return tokens;
 }
 
 /// No `<path>.tmp*` sibling left behind (the atomic-write temp name is
@@ -204,38 +197,27 @@ TEST(TraceIoTest, EveryTruncationAndMutationIsTypedErrorOrIdentical) {
   // Three cycles (~2.7 KB) keep the ~35 k parses quick under sanitizers.
   const std::string text = traceToString(sampleTrace(4));
   ASSERT_TRUE(text.ends_with("\nend\n"));
-  for (std::size_t cut = 0; cut < text.size(); ++cut) {
-    ASSERT_EQ(parseCodeOf(text.substr(0, cut)), StatusCode::kParseError)
-        << "cut at " << cut << " of " << text.size();
-  }
-  // Every byte replaced by each of these: digits, hex and exponent
-  // characters, signs, separators and a NUL. A mutated checkpoint
-  // either fails as a typed parse error or reads back as exactly the
-  // trace it spells: the reader accepts each value in the writer's one
-  // spelling only, so the trace writes back the mutated tokens.
-  const char replacements[] = {'0', '1', '7', 'f', 'x', 'p', '-', '+',
-                               '.', ' ', '\n', '\t', '\0'};
-  std::size_t accepted = 0;
-  for (std::size_t at = 0; at < text.size(); ++at) {
-    for (const char replacement : replacements) {
-      if (text[at] == replacement) continue;
-      std::string mutated = text;
-      mutated[at] = replacement;
-      DtaTrace parsed;
-      try {
-        parsed = traceFromString(mutated);
-      } catch (const StatusError& error) {
-        ASSERT_EQ(error.status().code, StatusCode::kParseError)
-            << "byte " << at << " -> " << int{replacement};
-        continue;
-      }
-      ++accepted;
-      const std::string rewritten = traceToString(parsed);
-      ASSERT_EQ(tokensOf(rewritten), tokensOf(mutated))
-          << "byte " << at << " -> " << int{replacement};
-      ASSERT_TRUE(tracesBitIdentical(parsed, traceFromString(rewritten)));
-    }
-  }
+  test::forEachPrefix(text, [](const std::string& cut,
+                               const std::string& label) {
+    ASSERT_EQ(parseCodeOf(cut), StatusCode::kParseError) << label;
+  });
+  // A mutated checkpoint either fails as a typed parse error or reads
+  // back as exactly the trace it spells: the reader accepts each value
+  // in the writer's one spelling only, so the trace writes back the
+  // mutated tokens.
+  const std::size_t accepted = test::expectTypedErrorOrReadBack(
+      text, [](const std::string& input) -> std::optional<std::string> {
+        DtaTrace parsed;
+        try {
+          parsed = traceFromString(input);
+        } catch (const StatusError& error) {
+          EXPECT_EQ(error.status().code, StatusCode::kParseError);
+          return std::nullopt;
+        }
+        const std::string rewritten = traceToString(parsed);
+        EXPECT_TRUE(tracesBitIdentical(parsed, traceFromString(rewritten)));
+        return rewritten;
+      });
   EXPECT_GT(accepted, 0u);  // digit flips are valid, different traces
 }
 

@@ -5,8 +5,10 @@
 // fixtures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -197,6 +199,55 @@ TEST(MetricsWireTest, NonMetricsLinesAreRejected) {
   EXPECT_FALSE(parseMetricsLine("OK delay=0x1p+8 err=0", &parsed));
   EXPECT_FALSE(parseMetricsLine("tevot_serve: signal 15, draining",
                                 &parsed));
+}
+
+/// `line` with the value of its `key`=... token replaced by `value`.
+std::string withValue(const std::string& line, const std::string& key,
+                      const std::string& value) {
+  const std::size_t at = line.find(" " + key + "=") + key.size() + 2;
+  const std::size_t end = std::min(line.find(' ', at), line.size());
+  return line.substr(0, at) + value + line.substr(end);
+}
+
+TEST(MetricsWireTest, AcceptsOnlyWhatToLineWrites) {
+  MetricsSnapshot snap;
+  snap.requests = 12;
+  snap.ok = 12;
+  snap.in_flight = 3;
+  snap.max_connections = 4;
+  for (const double s : kSamples) snap.latency.add(s);
+  snap.refreshLatencyFields();
+  const std::string line = "stats " + snap.toLine();
+  MetricsSnapshot parsed;
+  ASSERT_TRUE(parseMetricsLine(line, &parsed)) << line;
+  // Each of these was read as something (12, 2^64-1, 1.5, a dropped
+  // bucket, min > max, NaN, the last of two values) by the strtoull /
+  // strtod reader.
+  const std::string bad[] = {
+      withValue(line, "requests", "12junk"),
+      withValue(line, "requests", "-1"),
+      withValue(line, "requests", "+12"),
+      withValue(line, "requests", "012"),
+      withValue(line, "p50_ms", "1.5zz"),
+      withValue(line, "p50_ms", "1.5"),  // not the histogram's p50
+      withValue(line, "in_flight", "3/4x"),
+      withValue(line, "in_flight", "3"),
+      withValue(line, "lat_hist", "1:2x,3:4"),
+      withValue(line, "lat_hist", "999999:1"),
+      withValue(line, "lat_hist", "2:1,21:2,39:1,30:1"),  // unsorted
+      withValue(withValue(line, "lat_min", "0x1.4p+2"), "lat_max",
+                "0x1p+0"),
+      withValue(line, "lat_min", "nan"),
+      withValue(line, "lat_min", "0x1.0p-1"),  // not the %a spelling
+      withValue(line, "shed", "0 ok=5 shed=0"),  // repeated key
+      withValue(line, "generation", "0 extra=1"),  // unknown key
+      line + " ",
+      line + "\n",
+  };
+  for (const std::string& text : bad) {
+    EXPECT_NE(text, line);
+    EXPECT_FALSE(parseMetricsLine(text, &parsed)) << text;
+  }
 }
 
 TEST(MetricsWireTest, CrossProcessMergeIsExact) {

@@ -42,6 +42,32 @@ TEST(ProtocolTest, ParsesPredictWithDeadlineAndHexfloat) {
   EXPECT_DOUBLE_EQ(request.deadline_ms, 12.5);
 }
 
+TEST(ProtocolTest, ParsesFormatBatchRequestBitExactly) {
+  const BatchOperand operands[] = {{0, 1, 4294967295u, 42}};
+  const double v = 0.9, t = 1.0 / 3.0, tclk = 412.5, deadline = 1e-3;
+  Request request;
+  ASSERT_TRUE(parseRequest(formatBatchRequest("fp_add", v, t, tclk,
+                                              operands, deadline),
+                           &request)
+                  .ok());
+  EXPECT_EQ(request.voltage, v);
+  EXPECT_EQ(request.temperature, t);
+  EXPECT_EQ(request.tclk_ps, tclk);
+  EXPECT_EQ(request.deadline_ms, deadline);
+  ASSERT_EQ(request.batch.size(), 1u);
+  EXPECT_EQ(request.batch[0].prev_a, 4294967295u);
+  EXPECT_EQ(request.batch[0].prev_b, 42u);
+  // Decimal and hex operands, decimal and hexfloat reals, any blanks.
+  ASSERT_TRUE(parseRequest("predict int_add 9e-1\t0x1.9p+4 300 0xff 0 "
+                           "0xFFFFFFFF 10  0x1p-1",
+                           &request)
+                  .ok());
+  EXPECT_EQ(request.temperature, 25.0);
+  EXPECT_EQ(request.batch[0].a, 255u);
+  EXPECT_EQ(request.batch[0].prev_a, 0xffffffffu);
+  EXPECT_EQ(request.deadline_ms, 0.5);
+}
+
 TEST(ProtocolTest, ParsesControlVerbs) {
   Request request;
   ASSERT_TRUE(parseRequest("health", &request).ok());
@@ -72,6 +98,18 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
       "predict int_add 0.9x 25 300 1 2 3 4",        // trailing junk
       "predict int_add 0.9 25 300 1 2 3 4 -1",      // negative deadline
       "predict int_add 0.9 25 300 1 2 3 4 nan",     // NaN deadline
+      // One number rule: whole tokens, one spelling per value.
+      "predict int_add 0.9 25 300 010 2 3 4",       // not octal 8
+      "predict int_add 0.9 25 300 0x010 2 3 4",     // leading hex zero
+      "predict int_add 0.9 25 300 +1 2 3 4",        // sign on an operand
+      "predict int_add 0.9 25 300 0x 2 3 4",        // no hex digits
+      "predict int_add 0.9 25 300 0x-1 2 3 4",      // signed hex
+      "predict int_add 0.9 25 300 1 2 3 4 1e-400",  // underflows to 0
+      "predict int_add 0.9 25 300 1 2 3 4 1e400",   // overflows
+      "predict int_add 0x1.80p+0 25 300 1 2 3 4",   // not the %a spelling
+      "predict int_add 0.9 +25 300 1 2 3 4",        // sign on T
+      "predictN int_add 0.9 25 300 01 1 2 3 4",     // leading zero in n
+      "predictN int_add 0.9 25 300 0x1 1 2 3 4",    // n is decimal
   };
   for (const char* line : cases) {
     EXPECT_FALSE(parseRequest(line, &request).ok()) << line;
@@ -132,6 +170,10 @@ TEST(ProtocolTest, RejectsMalformedResponses) {
       "OK delay=abc err=0",      // unparsable delay
       "OK delay=nan err=0",      // non-finite delay
       "OK delay=0x1p+2 err=2",   // err not 0/1
+      "OK delay=4 err=0",        // not the %a spelling the server writes
+      "OK delay=0x1.0p+2 err=0",
+      "OK delay=0x1p+2 err=0 x", // trailing token
+      "OK delay=0x1p+2x err=0",
       "OK something else",       // unknown OK payload
       "SHED",                    // missing detail
       "ERROR",                   // missing code

@@ -177,6 +177,15 @@ TEST(FaultInjectorTest, MalformedSpecsAreRejected) {
                std::invalid_argument);
   EXPECT_THROW(FaultInjector::planFromSpec("rate"),
                std::invalid_argument);
+  // Each value is one whole number in one spelling: no sign on the
+  // seed, no octal (strtoull read "010" as 8), no underflow to 0.
+  for (const char* bad :
+       {"seed=-1", "seed=010", "seed=+7", "seed=7x", "seed= 7",
+        "rate=1e-400", "rate=0.5x", "rate=nan", "attempts=02",
+        "attempts=1.5", "slow-ms=inf", "slow-ms=1e999"}) {
+    EXPECT_THROW(FaultInjector::planFromSpec(bad), std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(FaultInjectorTest, ArmResetsCountersAndDisarmStops) {

@@ -249,6 +249,40 @@ TEST(TextIoTest, ReaderAcceptsOnlyWholeFiniteInRangeNumbers) {
   }
 }
 
+TEST(TextIoTest, NumberRuleReadsOneWholeTokenInOneSpelling) {
+  std::uint32_t word = 7;
+  EXPECT_TRUE(parseInteger("4294967295", &word));
+  EXPECT_EQ(word, 4294967295u);
+  EXPECT_TRUE(parseIntegerOrHex("0xdeadBEEF", &word));
+  EXPECT_EQ(word, 0xdeadbeefu);
+  EXPECT_TRUE(parseIntegerOrHex("0x0", &word));
+  EXPECT_EQ(word, 0u);
+  for (const char* bad :
+       {"", " 5", "5 ", "+5", "-1", "-0", "010", "00", "4294967296", "1e3",
+        "5\n", "0x", "0x-1", "0x+1", "0x010", "0X10", "0x100000000"}) {
+    EXPECT_FALSE(parseIntegerOrHex(bad, &word)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(word, 0u);  // a rejected token leaves the output alone
+  int signed_value = 0;
+  EXPECT_TRUE(parseInteger("-12", &signed_value));
+  EXPECT_EQ(signed_value, -12);
+  EXPECT_FALSE(parseInteger("-012", &signed_value));
+
+  double value = 0.0;
+  EXPECT_TRUE(parseDecimal("-1.5e-3", &value));
+  EXPECT_EQ(value, -1.5e-3);
+  EXPECT_TRUE(parseReal("0x1.9p+4", &value));
+  EXPECT_EQ(value, 25.0);
+  EXPECT_TRUE(parseReal("25", &value));
+  EXPECT_EQ(value, 25.0);
+  for (const char* bad : {"", " 5", "5 ", "+5", "1e-400", "-1e-400",
+                          "1e400", "nan", "inf", "-inf", "1.5zz", "0x19",
+                          "0x1.90p+4", "0X1.9P+4", "0x1.9p+4 "}) {
+    EXPECT_FALSE(parseReal(bad, &value)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(value, 25.0);
+}
+
 TEST(TextIoTest, RestOfLineStopsAtTheNewline) {
   TextReader in("workload  two words\nnext\nlast");
   in.expect("workload");

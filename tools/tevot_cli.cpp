@@ -80,6 +80,7 @@
 #include "util/fault_injection.hpp"
 #include "util/json.hpp"
 #include "util/signal.hpp"
+#include "util/text_io.hpp"
 #include "util/thread_pool.hpp"
 
 #include "check/dvfs_oracle.hpp"
@@ -115,7 +116,6 @@ constexpr int kExitInterrupted = 130;  // 128 + SIGINT, shell convention
 /// Bounds of the numeric arguments.
 constexpr double kMaxCycles = 1e8;
 constexpr double kMaxPicoseconds = 1e12;
-constexpr double kMaxWord = 4294967295.0;
 
 /// util::parseNumber, saying on stderr what `what` wanted when `text`
 /// is not a complete, finite number in [lo, hi] (whole for integral T).
@@ -323,7 +323,11 @@ int cmdPredict(int argc, char** argv) {
   double tclk = 0.0;
   if (!cornerArgs(argv[3], argv[4], &corner)) return usage();
   for (int w = 0; w < 4; ++w) {
-    if (!numberArg(argv[5 + w], names[w], 0, kMaxWord, &words[w])) {
+    if (!util::parseIntegerOrHex(std::string_view(argv[5 + w]), &words[w])) {
+      std::fprintf(stderr,
+                   "tevot_cli: %s must be a 32-bit word, decimal or 0x hex, "
+                   "not '%s'\n",
+                   names[w], argv[5 + w]);
       return usage();
     }
   }
@@ -411,37 +415,27 @@ int cmdLint(int argc, char** argv, util::ThreadPool& pool) {
   std::string sdf_path;
   double budget_ps = 0.0;
   int grid_v = 3, grid_t = 3;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "lint: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
+  util::FlagReader flags("lint", argc - 1, argv + 1);
+  while (flags.next()) {
+    const std::string& arg = flags.flag();
     if (arg == "--all") {
       all = true;
     } else if (arg == "--waivers") {
-      const char* v = value("--waivers");
+      const char* v = flags.value();
       if (v == nullptr) return usage();
       waiver_path = v;
     } else if (arg == "--json") {
-      const char* v = value("--json");
+      const char* v = flags.value();
       if (v == nullptr) return usage();
       json_path = v;
     } else if (arg == "--sdf") {
-      const char* v = value("--sdf");
+      const char* v = flags.value();
       if (v == nullptr) return usage();
       sdf_path = v;
     } else if (arg == "--budget") {
-      const char* v = value("--budget");
-      if (v == nullptr) return usage();
-      if (!numberArg(v, "--budget", 1e-9, kMaxPicoseconds, &budget_ps)) {
-        return usage();
-      }
+      if (!flags.number(1e-9, kMaxPicoseconds, &budget_ps)) return usage();
     } else if (arg == "--grid") {
-      const char* v = value("--grid");
+      const char* v = flags.value();
       if (v == nullptr || !gridArg(v, &grid_v, &grid_t)) return usage();
     } else {
       circuits::FuKind kind;
@@ -561,59 +555,37 @@ int cmdSweep(int argc, char** argv, util::ThreadPool& pool) {
   std::string report_path;
   dta::SweepOptions options;
   options.faults = &util::FaultInjector::global();
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "sweep: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
+  util::FlagReader flags("sweep", argc - 1, argv + 1);
+  while (flags.next()) {
+    const std::string& arg = flags.flag();
     if (arg == "--out") {
-      const char* v = value("--out");
+      const char* v = flags.value();
       if (v == nullptr) return usage();
       options.checkpoint_dir = v;
     } else if (arg == "--grid") {
-      const char* v = value("--grid");
+      const char* v = flags.value();
       if (v == nullptr || !gridArg(v, &grid_v, &grid_t)) return usage();
     } else if (arg == "--seed") {
-      const char* v = value("--seed");
-      if (v == nullptr) return usage();
-      if (!numberArg(v, "--seed", 0, util::kMaxExactInteger, &seed)) {
-        return usage();
-      }
+      if (!flags.number(0, util::kMaxExactInteger, &seed)) return usage();
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--max-retries") {
-      const char* v = value("--max-retries");
-      if (v == nullptr) return usage();
-      if (!numberArg(v, "--max-retries", 0, 1000, &options.max_retries)) {
-        return usage();
-      }
+      if (!flags.number(0, 1000, &options.max_retries)) return usage();
     } else if (arg == "--backoff-ms") {
-      const char* v = value("--backoff-ms");
-      if (v == nullptr) return usage();
-      if (!numberArg(v, "--backoff-ms", 0, 1e7, &options.backoff_ms)) {
-        return usage();
-      }
+      if (!flags.number(0, 1e7, &options.backoff_ms)) return usage();
     } else if (arg == "--job-deadline") {
-      const char* v = value("--job-deadline");
-      if (v == nullptr) return usage();
-      if (!numberArg(v, "--job-deadline", 0, 1e9,
-                     &options.job_deadline_ms)) {
-        return usage();
-      }
+      if (!flags.number(0, 1e9, &options.job_deadline_ms)) return usage();
     } else if (arg == "--fail-fast") {
       options.fail_fast = true;
     } else if (arg == "--report") {
-      const char* v = value("--report");
+      const char* v = flags.value();
       if (v == nullptr) return usage();
       report_path = v;
     } else if (fu.empty()) {
       fu = arg;
     } else if (cycles < 0) {
-      if (!numberArg(argv[i], "cycles-per-corner", 2, kMaxCycles, &cycles)) {
+      if (!numberArg(arg.c_str(), "cycles-per-corner", 2, kMaxCycles,
+                     &cycles)) {
         return usage();
       }
     } else {
@@ -694,41 +666,27 @@ int cmdVerifyModel(int argc, char** argv) {
   double tclk_ps = 0.0;
   long refine_budget = 4096;
   int grid_v = 0, grid_t = 0;  // 0 = the full paper grid corner set
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "verify-model: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
+  util::FlagReader flags("verify-model", argc - 1, argv + 1);
+  while (flags.next()) {
+    const std::string& arg = flags.flag();
     if (arg == "--tclk") {
-      const char* v = value("--tclk");
-      if (v == nullptr) return usage();
-      if (!numberArg(v, "--tclk", 1e-9, kMaxPicoseconds, &tclk_ps)) {
-        return usage();
-      }
+      if (!flags.number(1e-9, kMaxPicoseconds, &tclk_ps)) return usage();
     } else if (arg == "--refine-budget") {
-      const char* v = value("--refine-budget");
-      if (v == nullptr) return usage();
-      if (!numberArg(v, "--refine-budget", 1, 1e9, &refine_budget)) {
-        return usage();
-      }
+      if (!flags.number(1, 1e9, &refine_budget)) return usage();
     } else if (arg == "--waivers") {
-      const char* v = value("--waivers");
+      const char* v = flags.value();
       if (v == nullptr) return usage();
       waiver_path = v;
     } else if (arg == "--json") {
-      const char* v = value("--json");
+      const char* v = flags.value();
       if (v == nullptr) return usage();
       json_path = v;
     } else if (arg == "--cert") {
-      const char* v = value("--cert");
+      const char* v = flags.value();
       if (v == nullptr) return usage();
       cert_path = v;
     } else if (arg == "--grid") {
-      const char* v = value("--grid");
+      const char* v = flags.value();
       if (v == nullptr || !gridArg(v, &grid_v, &grid_t)) return usage();
     } else if (model_path.empty() && arg[0] != '-') {
       model_path = arg;
@@ -803,36 +761,17 @@ int cmdServeCheck(int argc, char** argv) {
   std::string fu;
   check::ServeDriveOptions options;
   std::uint64_t seed = 1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "serve-check: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
+  util::FlagReader flags("serve-check", argc - 1, argv + 1);
+  while (flags.next()) {
+    const std::string& arg = flags.flag();
     if (arg == "--clients") {
-      const char* v = value("--clients");
-      if (v == nullptr) return usage();
-      if (!numberArg(v, "--clients", 1, 1024, &options.clients)) {
-        return usage();
-      }
+      if (!flags.number(1, 1024, &options.clients)) return usage();
     } else if (arg == "--requests") {
-      const char* v = value("--requests");
-      if (v == nullptr) return usage();
-      if (!numberArg(v, "--requests", 1, 1e7,
-                     &options.requests_per_client)) {
-        return usage();
-      }
+      if (!flags.number(1, 1e7, &options.requests_per_client)) return usage();
     } else if (arg == "--seed") {
-      const char* v = value("--seed");
-      if (v == nullptr) return usage();
-      if (!numberArg(v, "--seed", 0, util::kMaxExactInteger, &seed)) {
-        return usage();
-      }
+      if (!flags.number(0, util::kMaxExactInteger, &seed)) return usage();
     } else if (port < 0) {
-      if (!numberArg(argv[i], "port", 1, 65535, &port)) return usage();
+      if (!numberArg(arg.c_str(), "port", 1, 65535, &port)) return usage();
     } else if (model_path.empty()) {
       model_path = arg;
     } else if (fu.empty()) {
@@ -930,14 +869,14 @@ int main(int argc, char** argv) {
       int n_seeds = 25;
       std::uint64_t base_seed = check::kDefaultSeedBase;
       bool have_count = false;
-      for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-          if (!numberArg(argv[++i], "--seed", 0, util::kMaxExactInteger,
-                         &base_seed)) {
+      util::FlagReader flags("check", argc - 1, argv + 1);
+      while (flags.next()) {
+        if (flags.flag() == "--seed") {
+          if (!flags.number(0, util::kMaxExactInteger, &base_seed)) {
             return usage();
           }
-        } else if (have_count ||
-                   !numberArg(argv[i], "n-seeds", 1, 1e9, &n_seeds)) {
+        } else if (have_count || !numberArg(flags.flag().c_str(), "n-seeds",
+                                            1, 1e9, &n_seeds)) {
           return usage();
         } else {
           have_count = true;

@@ -105,35 +105,20 @@ int main(int argc, char** argv) {
   dvfs::RunOptions options;
   std::size_t jobs = 1;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tevot_dvfs: %s needs a value\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    // A numeric value must be a complete, finite number in [lo, hi].
-    const auto number = [&](double lo, double hi, auto* out) {
-      const char* text = value();
-      if (text == nullptr) return false;
-      if (util::parseNumber(text, lo, hi, out)) return true;
-      std::fprintf(stderr, "tevot_dvfs: bad %s value '%s'\n", arg.c_str(),
-                   text);
-      return false;
-    };
+  util::FlagReader flags("tevot_dvfs", argc, argv);
+  while (flags.next()) {
+    const std::string& arg = flags.flag();
     const char* v = nullptr;
     if (arg == "--model-dir") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       model_dir = v;
     } else if (arg == "--cert-dir") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       cert_dir = v;
     } else if (arg == "--serve-port") {
-      if (!number(1, 65535, &options.serve_port)) return usage();
+      if (!flags.number(1, 65535, &options.serve_port)) return usage();
     } else if (arg == "--fus") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       fu_slugs = splitList(v);
       if (fu_slugs.empty()) return usage();
     } else if (arg == "--all") {
@@ -142,40 +127,42 @@ int main(int argc, char** argv) {
         fu_slugs.emplace_back(circuits::fuSlug(kind));
       }
     } else if (arg == "--cycles") {
-      if (!number(2, util::kMaxExactInteger, &options.stream.cycles)) {
+      if (!flags.number(2, util::kMaxExactInteger, &options.stream.cycles)) {
         return usage();
       }
     } else if (arg == "--window") {
-      if (!number(1, util::kMaxExactInteger, &options.stream.window)) {
+      if (!flags.number(1, util::kMaxExactInteger, &options.stream.window)) {
         return usage();
       }
     } else if (arg == "--seed") {
-      if (!number(0, util::kMaxExactInteger, &options.stream.seed)) {
+      if (!flags.number(0, util::kMaxExactInteger, &options.stream.seed)) {
         return usage();
       }
     } else if (arg == "--guardband") {
-      if (!number(0, kNoLimit, &options.controller.guardband)) return usage();
+      if (!flags.number(0, kNoLimit, &options.controller.guardband)) {
+        return usage();
+      }
     } else if (arg == "--hysteresis") {
-      if (!number(0, kNoLimit, &options.controller.hysteresis)) {
+      if (!flags.number(0, kNoLimit, &options.controller.hysteresis)) {
         return usage();
       }
     } else if (arg == "--escape-budget") {
-      if (!number(0, util::kMaxExactInteger,
+      if (!flags.number(0, util::kMaxExactInteger,
                   &options.controller.escape_budget)) {
         return usage();
       }
     } else if (arg == "--deadline-ms") {
-      if (!number(0, kNoLimit, &options.deadline_ms)) return usage();
+      if (!flags.number(0, kNoLimit, &options.deadline_ms)) return usage();
     } else if (arg == "--jobs") {
-      if (!number(0, util::kMaxJobs, &jobs)) return usage();
+      if (!flags.number(0, util::kMaxJobs, &jobs)) return usage();
     } else if (arg == "--json") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       json_path = v;
     } else if (arg == "--trace-dir") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       trace_dir = v;
     } else if (arg == "--label") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       label = v;
     } else {
       std::fprintf(stderr, "tevot_dvfs: unknown option %s\n", arg.c_str());

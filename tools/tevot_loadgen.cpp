@@ -64,57 +64,45 @@ int main(int argc, char** argv) {
   fleet::LoadgenOptions options;
   std::string label = "default";
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tevot_loadgen: %s needs a value\n",
-                     arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    // A numeric value must be a complete, finite number in [lo, hi].
-    const auto number = [&](double lo, double hi, auto* out) {
-      const char* text = value();
-      if (text == nullptr) return false;
-      if (util::parseNumber(text, lo, hi, out)) return true;
-      std::fprintf(stderr, "tevot_loadgen: bad %s value '%s'\n",
-                   arg.c_str(), text);
-      return false;
-    };
+  util::FlagReader flags("tevot_loadgen", argc, argv);
+  while (flags.next()) {
+    const std::string& arg = flags.flag();
     const char* v = nullptr;
     if (arg == "--port") {
-      if (!number(1, 65535, &options.port)) return usage();
+      if (!flags.number(1, 65535, &options.port)) return usage();
     } else if (arg == "--fu") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       options.fu = v;
     } else if (arg == "--duration-s") {
-      if (!number(0, kNoLimit, &options.duration_s)) return usage();
+      if (!flags.number(0, kNoLimit, &options.duration_s)) return usage();
     } else if (arg == "--rate-qps") {
-      if (!number(kPositive, kNoLimit, &options.rate_qps)) return usage();
+      if (!flags.number(kPositive, kNoLimit, &options.rate_qps)) return usage();
     } else if (arg == "--arrival") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       if (!fleet::parseArrival(v, &options.arrival)) return usage();
     } else if (arg == "--connections") {
-      if (!number(1, kMaxConnections, &options.connections)) return usage();
+      if (!flags.number(1, kMaxConnections, &options.connections)) {
+        return usage();
+      }
     } else if (arg == "--batch-fraction") {
-      if (!number(0, 1, &options.batch_fraction)) return usage();
+      if (!flags.number(0, 1, &options.batch_fraction)) return usage();
     } else if (arg == "--batch-tuples") {
-      if (!number(1, serve::kMaxBatchTuples, &options.batch_tuples)) {
+      if (!flags.number(1, serve::kMaxBatchTuples, &options.batch_tuples)) {
         return usage();
       }
     } else if (arg == "--malformed-fraction") {
-      if (!number(0, 1, &options.malformed_fraction)) return usage();
+      if (!flags.number(0, 1, &options.malformed_fraction)) return usage();
     } else if (arg == "--deadline-ms") {
-      if (!number(0, kNoLimit, &options.deadline_ms)) return usage();
+      if (!flags.number(0, kNoLimit, &options.deadline_ms)) return usage();
     } else if (arg == "--seed") {
-      if (!number(0, util::kMaxExactInteger, &options.seed)) return usage();
+      if (!flags.number(0, util::kMaxExactInteger, &options.seed)) {
+        return usage();
+      }
     } else if (arg == "--label") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       label = v;
     } else if (arg == "--json") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       json_path = v;
     } else {
       std::fprintf(stderr, "tevot_loadgen: unknown option %s\n",

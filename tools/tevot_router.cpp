@@ -83,59 +83,43 @@ int main(int argc, char** argv) {
   fleet::SupervisorOptions supervisor_options;
   fleet::RouterOptions router_options;
   std::string fus_text;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tevot_router: %s needs a value\n",
-                     arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    // A numeric value must be a complete, finite number in [lo, hi].
-    const auto number = [&](double lo, double hi, auto* out) {
-      const char* text = value();
-      if (text == nullptr) return false;
-      if (util::parseNumber(text, lo, hi, out)) return true;
-      std::fprintf(stderr, "tevot_router: bad %s value '%s'\n",
-                   arg.c_str(), text);
-      return false;
-    };
+  util::FlagReader flags("tevot_router", argc, argv);
+  while (flags.next()) {
+    const std::string& arg = flags.flag();
     const char* v = nullptr;
     if (arg == "--model-dir") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       supervisor_options.model_dir = v;
     } else if (arg == "--serve-binary") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       supervisor_options.serve_binary = v;
     } else if (arg == "--port") {
-      if (!number(0, 65535, &router_options.port)) return usage();
+      if (!flags.number(0, 65535, &router_options.port)) return usage();
     } else if (arg == "--shards") {
-      if (!number(1, 256, &supervisor_options.shards)) return usage();
+      if (!flags.number(1, 256, &supervisor_options.shards)) return usage();
     } else if (arg == "--policy") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       if (!fleet::parseShardPolicy(v, &router_options.policy)) {
         return usage();
       }
     } else if (arg == "--fus") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       fus_text = v;
     } else if (arg == "--deadline-ms") {
-      if (!number(0, kNoLimit, &supervisor_options.default_deadline_ms)) {
+      if (!flags.number(0, kNoLimit, &supervisor_options.default_deadline_ms)) {
         return usage();
       }
     } else if (arg == "--max-restarts") {
-      if (!number(0, std::numeric_limits<int>::max(),
+      if (!flags.number(0, std::numeric_limits<int>::max(),
                   &supervisor_options.max_restarts)) {
         return usage();
       }
     } else if (arg == "--shed-queue-fraction") {
-      if (!number(1.0 / 1024, 1, &router_options.shed_queue_fraction)) {
+      if (!flags.number(1.0 / 1024, 1, &router_options.shed_queue_fraction)) {
         return usage();
       }
     } else if (arg == "--health-interval-ms") {
-      if (!number(1, kNoLimit, &router_options.health_interval_ms)) {
+      if (!flags.number(1, kNoLimit, &router_options.health_interval_ms)) {
         return usage();
       }
     } else {

@@ -65,37 +65,25 @@ int main(int argc, char** argv) {
 
   constexpr double kNoLimit = std::numeric_limits<double>::max();
   serve::ServerOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tevot_serve: %s needs a value\n",
-                     arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    // A numeric value must be a complete, finite number in [lo, hi].
-    const auto number = [&](double lo, double hi, auto* out) {
-      const char* text = value();
-      if (text == nullptr) return false;
-      if (util::parseNumber(text, lo, hi, out)) return true;
-      std::fprintf(stderr, "tevot_serve: bad %s value '%s'\n", arg.c_str(),
-                   text);
-      return false;
-    };
+  util::FlagReader flags("tevot_serve", argc, argv);
+  while (flags.next()) {
+    const std::string& arg = flags.flag();
     const char* v = nullptr;
     if (arg == "--model-dir") {
-      if ((v = value()) == nullptr) return usage();
+      if ((v = flags.value()) == nullptr) return usage();
       options.model_dir = v;
     } else if (arg == "--port") {
-      if (!number(0, 65535, &options.port)) return usage();
+      if (!flags.number(0, 65535, &options.port)) return usage();
     } else if (arg == "--max-conns") {
-      if (!number(1, 65535, &options.max_connections)) return usage();
+      if (!flags.number(1, 65535, &options.max_connections)) return usage();
     } else if (arg == "--deadline-ms") {
-      if (!number(0, kNoLimit, &options.default_deadline_ms)) return usage();
+      if (!flags.number(0, kNoLimit, &options.default_deadline_ms)) {
+        return usage();
+      }
     } else if (arg == "--drain-ms") {
-      if (!number(0, kNoLimit, &options.drain_deadline_ms)) return usage();
+      if (!flags.number(0, kNoLimit, &options.drain_deadline_ms)) {
+        return usage();
+      }
     } else if (arg == "--strict-verify") {
       options.strict_verify = true;
     } else {
