@@ -1,12 +1,12 @@
 #include "apps/image.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/text_io.hpp"
 
 namespace tevot::apps {
 
@@ -17,32 +17,13 @@ std::uint8_t Image::atClamped(int x, int y) const {
 }
 
 void writePgm(const std::string& path, const Image& image) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("writePgm: cannot open " + path + ": " +
-                             std::strerror(errno));
-  os << "P5\n" << image.width() << " " << image.height() << "\n255\n";
-  os.write(reinterpret_cast<const char*>(image.pixels().data()),
-           static_cast<std::streamsize>(image.pixelCount()));
-}
-
-Image readPgm(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("readPgm: cannot open " + path + ": " +
-                             std::strerror(errno));
-  std::string magic;
-  int width = 0, height = 0, maxval = 0;
-  is >> magic >> width >> height >> maxval;
-  if (magic != "P5" || width <= 0 || height <= 0 || maxval != 255) {
-    throw std::runtime_error("readPgm: unsupported PGM header in " + path);
-  }
-  is.get();  // single whitespace after header
-  Image image(width, height);
-  is.read(reinterpret_cast<char*>(image.pixels().data()),
-          static_cast<std::streamsize>(image.pixelCount()));
-  if (static_cast<std::size_t>(is.gcount()) != image.pixelCount()) {
-    throw std::runtime_error("readPgm: truncated pixel data in " + path);
-  }
-  return image;
+  util::writeFileAtomic(path, "writePgm", [&](util::TextWriter& out) {
+    out.text("P5\n").number(image.width()).text(" ");
+    out.number(image.height()).text("\n255\n");
+    out.text(std::string_view(
+        reinterpret_cast<const char*>(image.pixels().data()),
+        image.pixelCount()));
+  });
 }
 
 double psnrDb(const Image& reference, const Image& candidate) {

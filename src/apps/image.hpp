@@ -48,9 +48,9 @@ class Image {
   std::vector<std::uint8_t> pixels_;
 };
 
-/// Binary PGM (P5) writer/reader.
+/// Writes a binary PGM (P5) through util::writeFileAtomic: the file is
+/// whole or absent, and a failure throws util::StatusError.
 void writePgm(const std::string& path, const Image& image);
-Image readPgm(const std::string& path);
 
 /// Peak signal-to-noise ratio in dB; identical images yield +infinity.
 double psnrDb(const Image& reference, const Image& candidate);

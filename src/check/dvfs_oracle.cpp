@@ -74,8 +74,6 @@ dvfs::RunReport runOnce(const std::string& model_dir,
   options.stream.seed = seed;
   options.serve_port = server.port();
   options.deadline_ms = 0.0;
-  options.reconnect.initial_backoff_ms = 0.5;
-  options.reconnect.max_backoff_ms = 5.0;
 
   util::ThreadPool pool(1);
   dvfs::RunReport run = dvfs::runDvfs(fus, options, pool);

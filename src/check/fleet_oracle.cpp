@@ -42,8 +42,6 @@ void checkFleetResilience(std::uint64_t seed, util::Rng& rng) {
   fleet::RouterOptions options;
   options.policy = fleet::ShardPolicy::kReplicated;
   options.health_interval_ms = 10.0;
-  options.breaker.failure_threshold = 3;
-  options.breaker.cooldown_ms = 25.0;
   options.backend_timeout_ms = 2000.0;
   fleet::Router router(options, endpoints);
   const util::Status started = router.start();

@@ -138,9 +138,9 @@ WindowPrediction ServeBackend::predictWindow(const WindowedStream& stream,
     ever_connected_ = true;
   }
   WindowPrediction out;
-  for (int attempt = 0; attempt <= options_.resend_budget; ++attempt) {
+  for (int attempt = 0; attempt <= kResends; ++attempt) {
     if (attempt > 0 || !client_.connected()) {
-      const util::Status status = client_.reconnect(options_.reconnect);
+      const util::Status status = client_.reconnect();
       if (!status.ok()) {
         out = WindowPrediction{};
         out.outcome = WindowOutcome::kDisconnect;

@@ -29,7 +29,7 @@ enum class WindowOutcome {
   kShed,        ///< server shed the window (overload / draining)
   kDeadline,    ///< per-request deadline exceeded
   kError,       ///< typed ERROR response, injected fault, or backend throw
-  kDisconnect,  ///< connection lost and the reconnect budget exhausted
+  kDisconnect,  ///< connection lost and every resend failed
 };
 
 /// "ok" / "shed" / "deadline" / "error" / "disconnect".
@@ -77,11 +77,14 @@ class InProcessBackend : public DelayBackend {
 /// Live-serving backend: predictN batches over the newline protocol,
 /// one connection per backend (per FU). Windows wider than the
 /// protocol's batch cap are split across several predictN lines. A
-/// dropped connection is retried through LineClient::reconnect() and
-/// the whole window is resent (requests are idempotent); only an
-/// exhausted budget degrades the window to kDisconnect.
+/// dropped connection is redialed through LineClient::reconnect() and
+/// the whole window is resent (requests are idempotent), at most
+/// kResends times; only then does the window degrade to kDisconnect.
 class ServeBackend : public DelayBackend {
  public:
+  /// Full-window resends after a mid-window disconnect.
+  static constexpr int kResends = 2;
+
   struct Options {
     int port = 0;
     /// Clock the wire protocol classifies err= against; the
@@ -89,9 +92,6 @@ class ServeBackend : public DelayBackend {
     /// works — the certified clock is the natural choice.
     double tclk_hint_ps = 1000.0;
     double deadline_ms = 0.0;  ///< 0 = server default
-    serve::ReconnectPolicy reconnect;
-    /// Full-window resends after a mid-window disconnect.
-    int resend_budget = 2;
   };
 
   ServeBackend(std::string fu_slug, Options options);

@@ -98,7 +98,6 @@ RunReport runDvfs(std::span<const FuSetup> fus, const RunOptions& options,
       serve_options.port = options.serve_port;
       serve_options.tclk_hint_ps = fu.cert.tclk_ps;
       serve_options.deadline_ms = options.deadline_ms;
-      serve_options.reconnect = options.reconnect;
       backend = std::make_unique<ServeBackend>(slug, serve_options);
     } else {
       backend =

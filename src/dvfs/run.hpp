@@ -20,7 +20,6 @@
 
 #include "dvfs/controller.hpp"
 #include "dvfs/stream.hpp"
-#include "serve/client.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/model_rules.hpp"
 
@@ -49,7 +48,6 @@ struct RunOptions {
   /// port; 0 runs in-process and requires FuSetup::model.
   int serve_port = 0;
   double deadline_ms = 0.0;
-  serve::ReconnectPolicy reconnect;
   /// In-process fault injector for the dvfs.predict point; nullptr
   /// uses the process-global (TEVOT_FAULTS) injector.
   util::FaultInjector* faults = nullptr;

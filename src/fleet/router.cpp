@@ -54,10 +54,9 @@ Router::Router(RouterOptions options, std::vector<ShardEndpoint> shards)
                 }
               };
             }) {
-  if (options_.forward_attempts < 1) options_.forward_attempts = 1;
   shards_.reserve(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    shards_.push_back(std::make_unique<Shard>(options_.breaker));
+    shards_.push_back(std::make_unique<Shard>());
     shards_.back()->port.store(shards[i].port);
     shards_.back()->fus = std::move(shards[i].fus);
     for (const std::string& fu : shards_.back()->fus) {
@@ -95,8 +94,7 @@ util::Status Router::start() {
 bool Router::shardEligible(std::size_t shard) const {
   if (shard >= shards_.size()) return false;
   const Shard& s = *shards_[shard];
-  return s.port.load() > 0 && !s.admin_down.load() && s.probed_up.load() &&
-         s.breaker.state() == serve::CircuitBreaker::State::kClosed;
+  return s.port.load() > 0 && !s.admin_down.load() && s.probed_up.load();
 }
 
 void Router::markShardDown(std::size_t shard) {
@@ -116,10 +114,6 @@ serve::MetricsSnapshot Router::stats() const {
   serve::MetricsSnapshot snap = core_.metrics().snapshot();
   std::uint64_t min_generation = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    if (shard->breaker.state() != serve::CircuitBreaker::State::kClosed) {
-      ++snap.breakers_open;
-    }
-    snap.breaker_opens += shard->breaker.opens();
     const std::lock_guard<std::mutex> lock(shard->stats_mutex);
     snap.in_flight += shard->last_stats.in_flight;
     snap.max_connections += shard->last_stats.max_connections;
@@ -148,7 +142,7 @@ bool Router::probeShard(std::size_t index, BackendConn* conn) {
   if (port <= 0) return false;
   const auto fail = [&] {
     conn->client.close();
-    shard.breaker.recordFailure();
+    markShardDown(index);
     return false;
   };
   if (!conn->client.connected() || conn->port != port) {
@@ -180,17 +174,12 @@ bool Router::probeShard(std::size_t index, BackendConn* conn) {
     const std::lock_guard<std::mutex> lock(shard.stats_mutex);
     shard.last_stats = worker;
   }
-  shard.breaker.recordSuccess();
   shard.probed_up.store(true);
   return true;
 }
 
 void Router::probeRound(std::vector<BackendConn>& conns) {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    // allow() drives OPEN -> HALF_OPEN once the cooldown elapses;
-    // while it refuses, the shard rests and routing skips it.
-    if (shards_[i]->breaker.allow()) probeShard(i, &conns[i]);
-  }
+  for (std::size_t i = 0; i < shards_.size(); ++i) probeShard(i, &conns[i]);
 }
 
 void Router::healthLoop() {
@@ -291,12 +280,11 @@ void Router::routePredict(const serve::Request& request,
   const std::string forward(line);
   std::vector<bool> tried(shards_.size(), false);
   std::vector<std::string> responses;
-  for (int attempt = 0; attempt < options_.forward_attempts; ++attempt) {
-    const std::size_t index = pickShard(request, tried);
-    if (index == kNoShard) break;
-    // Reroute (kReplicated) excludes shards already tried; the per-FU
-    // owner is retried over a fresh connection instead.
-    if (options_.policy == ShardPolicy::kReplicated) tried[index] = true;
+  // Each shard is tried at most once: kReplicated moves on to the next
+  // eligible sibling, and kPerFu's owner is the only candidate.
+  for (std::size_t index = pickShard(request, tried); index != kNoShard;
+       index = pickShard(request, tried)) {
+    tried[index] = true;
     Shard& shard = *shards_[index];
     shard.in_flight.fetch_add(1, std::memory_order_acq_rel);
     BackendConn& backend = backends[index];
@@ -324,7 +312,7 @@ void Router::routePredict(const serve::Request& request,
         // retried (duplicates), so the remainder degrades to typed
         // errors and the batch still answers with exactly n lines.
         backend.client.close();
-        shard.breaker.recordFailure();
+        markShardDown(index);
         out.add(serve::Response::error(serve::ErrorCode::kInternal,
                                        "shard connection lost mid-batch"),
                 lines - responses.size());
@@ -332,10 +320,10 @@ void Router::routePredict(const serve::Request& request,
       core_.metrics().recordLatencyMs(serve::msSince(arrival));
       return;
     }
-    // Nothing was relayed: safe to reroute/retry this idempotent
-    // request after recording the backend failure.
+    // Nothing was relayed: the shard leaves rotation until its next
+    // successful probe, and this idempotent request is safe to reroute.
     backend.client.close();
-    shard.breaker.recordFailure();
+    markShardDown(index);
   }
   out.add(serve::Response::shed("no eligible shard"), lines);
 }

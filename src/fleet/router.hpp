@@ -16,26 +16,27 @@
 // Sharding policies:
 //   kReplicated  every shard serves every FU; requests round-robin
 //                over the eligible shards, and a failed forward
-//                reroutes to a sibling (predicts are idempotent, and
-//                rerouting only happens before the first response
-//                line has been relayed).
+//                reroutes to the next eligible sibling, each shard
+//                tried at most once per request (predicts are
+//                idempotent, and rerouting only happens before the
+//                first response line has been relayed).
 //   kPerFu       each shard owns a fixed FU subset (ShardEndpoint::
 //                fus); the owner is the only target, so a failed
-//                forward retries the same shard and then degrades to
-//                a typed SHED.
+//                forward degrades to a typed SHED.
 //
-// Eligibility and the backpressure contract: a shard is routed to
-// only while (a) it is not administratively down (rolling reload /
-// supervisor restart window), (b) its circuit breaker is CLOSED, and
-// (c) its load — in_flight/max_connections from the last polled
-// worker stats line — is below shed_queue_fraction. The health
-// thread polls each shard's in-band `stats` every
-// health_interval_ms, feeds the shard's breaker (probe and relay
-// failures open it; OPEN shards are skipped by routing until a
-// cooled-down probe succeeds), and caches the parsed worker snapshot
-// for fleet-wide aggregation (exact cross-process histogram merge).
-// When no shard is eligible the router sheds with a typed SHED —
-// backpressure is never a silent drop or an unbounded queue.
+// Shard health is one signal: the result of the last health probe. A
+// shard is in rotation while (a) its port is set, (b) it is not
+// administratively down (rolling reload / supervisor restart window),
+// (c) its last probe succeeded, and (d) its load — in_flight/
+// max_connections from the last polled worker stats line — is below
+// shed_queue_fraction. The health thread probes every shard's in-band
+// `stats` every health_interval_ms: a failed probe takes the shard out
+// of rotation, the next successful one puts it back, and the parsed
+// worker snapshot is cached for fleet-wide aggregation (exact
+// cross-process histogram merge). A forward that relays nothing takes
+// its shard out of rotation at once, as markShardDown does. When no
+// shard is eligible the router sheds with a typed SHED — backpressure
+// is never a silent drop or an unbounded queue.
 //
 // Rolling zero-downtime reload (`reload` verb or tevot_router's
 // SIGHUP): one shard at a time — mark admin-down (drain: new
@@ -56,7 +57,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/breaker.hpp"
 #include "serve/client.hpp"
 #include "serve/line_server.hpp"
 #include "serve/metrics.hpp"
@@ -84,20 +84,15 @@ struct RouterOptions {
   int port = 0;
   ShardPolicy policy = ShardPolicy::kReplicated;
   std::size_t max_connections = 64;
-  /// Worker stats poll + breaker probe cadence.
+  /// Health probe (worker stats poll) cadence.
   double health_interval_ms = 50.0;
   /// Shed new requests for a shard whose polled in_flight /
   /// max_connections is at or above this fraction.
   double shed_queue_fraction = 0.9;
-  /// Total forward attempts per request (first try included).
-  int forward_attempts = 3;
   /// SO_RCVTIMEO on backend connections: bounds how long a dead or
   /// wedged shard can stall a relay before it degrades to a typed
   /// response. 0 disables the timeout.
   double backend_timeout_ms = 5000.0;
-  /// Per-shard health breaker (probe failures open it).
-  serve::BreakerConfig breaker{.failure_threshold = 3,
-                               .cooldown_ms = 100.0};
   /// Budget for drainAndStop() to finish relaying admitted work.
   double drain_deadline_ms = 2000.0;
   /// Budget for the per-shard in-flight drain during rollingReload().
@@ -123,8 +118,8 @@ class Router {
   /// Router-side accounting: requests == ok+shed+deadline+errors over
   /// everything the router answered (relayed or self-generated), with
   /// router-measured latency. Gauges summarize the fleet: in_flight =
-  /// summed worker in_flight/max_connections, breakers_open = open
-  /// shard breakers, generation = minimum worker generation.
+  /// summed worker in_flight/max_connections, generation = minimum
+  /// worker generation. Shard health is the `health` verb's healthy=.
   serve::MetricsSnapshot stats() const;
 
   /// Exact cross-process aggregation of the last polled worker stats
@@ -136,13 +131,14 @@ class Router {
   /// serving, later shards are not touched).
   util::Status rollingReload();
 
-  /// True while the shard is routed to (admin-up, breaker closed).
+  /// True while the shard is in rotation: port set, admin-up and its
+  /// last probe succeeded (the load gate is applied per request).
   bool shardEligible(std::size_t shard) const;
 
   /// Supervisor hooks around a worker restart: markShardDown removes
-  /// the shard from rotation immediately (faster than waiting for
-  /// probe failures to open the breaker); setShardPort re-targets the
-  /// shard after a respawn and re-admits it once a probe succeeds.
+  /// the shard from rotation immediately (without waiting for the next
+  /// probe to fail); setShardPort re-targets the shard after a respawn
+  /// and re-admits it once a probe succeeds.
   void markShardDown(std::size_t shard);
   void setShardPort(std::size_t shard, int port);
 
@@ -155,11 +151,11 @@ class Router {
   struct Shard {
     std::atomic<int> port{0};
     std::vector<std::string> fus;
-    serve::CircuitBreaker breaker;
     std::atomic<bool> admin_down{false};
     /// True once a health probe has succeeded on the current port;
-    /// cleared by markShardDown/setShardPort so a restarting shard
-    /// re-enters rotation only after it answers a probe.
+    /// cleared by a failed probe or forward and by markShardDown/
+    /// setShardPort, so a shard re-enters rotation only after it
+    /// answers a probe.
     std::atomic<bool> probed_up{false};
     std::atomic<std::size_t> in_flight{0};
     /// in_flight/max_connections from the last poll, in 1/1024ths
@@ -167,9 +163,6 @@ class Router {
     std::atomic<std::uint32_t> load_permille{0};
     mutable std::mutex stats_mutex;
     serve::MetricsSnapshot last_stats;  ///< guarded by stats_mutex
-
-    explicit Shard(const serve::BreakerConfig& config)
-        : breaker(config) {}
   };
 
   /// A cached backend connection plus the port it was dialed on, so a
@@ -183,7 +176,7 @@ class Router {
   using Backends = std::map<std::size_t, BackendConn>;
 
   void healthLoop();
-  /// Probes every shard whose breaker allows it, over `conns`.
+  /// Probes every shard once, over `conns`.
   void probeRound(std::vector<BackendConn>& conns);
   serve::Response handleControl(const serve::Request& request);
   /// Routes one parsed predict/predictN; answers with exactly
@@ -191,7 +184,7 @@ class Router {
   void routePredict(const serve::Request& request, std::string_view line,
                     Backends& backends, serve::Replies& out);
   /// The next eligible shard for `request`, or npos. `exclude` skips
-  /// shards already tried this request (reroute path).
+  /// shards already tried this request.
   std::size_t pickShard(const serve::Request& request,
                         const std::vector<bool>& exclude) const;
   bool probeShard(std::size_t index, BackendConn* conn);

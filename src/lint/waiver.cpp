@@ -1,10 +1,9 @@
 #include "lint/waiver.hpp"
 
-#include <cerrno>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/text_io.hpp"
 
 namespace tevot::lint {
 
@@ -17,7 +16,8 @@ bool waiverPatternMatches(std::string_view pattern,
   return pattern == location;
 }
 
-WaiverSet WaiverSet::parse(std::istream& is) {
+WaiverSet WaiverSet::parseString(const std::string& text) {
+  std::istringstream is(text);
   WaiverSet set;
   std::string line;
   int line_no = 0;
@@ -55,18 +55,8 @@ WaiverSet WaiverSet::parse(std::istream& is) {
   return set;
 }
 
-WaiverSet WaiverSet::parseString(const std::string& text) {
-  std::istringstream is(text);
-  return parse(is);
-}
-
 WaiverSet WaiverSet::parseFile(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    throw std::runtime_error("cannot open waiver file " + path + ": " +
-                             std::strerror(errno));
-  }
-  return parse(is);
+  return parseString(util::readFile(path, "waiver file"));
 }
 
 bool WaiverSet::matches(const Finding& finding) {

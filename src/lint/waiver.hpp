@@ -15,7 +15,6 @@
 // suppressions rot visibly instead of silently.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,10 +41,10 @@ class WaiverSet {
 
   /// Parses the waiver file format. Throws std::runtime_error with a
   /// line diagnostic on a malformed line.
-  static WaiverSet parse(std::istream& is);
   static WaiverSet parseString(const std::string& text);
-  /// Throws std::runtime_error (with path and errno text) when the
-  /// file cannot be opened.
+  /// parseString over util::readFile: also throws util::StatusError
+  /// (kIoError, with the path and errno text) when the file cannot be
+  /// read.
   static WaiverSet parseFile(const std::string& path);
 
   const std::vector<Waiver>& waivers() const { return waivers_; }

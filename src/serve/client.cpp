@@ -4,7 +4,6 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -48,25 +47,23 @@ util::Status LineClient::connectTo(int port, double recv_timeout_ms) {
   return util::Status::okStatus();
 }
 
-util::Status LineClient::reconnect(const ReconnectPolicy& policy) {
+util::Status LineClient::reconnect() {
   if (last_port_ == 0) {
     return util::Status::invalidArgument(
         "reconnect: no prior successful connectTo()");
   }
   close();
-  util::Status last = util::Status::ioError("reconnect: zero attempts");
-  double backoff_ms = policy.initial_backoff_ms;
-  for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
-    if (attempt > 0 && backoff_ms > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(backoff_ms));
-      backoff_ms = std::min(backoff_ms * policy.growth,
-                            policy.max_backoff_ms);
-    }
+  util::Status last = connectTo(last_port_, last_recv_timeout_ms_);
+  double backoff_ms = kReconnectBackoffMs;
+  for (int attempt = 1; attempt < kReconnectAttempts && !last.ok();
+       ++attempt) {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(backoff_ms));
+    backoff_ms *= 2.0;
     last = connectTo(last_port_, last_recv_timeout_ms_);
-    if (last.ok()) return last;
   }
-  last.message += " (after " + std::to_string(policy.max_attempts) +
+  if (last.ok()) return last;
+  last.message += " (after " + std::to_string(kReconnectAttempts) +
                   " reconnect attempts)";
   return last;
 }

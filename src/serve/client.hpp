@@ -1,5 +1,8 @@
-// Minimal blocking line client for the tevot_serve protocol; used by
-// the resilience oracle, the serve tests and `tevot_cli serve-check`.
+// Minimal blocking line client for the tevot_serve protocol. Every
+// client of a server or router speaks through it: fleet::Router (shard
+// probes and relays), dvfs::ServeBackend, tevot_loadgen, the perfbench
+// driver, the resilience oracles (and so `tevot_cli serve-check`) and
+// the serve tests.
 #pragma once
 
 #include <optional>
@@ -10,23 +13,20 @@
 
 namespace tevot::serve {
 
-/// Bounded-backoff schedule for LineClient::reconnect(). The waits
-/// are deterministic (no jitter) so a controller retrying through a
-/// fault storm stays exactly reproducible: attempt k sleeps
-/// min(initial_backoff_ms * growth^k, max_backoff_ms) before dialing.
-struct ReconnectPolicy {
-  int max_attempts = 5;
-  double initial_backoff_ms = 1.0;
-  double growth = 2.0;
-  double max_backoff_ms = 100.0;
-};
-
 class LineClient {
  public:
   /// Hard cap on one response line. A server response is at most a
   /// stats line (~2 KiB); a peer streaming an unbounded "line" is a
   /// protocol violation, and readLine fails instead of buffering it.
   static constexpr std::size_t kMaxResponseLineBytes = 1 << 20;
+
+  /// reconnect()'s fixed schedule: at most kReconnectAttempts dials,
+  /// sleeping kReconnectBackoffMs before the second and doubling the
+  /// sleep before each later one (1, 2, 4, 8 ms). There is no jitter,
+  /// so a controller retrying through a fault storm stays exactly
+  /// reproducible.
+  static constexpr int kReconnectAttempts = 5;
+  static constexpr double kReconnectBackoffMs = 1.0;
 
   LineClient() = default;
 
@@ -38,16 +38,13 @@ class LineClient {
   util::Status connectTo(int port, double recv_timeout_ms = 0.0);
 
   /// Re-dials the port of the last connectTo() (with its recv
-  /// timeout), retrying up to policy.max_attempts times with bounded
-  /// exponential backoff between attempts. Before this helper every
-  /// caller hand-rolled its own reconnect loop around a dropped
-  /// connection. Closes any half-dead socket first; on success the
-  /// read buffer is empty (mid-stream partial lines are discarded —
-  /// the newline protocol cannot resume a torn response, callers
-  /// resend the request). Fails with the last attempt's IoError plus
-  /// the attempt count; kInvalidArgument when connectTo() never
-  /// succeeded (no port to redial).
-  util::Status reconnect(const ReconnectPolicy& policy = {});
+  /// timeout) on the fixed schedule above. Closes any half-dead socket
+  /// first; on success the read buffer is empty (mid-stream partial
+  /// lines are discarded — the newline protocol cannot resume a torn
+  /// response, callers resend the request). Fails with the last
+  /// attempt's IoError plus the attempt count; kInvalidArgument when
+  /// connectTo() never succeeded (no port to redial).
+  util::Status reconnect();
 
   bool connected() const { return fd_.valid(); }
 

@@ -37,8 +37,6 @@ constexpr Field kFields[] = {
     {" dropped=", &M::connections_dropped, nullptr, Merge::kSum},
     {" in_flight=", &M::in_flight, nullptr, Merge::kSum},
     {"/", &M::max_connections, nullptr, Merge::kSum},
-    {" breakers_open=", &M::breakers_open, nullptr, Merge::kSum},
-    {" breaker_opens=", &M::breaker_opens, nullptr, Merge::kSum},
     {" reloads=", &M::reloads, nullptr, Merge::kSum},
     {" reload_failures=", &M::reload_failures, nullptr, Merge::kSum},
     {" generation=", &M::generation, nullptr, Merge::kOldest},

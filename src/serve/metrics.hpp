@@ -37,10 +37,8 @@ struct MetricsSnapshot {
   std::uint64_t errors = 0;
   std::uint64_t reloads = 0;
   std::uint64_t reload_failures = 0;
-  std::uint64_t breaker_opens = 0;
   std::uint64_t in_flight = 0;        ///< predicts being computed now
   std::uint64_t max_connections = 0;  ///< in_flight's capacity
-  std::uint64_t breakers_open = 0;
   std::uint64_t generation = 0;  ///< model-set generation
   double p50_ms = 0.0;
   double p95_ms = 0.0;
@@ -104,7 +102,7 @@ class ServeMetrics {
   }
 
   /// Counter + latency part of the snapshot; the owner fills in the
-  /// in-flight/breaker/generation gauges.
+  /// in-flight/generation gauges.
   MetricsSnapshot snapshot() const;
 
  private:

@@ -1,13 +1,11 @@
 #include "verify/certificate_io.hpp"
 
-#include <cerrno>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 #include <tuple>
 #include <utility>
 
 #include "util/json.hpp"
+#include "util/text_io.hpp"
 
 namespace tevot::verify {
 
@@ -148,16 +146,13 @@ util::Status loadCertificate(std::string_view json,
 
 util::Status loadCertificateFile(const std::string& path,
                                  SafeTclkCertificate* out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    return util::ioErrorFor("open certificate", path, errno);
+  std::string text;
+  try {
+    text = util::readFile(path, "certificate");
+  } catch (const util::StatusError& error) {
+    return error.status();
   }
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  if (is.bad()) {
-    return util::ioErrorFor("read certificate", path, errno);
-  }
-  util::Status status = loadCertificate(buffer.str(), out);
+  util::Status status = loadCertificate(text, out);
   if (!status.ok()) {
     status.message += " (" + path + ")";
   }

@@ -1,4 +1,4 @@
-// Image container, PGM I/O, PSNR and synthetic-image tests.
+// Image container, PGM output, PSNR and synthetic-image tests.
 #include "apps/image.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +8,8 @@
 
 #include "apps/synth_images.hpp"
 #include "util/stats.hpp"
+#include "util/status.hpp"
+#include "util/text_io.hpp"
 
 namespace tevot::apps {
 namespace {
@@ -35,12 +37,14 @@ TEST(ImageTest, PgmRoundTrip) {
   }
   const std::string path = ::testing::TempDir() + "/tevot_img.pgm";
   writePgm(path, image);
-  const Image loaded = readPgm(path);
-  ASSERT_EQ(loaded.width(), 8);
-  ASSERT_EQ(loaded.height(), 5);
-  EXPECT_EQ(loaded.pixels(), image.pixels());
+  const std::string expected =
+      "P5\n8 5\n255\n" +
+      std::string(image.pixels().begin(), image.pixels().end());
+  EXPECT_EQ(util::readFile(path, "PgmRoundTrip"), expected);
   std::remove(path.c_str());
-  EXPECT_THROW(readPgm(path), std::runtime_error);
+  // A path that cannot be written is a typed error.
+  const std::string missing = ::testing::TempDir() + "/no_such_dir/x.pgm";
+  EXPECT_THROW(writePgm(missing, image), util::StatusError);
 }
 
 TEST(ImageTest, PsnrSemantics) {

@@ -1,84 +1,25 @@
 // ServeBackend wire behavior against scripted peers: OK batches
 // return hexfloat-exact delays, a degraded line mid-batch closes the
 // socket instead of blocking on an unknowable replicated tail (the
-// one-line-vs-n-lines protocol asymmetry), and disconnects burn the
-// resend budget through reconnects before degrading to fallback.
+// one-line-vs-n-lines protocol asymmetry), and a disconnect is
+// resent ServeBackend::kResends times over fresh dials before the
+// window degrades to fallback.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
-#include <functional>
+#include <atomic>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "dvfs/backend.hpp"
 #include "dvfs/stream.hpp"
-#include "util/fd.hpp"
+#include "fake_line_server.hpp"
 
 namespace tevot::dvfs {
 namespace {
 
-/// Accepts a fixed sequence of connections; one script per accept.
-class SequentialFakeServer {
- public:
-  explicit SequentialFakeServer(
-      std::vector<std::function<void(int fd)>> scripts) {
-    listen_fd_ = util::UniqueFd(::socket(AF_INET, SOCK_STREAM, 0));
-    EXPECT_TRUE(listen_fd_.valid());
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    EXPECT_EQ(::bind(listen_fd_.get(),
-                     reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof(addr)),
-              0);
-    socklen_t len = sizeof(addr);
-    EXPECT_EQ(::getsockname(listen_fd_.get(),
-                            reinterpret_cast<sockaddr*>(&addr), &len),
-              0);
-    port_ = ntohs(addr.sin_port);
-    EXPECT_EQ(::listen(listen_fd_.get(), 4), 0);
-    thread_ = std::thread([this, scripts = std::move(scripts)] {
-      for (const auto& script : scripts) {
-        util::UniqueFd conn(::accept(listen_fd_.get(), nullptr, nullptr));
-        if (!conn.valid()) return;
-        script(conn.get());
-      }
-    });
-  }
-
-  ~SequentialFakeServer() {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  int port() const { return port_; }
-
-  static void sendAll(int fd, const std::string& data) {
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-      const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return;
-      sent += static_cast<std::size_t>(n);
-    }
-  }
-
-  static std::string readLine(int fd) {
-    std::string line;
-    char c = 0;
-    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line.push_back(c);
-    return line;
-  }
-
- private:
-  util::UniqueFd listen_fd_;
-  int port_ = 0;
-  std::thread thread_;
-};
+using serve_test::FakeLineServer;
 
 WindowedStream oneWindowStream(std::size_t transitions) {
   StreamOptions options;
@@ -92,18 +33,14 @@ ServeBackend::Options backendOptions(int port) {
   ServeBackend::Options options;
   options.port = port;
   options.tclk_hint_ps = 1000.0;
-  options.reconnect.max_attempts = 3;
-  options.reconnect.initial_backoff_ms = 0.5;
-  options.reconnect.max_backoff_ms = 2.0;
-  options.resend_budget = 2;
   return options;
 }
 
 TEST(ServeBackendTest, OkBatchReturnsHexfloatExactDelays) {
   const WindowedStream stream = oneWindowStream(3);
-  SequentialFakeServer server({[](int fd) {
-    SequentialFakeServer::readLine(fd);  // one predictN for the window
-    SequentialFakeServer::sendAll(fd,
+  FakeLineServer server({[](int fd) {
+    FakeLineServer::readLine(fd);  // one predictN for the window
+    FakeLineServer::sendAll(fd,
                                   "OK delay=0x1.8p+7 err=0\n"
                                   "OK delay=0x1.9p+7 err=0\n"
                                   "OK delay=0x1.ap+7 err=1\n");
@@ -126,10 +63,10 @@ TEST(ServeBackendTest, DegradedLineMidBatchClosesInsteadOfBlocking) {
   // for a tail that may never come. This test sends exactly one SHED
   // line and nothing else: a draining client would deadlock here.
   const WindowedStream stream = oneWindowStream(4);
-  SequentialFakeServer server({
+  FakeLineServer server({
       [](int fd) {
-        SequentialFakeServer::readLine(fd);
-        SequentialFakeServer::sendAll(fd,
+        FakeLineServer::readLine(fd);
+        FakeLineServer::sendAll(fd,
                                       "OK delay=0x1.8p+7 err=0\n"
                                       "SHED connection limit\n");
         // Hold the connection open: if the backend tried to read the
@@ -149,9 +86,9 @@ TEST(ServeBackendTest, DegradedLineMidBatchClosesInsteadOfBlocking) {
 
 TEST(ServeBackendTest, ErrorLineCarriesTypedCode) {
   const WindowedStream stream = oneWindowStream(2);
-  SequentialFakeServer server({[](int fd) {
-    SequentialFakeServer::readLine(fd);
-    SequentialFakeServer::sendAll(fd, "ERROR UNKNOWN_FU no model\n");
+  FakeLineServer server({[](int fd) {
+    FakeLineServer::readLine(fd);
+    FakeLineServer::sendAll(fd, "ERROR UNKNOWN_FU no model\n");
     char c = 0;
     while (::recv(fd, &c, 1, 0) == 1) {
     }
@@ -165,18 +102,26 @@ TEST(ServeBackendTest, ErrorLineCarriesTypedCode) {
 }
 
 TEST(ServeBackendTest, DisconnectBurnsResendBudgetThenFallsBack) {
-  // Every connection dies before answering. With resend_budget = 2
-  // the backend dials 1 + 2 times, then reports the disconnect.
+  // Every connection dies before answering. The backend sends the
+  // window once and resends it kResends = 2 times, each over a fresh
+  // dial, then reports the disconnect.
+  static_assert(ServeBackend::kResends == 2);
   const WindowedStream stream = oneWindowStream(2);
-  const auto hang_up = [](int fd) { SequentialFakeServer::readLine(fd); };
-  SequentialFakeServer server({hang_up, hang_up, hang_up});
-  ServeBackend backend("int_add", backendOptions(server.port()));
-  const WindowPrediction pred =
-      backend.predictWindow(stream, stream.windows()[0]);
-  EXPECT_EQ(pred.outcome, WindowOutcome::kDisconnect);
-  EXPECT_NE(pred.detail.find("resend budget exhausted"),
-            std::string::npos)
-      << pred.detail;
+  std::atomic<int> requests{0};
+  const auto hang_up = [&requests](int fd) {
+    if (!FakeLineServer::readLine(fd).empty()) ++requests;
+  };
+  {
+    FakeLineServer server({hang_up, hang_up, hang_up});
+    ServeBackend backend("int_add", backendOptions(server.port()));
+    const WindowPrediction pred =
+        backend.predictWindow(stream, stream.windows()[0]);
+    EXPECT_EQ(pred.outcome, WindowOutcome::kDisconnect);
+    EXPECT_NE(pred.detail.find("resend budget exhausted"),
+              std::string::npos)
+        << pred.detail;
+  }  // joins the server: every script has run
+  EXPECT_EQ(requests.load(), 1 + ServeBackend::kResends);
 }
 
 TEST(ServeBackendTest, RecoversOnRedialAfterMidStreamDrop) {
@@ -184,17 +129,17 @@ TEST(ServeBackendTest, RecoversOnRedialAfterMidStreamDrop) {
   // served on the next accept — the degradation is invisible to the
   // controller (both windows come back kOk).
   const WindowedStream stream = oneWindowStream(2);
-  SequentialFakeServer server({
+  FakeLineServer server({
       [](int fd) {
-        SequentialFakeServer::readLine(fd);
-        SequentialFakeServer::sendAll(fd,
+        FakeLineServer::readLine(fd);
+        FakeLineServer::sendAll(fd,
                                       "OK delay=0x1p+7 err=0\n"
                                       "OK delay=0x1p+7 err=0\n");
         // close: next request from this client hits EOF
       },
       [](int fd) {
-        SequentialFakeServer::readLine(fd);
-        SequentialFakeServer::sendAll(fd,
+        FakeLineServer::readLine(fd);
+        FakeLineServer::sendAll(fd,
                                       "OK delay=0x1.2p+7 err=0\n"
                                       "OK delay=0x1.2p+7 err=0\n");
       },
@@ -212,7 +157,7 @@ TEST(ServeBackendTest, RecoversOnRedialAfterMidStreamDrop) {
 TEST(ServeBackendTest, ServerNeverUpIsDisconnectNotCrash) {
   int dead_port = 0;
   {
-    SequentialFakeServer probe({[](int) {}});
+    FakeLineServer probe({[](int) {}});
     dead_port = probe.port();
     // Connect once so the probe's accept loop unblocks and the
     // listener closes with the scope.

@@ -1,10 +1,12 @@
 // In-process Router tests: sharding policies, typed backpressure,
 // shard eviction/re-admission, and cross-process stats aggregation —
-// against real serve::Server shards on loopback.
+// against real serve::Server shards on loopback, and against scripted
+// shards that pass their health probe and then drop every forward.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -13,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "fake_line_server.hpp"
 #include "fleet/router.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -28,6 +31,7 @@ using serve::ErrorCode;
 using serve::LineClient;
 using serve::Response;
 using serve::ResponseStatus;
+using serve_test::FakeLineServer;
 using serve_test::serveTestModels;
 
 std::unique_ptr<serve::Server> bootShard(serve::ServerOptions options = {}) {
@@ -40,7 +44,6 @@ std::unique_ptr<serve::Server> bootShard(serve::ServerOptions options = {}) {
 RouterOptions fastRouterOptions() {
   RouterOptions options;
   options.health_interval_ms = 10.0;
-  options.breaker.cooldown_ms = 25.0;
   options.backend_timeout_ms = 2000.0;
   return options;
 }
@@ -96,6 +99,35 @@ class RawConnection {
  private:
   util::UniqueFd fd_;
   bool connected_ = false;
+};
+
+/// A shard that answers the router's first health probe (an idle
+/// worker's stats line) and then drops the first forward it gets,
+/// counting the request lines that reach it.
+class DroppingShard {
+ public:
+  DroppingShard()
+      : server_({[](int fd) {
+                   FakeLineServer::readLine(fd);
+                   FakeLineServer::sendAll(
+                       fd, "OK stats " + serve::MetricsSnapshot{}.toLine() +
+                               "\n");
+                 },
+                 [this](int fd) {
+                   if (!FakeLineServer::readLine(fd).empty()) ++forwards_;
+                 }}) {}
+
+  ~DroppingShard() {
+    // A shard the router never forwarded to still waits in accept().
+    if (forwards_ == 0) (void)LineClient().connectTo(port());
+  }
+
+  int port() const { return server_.port(); }
+  int forwards() const { return forwards_; }
+
+ private:
+  std::atomic<int> forwards_{0};
+  FakeLineServer server_;
 };
 
 bool awaitAllEligible(const Router& router, double timeout_ms = 5000.0) {
@@ -363,25 +395,34 @@ TEST(RouterTest, ShedsWhilePolledShardLoadReachesTheFraction) {
 }
 
 TEST(RouterTest, DeadShardIsEvictedAndReadmittedAfterRestart) {
+  // Shard health is the last probe's result: a killed shard leaves
+  // rotation on its first failed probe, and a restarted one comes back
+  // on its first successful probe. Each round probes shard 0 before
+  // shard 1, and shard 0 sees no other traffic meanwhile, so its
+  // request count numbers the probe rounds.
   std::vector<std::unique_ptr<serve::Server>> shards;
   shards.push_back(bootShard());
   shards.push_back(bootShard());
   const std::vector<ShardEndpoint> endpoints = {
       {shards[0]->port(), {}}, {shards[1]->port(), {}}};
-  Router router(fastRouterOptions(), endpoints);
+  RouterOptions options = fastRouterOptions();
+  options.health_interval_ms = 200.0;
+  Router router(options, endpoints);
   ASSERT_TRUE(router.start().ok());
   ASSERT_TRUE(awaitAllEligible(router));
 
-  // Kill shard 1 without telling the router: the health probes must
-  // open its breaker and evict it.
+  // Kill shard 1 without telling the router.
   shards[1]->drainAndStop();
   shards[1].reset();
+  const std::uint64_t rounds_at_kill = shards[0]->stats().requests;
   bool evicted = false;
-  for (int i = 0; i < 500 && !evicted; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  for (int i = 0; i < 5000 && !evicted; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
     evicted = !router.shardEligible(1);
   }
-  EXPECT_TRUE(evicted);
+  ASSERT_TRUE(evicted);
+  // The round under way at the kill, or else the next one, evicted it.
+  EXPECT_LE(shards[0]->stats().requests - rounds_at_kill, 1u);
 
   // Service continues on the sibling.
   LineClient client;
@@ -396,16 +437,75 @@ TEST(RouterTest, DeadShardIsEvictedAndReadmittedAfterRestart) {
   shards[1] = bootShard();
   router.setShardPort(1, shards[1]->port());
   bool readmitted = false;
-  for (int i = 0; i < 500 && !readmitted; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  for (int i = 0; i < 5000 && !readmitted; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
     readmitted = router.shardEligible(1);
   }
-  EXPECT_TRUE(readmitted);
+  ASSERT_TRUE(readmitted);
+  EXPECT_EQ(shards[1]->stats().requests, 1u);  // one probe answered
 
   router.drainAndStop();
   for (auto& shard : shards) {
     if (shard) shard->drainAndStop();
   }
+}
+
+TEST(RouterTest, ReplicatedTriesEachShardOnceAndDropsFailedShards) {
+  // Four shards pass the start probe and then drop every forward. No
+  // later probe runs, so only the forward rule acts: the request visits
+  // each shard exactly once, each failed forward takes its shard out of
+  // rotation at once, and the request ends in a typed SHED.
+  std::vector<std::unique_ptr<DroppingShard>> shards;
+  std::vector<ShardEndpoint> endpoints;
+  for (int i = 0; i < 4; ++i) {
+    shards.push_back(std::make_unique<DroppingShard>());
+    endpoints.push_back({shards.back()->port(), {}});
+  }
+  RouterOptions options = fastRouterOptions();
+  options.health_interval_ms = 600'000.0;
+  Router router(options, endpoints);
+  ASSERT_TRUE(router.start().ok());
+  ASSERT_TRUE(awaitAllEligible(router));
+
+  LineClient client;
+  ASSERT_TRUE(client.connectTo(router.port()).ok());
+  const Response shed = request(client, "predict int_add 0.9 25 300 1 2 3 4");
+  EXPECT_EQ(shed.status, ResponseStatus::kShed);
+  EXPECT_EQ(shed.detail, "no eligible shard");
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    EXPECT_EQ(shards[i]->forwards(), 1) << "shard " << i;
+    EXPECT_FALSE(router.shardEligible(i)) << "shard " << i;
+  }
+  router.drainAndStop();
+}
+
+TEST(RouterTest, PerFuOwnerDownShedsEveryTupleOfABatch) {
+  DroppingShard owner;
+  RouterOptions options = fastRouterOptions();
+  options.policy = ShardPolicy::kPerFu;
+  options.health_interval_ms = 600'000.0;
+  Router router(options, {{owner.port(), {"int_add"}}});
+  ASSERT_TRUE(router.start().ok());
+  ASSERT_TRUE(awaitAllEligible(router));
+
+  const std::vector<serve::BatchOperand> tuples(64, {1, 2, 3, 4});
+  LineClient client;
+  ASSERT_TRUE(client.connectTo(router.port()).ok());
+  ASSERT_TRUE(client.sendLine(
+      serve::formatBatchRequest("int_add", 0.9, 25.0, 300.0, tuples)));
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    Response response;
+    ASSERT_TRUE(serve::parseResponse(client.readLine().value_or(""),
+                                     &response))
+        << "line " << i;
+    EXPECT_EQ(response.status, ResponseStatus::kShed) << "line " << i;
+  }
+  // Exactly 64: the next line answers the next request.
+  const Response health = request(client, "health");
+  EXPECT_NE(health.detail.find("healthy=0"), std::string::npos)
+      << health.detail;
+  EXPECT_EQ(owner.forwards(), 1);
+  router.drainAndStop();
 }
 
 TEST(RouterTest, WorkerStatsAggregateExactly) {

@@ -3,84 +3,24 @@
 // EOF, and response lines over the kMaxResponseLineBytes cap.
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
-#include <cstring>
-#include <functional>
+#include <chrono>
 #include <string>
-#include <thread>
 
+#include "fake_line_server.hpp"
 #include "serve/client.hpp"
-#include "util/fd.hpp"
 
 namespace tevot::serve {
 namespace {
 
-/// One-shot scripted peer: listens on an ephemeral loopback port,
-/// accepts a single connection, and hands its fd to `script` on a
-/// background thread. The connection closes when the script returns.
-class FakeLineServer {
- public:
-  explicit FakeLineServer(std::function<void(int fd)> script) {
-    listen_fd_ = util::UniqueFd(::socket(AF_INET, SOCK_STREAM, 0));
-    EXPECT_TRUE(listen_fd_.valid());
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    EXPECT_EQ(::bind(listen_fd_.get(),
-                     reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof(addr)),
-              0);
-    socklen_t len = sizeof(addr);
-    EXPECT_EQ(::getsockname(listen_fd_.get(),
-                            reinterpret_cast<sockaddr*>(&addr), &len),
-              0);
-    port_ = ntohs(addr.sin_port);
-    EXPECT_EQ(::listen(listen_fd_.get(), 1), 0);
-    thread_ = std::thread([this, script = std::move(script)] {
-      util::UniqueFd conn(::accept(listen_fd_.get(), nullptr, nullptr));
-      if (conn.valid()) script(conn.get());
-    });
-  }
-
-  ~FakeLineServer() {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  int port() const { return port_; }
-
-  static void sendAll(int fd, const std::string& data) {
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-      const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return;  // client hung up (expected in cap tests)
-      sent += static_cast<std::size_t>(n);
-    }
-  }
-
-  /// Reads until a newline arrives or the peer closes.
-  static std::string readLine(int fd) {
-    std::string line;
-    char c = 0;
-    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line.push_back(c);
-    return line;
-  }
-
- private:
-  util::UniqueFd listen_fd_;
-  int port_ = 0;
-  std::thread thread_;
-};
+using serve_test::FakeLineServer;
 
 TEST(LineClientTest, ConnectRefusedIsTypedError) {
   // Bind-then-close to get a port that is very likely unoccupied.
   int dead_port = 0;
   {
-    FakeLineServer probe([](int) {});
+    FakeLineServer probe({[](int) {}});
     dead_port = probe.port();
     LineClient poke;
     ASSERT_TRUE(poke.connectTo(dead_port).ok());  // unblock the dtor
@@ -95,11 +35,11 @@ TEST(LineClientTest, ConnectRefusedIsTypedError) {
 }
 
 TEST(LineClientTest, MidResponseDisconnectReturnsNullopt) {
-  FakeLineServer server([](int fd) {
+  FakeLineServer server({[](int fd) {
     FakeLineServer::readLine(fd);
     FakeLineServer::sendAll(fd, "OK delay=0x1p+8 err=0\nOK del");
     // Close with the second response unterminated.
-  });
+  }});
   LineClient client;
   ASSERT_TRUE(client.connectTo(server.port()).ok());
   ASSERT_TRUE(client.sendLine("predict int_add 0.9 25 300 1 2 3 4"));
@@ -111,23 +51,23 @@ TEST(LineClientTest, MidResponseDisconnectReturnsNullopt) {
 }
 
 TEST(LineClientTest, PartialLineThenEofIsNoLine) {
-  FakeLineServer server([](int fd) {
+  FakeLineServer server({[](int fd) {
     FakeLineServer::sendAll(fd, "OK delay=0x1p+8 er");
-  });
+  }});
   LineClient client;
   ASSERT_TRUE(client.connectTo(server.port()).ok());
   EXPECT_FALSE(client.readLine().has_value());
 }
 
 TEST(LineClientTest, ImmediateEofIsNoLine) {
-  FakeLineServer server([](int) {});
+  FakeLineServer server({[](int) {}});
   LineClient client;
   ASSERT_TRUE(client.connectTo(server.port()).ok());
   EXPECT_FALSE(client.readLine().has_value());
 }
 
 TEST(LineClientTest, OversizedResponseLineFailsAndCloses) {
-  FakeLineServer server([](int fd) {
+  FakeLineServer server({[](int fd) {
     // Stream well past the cap without ever terminating the line.
     const std::string chunk(1 << 16, 'x');
     for (std::size_t sent = 0;
@@ -135,7 +75,7 @@ TEST(LineClientTest, OversizedResponseLineFailsAndCloses) {
          sent += chunk.size()) {
       FakeLineServer::sendAll(fd, chunk);
     }
-  });
+  }});
   LineClient client;
   ASSERT_TRUE(client.connectTo(server.port()).ok());
   EXPECT_FALSE(client.readLine().has_value());
@@ -148,9 +88,9 @@ TEST(LineClientTest, CompleteLineAtCapBoundaryStillDelivered) {
   // returned intact — the cap rejects unterminated streams, not large
   // complete lines.
   const std::string big(LineClient::kMaxResponseLineBytes - 1, 'y');
-  FakeLineServer server([&big](int fd) {
+  FakeLineServer server({[&big](int fd) {
     FakeLineServer::sendAll(fd, big + "\nOK tail\n");
-  });
+  }});
   LineClient client;
   ASSERT_TRUE(client.connectTo(server.port()).ok());
   const std::optional<std::string> first = client.readLine();
@@ -162,13 +102,13 @@ TEST(LineClientTest, CompleteLineAtCapBoundaryStillDelivered) {
 }
 
 TEST(LineClientTest, RecvTimeoutBoundsWedgedPeer) {
-  FakeLineServer server([](int fd) {
+  FakeLineServer server({[](int fd) {
     // Wedge: never answer, hold the connection open until the client
     // side gives up and the read below sees EOF.
     char c = 0;
     while (::recv(fd, &c, 1, 0) == 1) {
     }
-  });
+  }});
   LineClient client;
   ASSERT_TRUE(client.connectTo(server.port(), 100.0).ok());
   const auto start = std::chrono::steady_clock::now();

@@ -135,10 +135,8 @@ TEST(MetricsWireTest, ToLineParsesBackExactly) {
   snap.errors = 25;
   snap.reloads = 3;
   snap.reload_failures = 1;
-  snap.breaker_opens = 2;
   snap.in_flight = 5;
   snap.max_connections = 64;
-  snap.breakers_open = 1;
   snap.generation = 4;
   for (const double s : kSamples) snap.latency.add(s);
   snap.refreshLatencyFields();
@@ -153,10 +151,8 @@ TEST(MetricsWireTest, ToLineParsesBackExactly) {
   EXPECT_EQ(parsed.errors, snap.errors);
   EXPECT_EQ(parsed.reloads, snap.reloads);
   EXPECT_EQ(parsed.reload_failures, snap.reload_failures);
-  EXPECT_EQ(parsed.breaker_opens, snap.breaker_opens);
   EXPECT_EQ(parsed.in_flight, snap.in_flight);
   EXPECT_EQ(parsed.max_connections, snap.max_connections);
-  EXPECT_EQ(parsed.breakers_open, snap.breakers_open);
   EXPECT_EQ(parsed.generation, snap.generation);
   EXPECT_EQ(parsed.latency_count, snap.latency_count);
   EXPECT_TRUE(histogramsIdentical(parsed.latency, snap.latency));

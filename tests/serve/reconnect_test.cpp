@@ -1,87 +1,22 @@
 // serve::LineClient::reconnect() tests against scripted fake servers:
-// redial after a mid-stream drop (stale read buffer discarded),
-// bounded exponential backoff against a dead port, and the typed
+// redial after a mid-stream drop (stale read buffer discarded), the
+// fixed backoff schedule against a dead port, and the typed
 // kInvalidArgument when there is no port to redial.
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <chrono>
-#include <functional>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "fake_line_server.hpp"
 #include "serve/client.hpp"
-#include "util/fd.hpp"
 #include "util/status.hpp"
 
 namespace tevot::serve {
 namespace {
 
-/// Scripted peer that accepts a fixed sequence of connections on one
-/// listening socket — one script per accept, run to completion in
-/// order on a background thread. This is the reconnect counterpart of
-/// client_test.cpp's one-shot FakeLineServer: the client's redial
-/// lands on the next accept.
-class SequentialFakeServer {
- public:
-  explicit SequentialFakeServer(std::vector<std::function<void(int fd)>> scripts) {
-    listen_fd_ = util::UniqueFd(::socket(AF_INET, SOCK_STREAM, 0));
-    EXPECT_TRUE(listen_fd_.valid());
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    EXPECT_EQ(::bind(listen_fd_.get(),
-                     reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof(addr)),
-              0);
-    socklen_t len = sizeof(addr);
-    EXPECT_EQ(::getsockname(listen_fd_.get(),
-                            reinterpret_cast<sockaddr*>(&addr), &len),
-              0);
-    port_ = ntohs(addr.sin_port);
-    EXPECT_EQ(::listen(listen_fd_.get(), 4), 0);
-    thread_ = std::thread([this, scripts = std::move(scripts)] {
-      for (const auto& script : scripts) {
-        util::UniqueFd conn(::accept(listen_fd_.get(), nullptr, nullptr));
-        if (!conn.valid()) return;
-        script(conn.get());
-      }
-    });
-  }
-
-  ~SequentialFakeServer() {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  int port() const { return port_; }
-
-  static void sendAll(int fd, const std::string& data) {
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-      const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return;
-      sent += static_cast<std::size_t>(n);
-    }
-  }
-
-  static std::string readLine(int fd) {
-    std::string line;
-    char c = 0;
-    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line.push_back(c);
-    return line;
-  }
-
- private:
-  util::UniqueFd listen_fd_;
-  int port_ = 0;
-  std::thread thread_;
-};
+using serve_test::FakeLineServer;
 
 TEST(ReconnectTest, WithoutPriorConnectIsInvalidArgument) {
   LineClient client;
@@ -95,42 +30,41 @@ TEST(ReconnectTest, RefusedPortExhaustsAttemptsWithTypedError) {
   // then let the server die so every redial is refused.
   LineClient client;
   {
-    SequentialFakeServer live({[](int) {}});
+    FakeLineServer live({[](int) {}});
     ASSERT_TRUE(client.connectTo(live.port()).ok());
   }  // listener closed: the port is dead now
-  ReconnectPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff_ms = 1.0;
-  policy.growth = 2.0;
-  policy.max_backoff_ms = 4.0;
+  static_assert(LineClient::kReconnectAttempts == 5);
+  static_assert(LineClient::kReconnectBackoffMs == 1.0);
   const auto start = std::chrono::steady_clock::now();
-  const util::Status status = client.reconnect(policy);
+  const util::Status status = client.reconnect();
   const double waited_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - start)
                                .count();
   EXPECT_EQ(status.code, util::StatusCode::kIoError);
-  EXPECT_NE(status.message.find("3 reconnect attempts"), std::string::npos)
+  EXPECT_NE(status.message.find("5 reconnect attempts"), std::string::npos)
       << status.message;
   EXPECT_FALSE(client.connected());
-  // Backoff 1+2+4 ms ≈ 7 ms of sleeping; far below a runaway retry
-  // loop but nonzero. Bound generously for loaded CI machines.
+  // Five dials sleep 1 + 2 + 4 + 8 = 15 ms between them: never less,
+  // and far below a runaway retry loop. The upper bound is generous
+  // for loaded CI machines.
+  EXPECT_GE(waited_ms, 15.0);
   EXPECT_LT(waited_ms, 5000.0);
 }
 
 TEST(ReconnectTest, MidStreamDropRedialsAndResends) {
-  SequentialFakeServer server({
+  FakeLineServer server({
       // Connection 1: answer the first request, then cut the line
       // with the second response torn mid-bytes.
       [](int fd) {
-        SequentialFakeServer::readLine(fd);
-        SequentialFakeServer::sendAll(fd, "OK delay=0x1.9p+9 err=0\n");
-        SequentialFakeServer::readLine(fd);
-        SequentialFakeServer::sendAll(fd, "OK del");  // torn, then close
+        FakeLineServer::readLine(fd);
+        FakeLineServer::sendAll(fd, "OK delay=0x1.9p+9 err=0\n");
+        FakeLineServer::readLine(fd);
+        FakeLineServer::sendAll(fd, "OK del");  // torn, then close
       },
       // Connection 2: the redial lands here; serve the resend cleanly.
       [](int fd) {
-        SequentialFakeServer::readLine(fd);
-        SequentialFakeServer::sendAll(fd, "OK delay=0x1.Ap+9 err=0\n");
+        FakeLineServer::readLine(fd);
+        FakeLineServer::sendAll(fd, "OK delay=0x1.Ap+9 err=0\n");
       },
   });
   LineClient client;
@@ -144,10 +78,7 @@ TEST(ReconnectTest, MidStreamDropRedialsAndResends) {
   // The torn response is EOF, not a phantom line.
   EXPECT_FALSE(client.readLine().has_value());
 
-  ReconnectPolicy policy;
-  policy.max_attempts = 5;
-  policy.initial_backoff_ms = 1.0;
-  const util::Status status = client.reconnect(policy);
+  const util::Status status = client.reconnect();
   ASSERT_TRUE(status.ok()) << status.message;
   EXPECT_TRUE(client.connected());
 
@@ -161,8 +92,8 @@ TEST(ReconnectTest, MidStreamDropRedialsAndResends) {
 }
 
 TEST(ReconnectTest, ReconnectPreservesRecvTimeout) {
-  SequentialFakeServer server({
-      [](int fd) { SequentialFakeServer::readLine(fd); },  // wedge then EOF
+  FakeLineServer server({
+      [](int fd) { FakeLineServer::readLine(fd); },  // wedge then EOF
       [](int fd) {
         // Hold the redialed connection open without answering; the
         // re-armed SO_RCVTIMEO must bound the read below.

@@ -68,8 +68,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <cerrno>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -181,6 +179,14 @@ int usage() {
   return kExitUsage;
 }
 
+/// Writes `text` to `path` whole or not at all; a failure throws
+/// util::StatusError naming the path, which main reports with exit 1.
+void writeTextFile(const std::string& path, std::string_view who,
+                   const std::string& text) {
+  util::writeFileAtomic(path, who,
+                        [&](util::TextWriter& out) { out.text(text); });
+}
+
 bool fuFromName(const std::string& name, circuits::FuKind& kind) {
   if (name == "int_add") kind = circuits::FuKind::kIntAdd;
   else if (name == "int_mul") kind = circuits::FuKind::kIntMul;
@@ -261,19 +267,18 @@ int cmdCharacterize(const std::string& fu, double v, double t,
                 100.0 * trace.timingErrorRate(tclk));
   }
   if (csv_path != nullptr) {
-    std::ofstream csv(csv_path);
-    if (!csv) {
-      std::fprintf(stderr, "cannot open %s: %s\n", csv_path,
-                   std::strerror(errno));
-      return kExitRuntime;
-    }
-    csv << "cycle,a,b,prev_a,prev_b,delay_ps\n";
-    for (std::size_t i = 0; i < trace.samples.size(); ++i) {
-      const dta::DtaSample& sample = trace.samples[i];
-      csv << i << ',' << sample.a << ',' << sample.b << ','
-          << sample.prev_a << ',' << sample.prev_b << ','
-          << sample.delay_ps << '\n';
-    }
+    util::writeFileAtomic(
+        csv_path, "characterize", [&](util::TextWriter& csv) {
+          csv.text("cycle,a,b,prev_a,prev_b,delay_ps\n");
+          char delay[32];
+          for (std::size_t i = 0; i < trace.samples.size(); ++i) {
+            const dta::DtaSample& sample = trace.samples[i];
+            std::snprintf(delay, sizeof(delay), "%g", sample.delay_ps);
+            csv.number(i).text(",").number(sample.a).text(",");
+            csv.number(sample.b).text(",").number(sample.prev_a).text(",");
+            csv.number(sample.prev_b).text(",").text(delay).text("\n");
+          }
+        });
     std::printf("  wrote %s\n", csv_path);
   }
   return 0;
@@ -519,18 +524,7 @@ int cmdLint(int argc, char** argv, util::ThreadPool& pool) {
   if (json_path == "-") {
     std::printf("%s", json.c_str());
   } else if (!json_path.empty()) {
-    std::ofstream os(json_path);
-    if (!os) {
-      std::fprintf(stderr, "lint: cannot open %s: %s\n", json_path.c_str(),
-                   std::strerror(errno));
-      return kExitRuntime;
-    }
-    os << json;
-    if (!os.flush()) {
-      std::fprintf(stderr, "lint: cannot write %s: %s\n", json_path.c_str(),
-                   std::strerror(errno));
-      return kExitRuntime;
-    }
+    writeTextFile(json_path, "lint", json);
     std::printf("wrote %s\n", json_path.c_str());
   }
   return clean ? kExitOk : kExitCheckFailed;
@@ -634,13 +628,7 @@ int cmdSweep(int argc, char** argv, util::ThreadPool& pool) {
   const dta::SweepResult result = dta::runSweep(jobs, pool, options);
   std::printf("%s", result.report.toText().c_str());
   if (!report_path.empty()) {
-    std::ofstream report(report_path);
-    if (!report) {
-      std::fprintf(stderr, "sweep: cannot open %s: %s\n",
-                   report_path.c_str(), std::strerror(errno));
-      return kExitRuntime;
-    }
-    report << result.report.toText();
+    writeTextFile(report_path, "sweep", result.report.toText());
     std::printf("wrote %s\n", report_path.c_str());
   }
   if (stop.raised()) {
@@ -725,32 +713,15 @@ int cmdVerifyModel(int argc, char** argv) {
                 cert.certified ? "CERTIFIED" : "NOT CERTIFIED");
   }
 
-  const auto write_file = [](const std::string& path,
-                             const std::string& body,
-                             const char* what) -> bool {
-    std::ofstream os(path);
-    if (os) {
-      os << body;
-      os.flush();
-    }
-    if (!os) {
-      std::fprintf(stderr, "verify-model: cannot write %s %s: %s\n", what,
-                   path.c_str(), std::strerror(errno));
-      return false;
-    }
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-  };
   if (json_path == "-") {
     std::printf("%s\n", result.report.toJson().c_str());
   } else if (!json_path.empty()) {
-    if (!write_file(json_path, result.report.toJson() + "\n", "report")) {
-      return kExitRuntime;
-    }
+    writeTextFile(json_path, "verify-model", result.report.toJson() + "\n");
+    std::printf("wrote %s\n", json_path.c_str());
   }
-  if (!cert_path.empty() &&
-      !write_file(cert_path, cert.toJson() + "\n", "certificate")) {
-    return kExitRuntime;
+  if (!cert_path.empty()) {
+    writeTextFile(cert_path, "verify-model", cert.toJson() + "\n");
+    std::printf("wrote %s\n", cert_path.c_str());
   }
   return result.report.clean() ? kExitOk : kExitCheckFailed;
 }

@@ -33,7 +33,6 @@
 // violations, 1 runtime failure (no FU could run), 2 usage error,
 // 3 unrecovered violations (escapes) remain after recovery.
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -43,6 +42,7 @@
 #include "tevot/model.hpp"
 #include "util/env.hpp"
 #include "util/status.hpp"
+#include "util/text_io.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/certificate_io.hpp"
 
@@ -219,6 +219,19 @@ int main(int argc, char** argv) {
     return kExitRuntime;
   }
 
+  // Every output file is written whole or not at all.
+  const auto write_file = [](const std::string& path,
+                             const std::string& text) {
+    try {
+      util::writeFileAtomic(path, "tevot_dvfs", [&](util::TextWriter& out) {
+        out.text(text);
+      });
+      return true;
+    } catch (const util::StatusError& error) {
+      std::fprintf(stderr, "tevot_dvfs: %s\n", error.what());
+      return false;
+    }
+  };
   std::uint64_t escapes = 0;
   std::size_t ran = 0;
   for (const dvfs::DvfsReport& report : run.fus) {
@@ -238,24 +251,17 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(report.recovered),
         static_cast<unsigned long long>(report.escapes));
     if (!trace_dir.empty()) {
-      const std::string path = trace_dir + "/" + report.fu + ".trace";
-      std::ofstream out(path);
-      if (!out) {
-        std::fprintf(stderr, "tevot_dvfs: cannot write %s\n", path.c_str());
+      if (!write_file(trace_dir + "/" + report.fu + ".trace",
+                      report.trace)) {
         return kExitRuntime;
       }
-      out << report.trace;
     }
   }
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::fprintf(stderr, "tevot_dvfs: cannot write %s\n",
-                   json_path.c_str());
+    if (!write_file(json_path, run.toJson(label) + "\n")) {
       return kExitRuntime;
     }
-    out << run.toJson(label) << "\n";
     std::fprintf(stderr, "tevot_dvfs: wrote %s\n", json_path.c_str());
   }
 

@@ -28,7 +28,6 @@
 // cut-short run leaves valid, classified data instead of nothing.
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <string>
 
@@ -36,6 +35,7 @@
 #include "serve/protocol.hpp"
 #include "util/env.hpp"
 #include "util/signal.hpp"
+#include "util/text_io.hpp"
 
 namespace {
 
@@ -126,14 +126,15 @@ int main(int argc, char** argv) {
               report.interrupted ? " (interrupted)" : "");
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::fprintf(stderr, "tevot_loadgen: cannot write %s\n",
-                   json_path.c_str());
+    try {
+      util::writeFileAtomic(json_path, "tevot_loadgen",
+                            [&](util::TextWriter& out) {
+                              out.text(report.toJson(label, options) + "\n");
+                            });
+    } catch (const util::StatusError& error) {
+      std::fprintf(stderr, "tevot_loadgen: %s\n", error.what());
       return 1;
     }
-    out << report.toJson(label, options) << "\n";
-    out.flush();
     std::fprintf(stderr, "tevot_loadgen: wrote %s\n", json_path.c_str());
   }
 
