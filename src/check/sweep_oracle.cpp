@@ -1,7 +1,10 @@
 #include "check/sweep_oracle.hpp"
 
+#include <filesystem>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "check/oracles.hpp"
 #include "check/property.hpp"
@@ -12,6 +15,38 @@
 #include "util/fault_injection.hpp"
 
 namespace tevot::check {
+
+namespace {
+
+/// One pass under `faults`: every job faulty at job.exception failed
+/// with FAULT_INJECTED and left no trace; every sibling succeeded with
+/// a trace bit-identical to the clean serial run.
+void expectIsolated(const dta::SweepResult& result,
+                    const util::FaultInjector& faults,
+                    const std::vector<dta::DtaTrace>& clean) {
+  for (std::size_t j = 0; j < clean.size(); ++j) {
+    const dta::JobOutcome& outcome = result.report.outcomes[j];
+    if (faults.siteIsFaulty("job.exception", outcome.key)) {
+      expect(outcome.state == dta::JobState::kFailed &&
+                 outcome.status.code == util::StatusCode::kFaultInjected,
+             "faulty job " + outcome.key + " is " +
+                 dta::jobStateName(outcome.state) + " (" +
+                 outcome.status.toString() +
+                 "), expected failed with FAULT_INJECTED");
+      expect(!result.traces[j].has_value(),
+             "failed job " + outcome.key + " still produced a trace");
+    } else {
+      expect(outcome.state == dta::JobState::kSucceeded &&
+                 result.traces[j].has_value() &&
+                 dta::tracesBitIdentical(*result.traces[j], clean[j]),
+             "sibling " + outcome.key + " is " +
+                 dta::jobStateName(outcome.state) +
+                 " or differs from the clean serial run");
+    }
+  }
+}
+
+}  // namespace
 
 void checkSweepFaultTolerance(std::uint64_t seed, util::Rng& rng) {
   core::FuContext context(circuits::FuKind::kIntAdd);
@@ -41,8 +76,9 @@ void checkSweepFaultTolerance(std::uint64_t seed, util::Rng& rng) {
 
   util::ThreadPool pool(3);
 
-  // Phase 1: transient faults (~30% of jobs fail their first attempt)
-  // with a retry budget — the sweep must fully recover.
+  // Phase 1: transient faults (~30% of jobs fail their first
+  // execution) into a checkpoint directory. The faulty jobs fail, the
+  // rest checkpoint; a --resume pass recovers the sweep.
   util::FaultInjector transient;
   {
     util::FaultPlan plan;
@@ -53,66 +89,52 @@ void checkSweepFaultTolerance(std::uint64_t seed, util::Rng& rng) {
     plan.slow_ms = 1.0;
     transient.arm(plan);
   }
+  struct TempDir {
+    std::filesystem::path path;
+    ~TempDir() { std::filesystem::remove_all(path); }
+  } dir{std::filesystem::temp_directory_path() /
+        ("tevot_sweep_oracle_" + std::to_string(::getpid()) + "_" +
+         std::to_string(seed))};
+  std::filesystem::remove_all(dir.path);
   dta::SweepOptions options;
-  options.max_retries = 2;
-  options.backoff_ms = 0.0;
   options.faults = &transient;
-  const dta::SweepResult recovered = dta::runSweep(jobs, pool, options);
-  expect(recovered.report.allOk(),
-         "transient faults must be retried to success: " +
-             recovered.report.summary());
+  options.checkpoint_dir = dir.path.string();
+  expectIsolated(dta::runSweep(jobs, pool, options), transient, clean);
+
+  options.resume = true;
+  const dta::SweepResult resumed = dta::runSweep(jobs, pool, options);
+  expect(resumed.report.allOk(),
+         "--resume must recover every job: " + resumed.report.summary());
   for (std::size_t j = 0; j < kJobs; ++j) {
-    const dta::JobOutcome& outcome = recovered.report.outcomes[j];
-    expect(recovered.traces[j].has_value(),
-           "job " + outcome.key + " has no trace after recovery");
-    expect(dta::tracesBitIdentical(*recovered.traces[j], clean[j]),
+    const dta::JobOutcome& outcome = resumed.report.outcomes[j];
+    const dta::JobState expected =
+        transient.siteIsFaulty("job.exception", outcome.key)
+            ? dta::JobState::kSucceeded
+            : dta::JobState::kRestored;
+    expect(outcome.state == expected,
+           "job " + outcome.key + " is " + dta::jobStateName(outcome.state) +
+               " on resume, expected " + dta::jobStateName(expected));
+    expect(resumed.traces[j].has_value() &&
+               dta::tracesBitIdentical(*resumed.traces[j], clean[j]),
            "job " + outcome.key +
-               " trace differs from the clean serial run");
-    if (transient.siteIsFaulty("job.exception", outcome.key)) {
-      expect(outcome.attempts >= 2,
-             "faulty job " + outcome.key + " records only " +
-                 std::to_string(outcome.attempts) + " attempt(s)");
-    }
+               " trace differs from the clean serial run after resume");
   }
 
-  // Phase 2: permanent faults — faulty jobs must be isolated and
-  // reported with their full attempt count; siblings must survive.
+  // Phase 2: permanent faults without checkpoints — faulty jobs must
+  // be isolated and reported failed; siblings must survive.
   util::FaultInjector permanent;
   {
     util::FaultPlan plan;
     plan.seed = seed;
     plan.rate = 0.3;
     plan.points = {"job.exception"};
-    plan.fail_attempts = 1000;  // beyond any retry budget
+    plan.fail_attempts = 1000;
     permanent.arm(plan);
   }
-  options.max_retries = 1;
-  options.faults = &permanent;
-  const dta::SweepResult isolated = dta::runSweep(jobs, pool, options);
-  for (std::size_t j = 0; j < kJobs; ++j) {
-    const dta::JobOutcome& outcome = isolated.report.outcomes[j];
-    if (permanent.siteIsFaulty("job.exception", outcome.key)) {
-      expect(outcome.state == dta::JobState::kFailed,
-             "permanently faulty job " + outcome.key + " is " +
-                 dta::jobStateName(outcome.state) + ", expected failed");
-      expect(outcome.attempts == options.max_retries + 1,
-             "permanently faulty job " + outcome.key + " records " +
-                 std::to_string(outcome.attempts) + " attempts");
-      expect(outcome.status.code == util::StatusCode::kFaultInjected,
-             "permanently faulty job " + outcome.key +
-                 " misclassified: " + outcome.status.toString());
-      expect(!isolated.traces[j].has_value(),
-             "failed job " + outcome.key + " still produced a trace");
-    } else {
-      expect(outcome.state == dta::JobState::kSucceeded,
-             "clean sibling " + outcome.key + " is " +
-                 dta::jobStateName(outcome.state));
-      expect(isolated.traces[j].has_value() &&
-                 dta::tracesBitIdentical(*isolated.traces[j], clean[j]),
-             "clean sibling " + outcome.key +
-                 " trace differs from the clean serial run");
-    }
-  }
+  dta::SweepOptions isolated_options;
+  isolated_options.faults = &permanent;
+  expectIsolated(dta::runSweep(jobs, pool, isolated_options), permanent,
+                 clean);
 }
 
 }  // namespace tevot::check

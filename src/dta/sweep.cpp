@@ -1,12 +1,10 @@
 #include "dta/sweep.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "dta/trace_io.hpp"
 
@@ -15,7 +13,6 @@ namespace tevot::dta {
 namespace {
 
 using util::Status;
-using util::StatusCode;
 using util::StatusError;
 
 using Clock = std::chrono::steady_clock;
@@ -53,7 +50,6 @@ const char* jobStateName(JobState state) {
     case JobState::kSucceeded: return "succeeded";
     case JobState::kRestored: return "restored";
     case JobState::kFailed: return "failed";
-    case JobState::kDeadlineExceeded: return "deadline-exceeded";
     case JobState::kCancelled: return "cancelled";
   }
   return "unknown";
@@ -81,23 +77,18 @@ std::string SweepReport::summary() const {
   std::ostringstream os;
   os << outcomes.size() << " jobs: " << count(JobState::kSucceeded)
      << " ok, " << count(JobState::kRestored) << " restored, "
-     << count(JobState::kFailed) + count(JobState::kDeadlineExceeded)
-     << " failed, " << count(JobState::kCancelled) << " cancelled";
-  std::size_t retried = 0;
-  for (const JobOutcome& outcome : outcomes) {
-    if (outcome.attempts > 1) ++retried;
-  }
-  os << ", " << retried << " retried";
+     << count(JobState::kFailed) << " failed, "
+     << count(JobState::kCancelled) << " cancelled";
   return os.str();
 }
 
 std::string SweepReport::toText() const {
   std::ostringstream os;
   os << "sweep report: " << summary() << "\n";
-  os << "# index key state attempts duration_ms status\n";
+  os << "# index key state duration_ms status\n";
   for (const JobOutcome& outcome : outcomes) {
     os << outcome.index << " " << outcome.key << " "
-       << jobStateName(outcome.state) << " " << outcome.attempts << " ";
+       << jobStateName(outcome.state) << " ";
     os.precision(3);
     os << std::fixed << outcome.duration_ms;
     os.unsetf(std::ios::fixed);
@@ -140,12 +131,10 @@ SweepResult runSweep(std::span<const CharacterizeJob> jobs,
   util::FaultInjector* faults =
       options.faults != nullptr ? options.faults
                                 : &util::FaultInjector::global();
-  const int max_attempts = options.max_retries + 1;
 
   SweepResult result;
   result.traces.resize(jobs.size());
   result.report.outcomes.resize(jobs.size());
-  std::atomic<bool> abort{false};
 
   pool.parallelFor(jobs.size(), [&](std::size_t i) {
     const CharacterizeJob& job = jobs[i];
@@ -153,11 +142,6 @@ SweepResult runSweep(std::span<const CharacterizeJob> jobs,
     outcome.index = i;
     outcome.key = sweepJobKey(job, i);
 
-    if (abort.load(std::memory_order_relaxed)) {
-      outcome.state = JobState::kCancelled;
-      outcome.status = Status::cancelled("sweep aborted (fail-fast)");
-      return;
-    }
     if (options.stop_requested && options.stop_requested()) {
       outcome.state = JobState::kCancelled;
       outcome.status = Status::cancelled("sweep interrupted (stop requested)");
@@ -182,68 +166,28 @@ SweepResult runSweep(std::span<const CharacterizeJob> jobs,
           outcome.state = JobState::kRestored;
           return;
         }
-        outcome.status = Status::parseError(
-            "checkpoint " + checkpoint_path + " does not match job");
       } catch (...) {
-        outcome.status = util::statusFromException(std::current_exception());
+        // Recomputed below; the job's own outcome is what is reported.
       }
     }
 
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      if (attempt > 1 && options.stop_requested &&
-          options.stop_requested()) {
-        // Don't burn the retry budget once a stop has been requested;
-        // the first attempt's failure status is replaced by the
-        // cancellation so the report says why the job gave up.
-        outcome.status =
-            Status::cancelled("sweep interrupted (stop requested)");
-        break;
+    if (options.on_attempt) options.on_attempt(i);
+    const Clock::time_point start = Clock::now();
+    try {
+      faults->maybeThrow("job.exception", outcome.key);
+      faults->maybeDelay("job.slow", outcome.key);
+      DtaTrace trace = characterize(*job.netlist, job.delays(),
+                                    *job.workload, job.options);
+      if (!checkpoint_path.empty()) {
+        writeTraceFileAtomic(checkpoint_path, trace, faults, outcome.key);
       }
-      if (options.on_attempt) options.on_attempt(i, attempt);
-      ++outcome.attempts;
-      const Clock::time_point start = Clock::now();
-      try {
-        faults->maybeThrow("job.exception", outcome.key);
-        faults->maybeDelay("job.slow", outcome.key);
-        DtaTrace trace =
-            characterize(*job.netlist, job.delays(), *job.workload,
-                         job.options);
-        const double elapsed = msSince(start);
-        if (options.job_deadline_ms > 0.0 &&
-            elapsed > options.job_deadline_ms) {
-          std::ostringstream os;
-          os << "job " << outcome.key << " took " << elapsed
-             << " ms, deadline " << options.job_deadline_ms << " ms";
-          throw StatusError(Status::deadlineExceeded(os.str()));
-        }
-        if (!checkpoint_path.empty()) {
-          writeTraceFileAtomic(checkpoint_path, trace, faults, outcome.key);
-        }
-        outcome.duration_ms += elapsed;
-        result.traces[i] = std::move(trace);
-        outcome.state = JobState::kSucceeded;
-        outcome.status = Status::okStatus();
-        return;
-      } catch (...) {
-        outcome.duration_ms += msSince(start);
-        outcome.status = util::statusFromException(std::current_exception());
-      }
-      if (attempt < max_attempts && options.backoff_ms > 0.0) {
-        const double backoff =
-            options.backoff_ms * static_cast<double>(1 << (attempt - 1));
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(static_cast<long>(backoff * 1000.0)));
-      }
+      result.traces[i] = std::move(trace);
+      outcome.state = JobState::kSucceeded;
+    } catch (...) {
+      outcome.state = JobState::kFailed;
+      outcome.status = util::statusFromException(std::current_exception());
     }
-
-    outcome.state = outcome.status.code == StatusCode::kDeadlineExceeded
-                        ? JobState::kDeadlineExceeded
-                    : outcome.status.code == StatusCode::kCancelled
-                        ? JobState::kCancelled
-                        : JobState::kFailed;
-    if (outcome.state != JobState::kCancelled && options.fail_fast) {
-      abort.store(true, std::memory_order_relaxed);
-    }
+    outcome.duration_ms = msSince(start);
   });
 
   return result;

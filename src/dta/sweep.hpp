@@ -3,13 +3,17 @@
 // dta::characterizeAll is fail-fast: one throwing job kills the whole
 // sweep and discards every completed corner. runSweep() is the
 // production-sweep counterpart with per-job isolation — a failing
-// corner is recorded in the SweepReport, not fatal — bounded retry
-// with exponential backoff, an optional per-job wall-clock deadline,
-// optional fail-fast cancellation, and checkpoint/resume: each
-// completed corner's trace is written atomically into a sweep
-// directory, and a resumed run restores completed corners from disk
-// instead of recomputing them (at-least-once semantics: a checkpoint
-// that is missing, truncated, or unreadable is simply recomputed).
+// corner is recorded in the SweepReport, not fatal — and
+// checkpoint/resume: each completed corner's trace is written
+// atomically into a sweep directory, and a resumed run restores
+// completed corners from disk instead of recomputing them
+// (at-least-once semantics: a checkpoint that is missing, truncated,
+// or unreadable is simply recomputed).
+//
+// Each job runs at most once per sweep. Characterization is
+// deterministic, so a job that threw would throw again; a failed
+// corner is recovered by a later --resume run, which recomputes
+// exactly the corners that have no valid checkpoint.
 //
 // Determinism: job i's trace depends only on job i, so the surviving
 // traces of any run — serial, parallel, fault-injected, resumed — are
@@ -32,12 +36,11 @@
 namespace tevot::dta {
 
 enum class JobState {
-  kPending,           ///< never ran (internal initial state)
-  kSucceeded,         ///< computed this run
-  kRestored,          ///< loaded from a checkpoint (resume)
-  kFailed,            ///< all attempts failed
-  kDeadlineExceeded,  ///< all attempts failed, last one over deadline
-  kCancelled,         ///< skipped because fail-fast aborted the sweep
+  kPending,    ///< never ran (internal initial state)
+  kSucceeded,  ///< computed (and checkpointed, if enabled) this run
+  kRestored,   ///< loaded from a checkpoint (resume)
+  kFailed,     ///< the one execution failed; status says why
+  kCancelled,  ///< not started because a stop was requested
 };
 
 const char* jobStateName(JobState state);
@@ -47,9 +50,8 @@ struct JobOutcome {
   std::size_t index = 0;
   std::string key;
   JobState state = JobState::kPending;
-  int attempts = 0;         ///< executions this run (0 when restored)
-  double duration_ms = 0.0; ///< wall clock across attempts (no backoff)
-  util::Status status;      ///< last error; ok() on success/restore
+  double duration_ms = 0.0; ///< wall clock of the execution
+  util::Status status;      ///< the error; ok() on success/restore
 };
 
 struct SweepReport {
@@ -58,7 +60,8 @@ struct SweepReport {
   std::size_t count(JobState state) const;
   /// Every job either succeeded or was restored from a checkpoint.
   bool allOk() const;
-  /// One-line verdict, e.g. "9 jobs: 7 ok, 2 restored, 0 failed".
+  /// One-line verdict, e.g.
+  /// "9 jobs: 7 ok, 2 restored, 0 failed, 0 cancelled".
   std::string summary() const;
   /// Full per-job table (for --report files and CI artifacts).
   std::string toText() const;
@@ -71,23 +74,19 @@ struct SweepResult {
 };
 
 struct SweepOptions {
-  int max_retries = 2;          ///< extra attempts after the first
-  double backoff_ms = 5.0;      ///< first retry delay; doubles per retry
-  double job_deadline_ms = 0.0; ///< per-attempt wall-clock budget; 0 = none
-  bool fail_fast = false;       ///< first final failure cancels the rest
   std::string checkpoint_dir;   ///< empty = no checkpointing
   bool resume = false;          ///< restore completed corners from disk
   /// Fault injector consulted at the job.* / io.* points; nullptr
   /// uses util::FaultInjector::global() (armed via TEVOT_FAULTS).
   util::FaultInjector* faults = nullptr;
   /// Cooperative stop (e.g. SIGINT in `tevot_cli sweep`): polled at
-  /// job entry and between retry attempts. Once it returns true, no
-  /// new work starts — jobs not yet begun finish as kCancelled — but
-  /// the in-flight job completes and flushes its checkpoint, so a
-  /// later --resume always sees a consistent directory.
+  /// job entry. Once it returns true, no new work starts — jobs not
+  /// yet begun finish as kCancelled — but the in-flight job completes
+  /// and flushes its checkpoint, so a later --resume always sees a
+  /// consistent directory.
   std::function<bool()> stop_requested;
-  /// Test hook, called before every execution attempt (job, attempt#).
-  std::function<void(std::size_t job, int attempt)> on_attempt;
+  /// Test hook, called just before a job executes (not when restored).
+  std::function<void(std::size_t job)> on_attempt;
 };
 
 /// The checkpoint/fault key of job i: job.name, or "job<i>" when

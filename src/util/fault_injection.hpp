@@ -7,13 +7,15 @@
 // plan seed, never from wall clock or thread timing — whether that
 // site is faulty, so a failing run reproduces exactly from its
 // TEVOT_FAULTS spec. Sites fail their first `fail_attempts` attempts
-// and then succeed, which models transient faults; raising
-// fail_attempts past a sweep's retry budget makes the fault
-// effectively permanent.
+// and then succeed, which models transient faults. A sweep runs each
+// job once, so a faulty site fails its job; a resume pass through the
+// same injector gets past a transient fault, and a large
+// fail_attempts makes the fault effectively permanent. (A new process
+// arms a fresh injector from TEVOT_FAULTS, so its counts start over.)
 //
 // Fault points currently wired in:
-//   job.exception  SweepRunner: throw before running a job attempt
-//   job.slow       SweepRunner: sleep slow_ms before running a job
+//   job.exception  dta::runSweep: throw before running a job
+//   job.slow       dta::runSweep: sleep slow_ms before running a job
 //   io.open        util::writeFileAtomic (checkpoints, models) and
 //                  dta::readTraceFile: fail opening the file
 //   io.write       util::writeFileAtomic: fail after writing, before

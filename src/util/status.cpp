@@ -11,7 +11,6 @@ const char* statusCodeName(StatusCode code) {
     case StatusCode::kInvalidArgument: return "INVALID_ARGUMENT";
     case StatusCode::kIoError: return "IO_ERROR";
     case StatusCode::kParseError: return "PARSE_ERROR";
-    case StatusCode::kDeadlineExceeded: return "DEADLINE_EXCEEDED";
     case StatusCode::kFaultInjected: return "FAULT_INJECTED";
     case StatusCode::kCancelled: return "CANCELLED";
     case StatusCode::kInternal: return "INTERNAL";
@@ -37,9 +36,6 @@ Status Status::ioError(std::string message) {
 }
 Status Status::parseError(std::string message) {
   return {StatusCode::kParseError, std::move(message)};
-}
-Status Status::deadlineExceeded(std::string message) {
-  return {StatusCode::kDeadlineExceeded, std::move(message)};
 }
 Status Status::faultInjected(std::string message) {
   return {StatusCode::kFaultInjected, std::move(message)};

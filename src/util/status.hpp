@@ -1,13 +1,13 @@
 // Structured error taxonomy for the fault-tolerant sweep machinery.
 //
 // A Status pairs a machine-readable code with a human-readable
-// message, so a sweep's per-job outcome can be classified (retriable
-// I/O hiccup vs. deadline overrun vs. hard job failure) without
-// string-matching exception texts. StatusError is the exception
-// carrier: library code that must throw (parsers, checkpoint I/O,
-// fault injection) throws StatusError, and statusFromException()
-// recovers the taxonomy at the recording site — any foreign
-// std::exception degrades gracefully to kInternal.
+// message, so a sweep's per-job outcome can be classified (I/O error
+// vs. injected fault vs. malformed input) without string-matching
+// exception texts. StatusError is the exception carrier: library code
+// that must throw (parsers, checkpoint I/O, fault injection) throws
+// StatusError, and statusFromException() recovers the taxonomy at the
+// recording site — any foreign std::exception degrades gracefully to
+// kInternal.
 #pragma once
 
 #include <exception>
@@ -21,9 +21,8 @@ enum class StatusCode {
   kInvalidArgument,    ///< caller handed in something malformed
   kIoError,            ///< file open/read/write/rename failure
   kParseError,         ///< malformed input text (SDF/Liberty/VCD/trace)
-  kDeadlineExceeded,   ///< per-job wall-clock budget overrun
   kFaultInjected,      ///< deterministic failure from FaultInjector
-  kCancelled,          ///< job skipped (fail-fast abort)
+  kCancelled,          ///< job not started (stop requested)
   kInternal,           ///< unclassified exception
 };
 
@@ -43,7 +42,6 @@ struct Status {
   static Status invalidArgument(std::string message);
   static Status ioError(std::string message);
   static Status parseError(std::string message);
-  static Status deadlineExceeded(std::string message);
   static Status faultInjected(std::string message);
   static Status cancelled(std::string message);
   static Status internal(std::string message);

@@ -247,11 +247,11 @@ void writeFileAtomic(const std::string& path, std::string_view who,
   const std::string tmp_path = path + ".tmp." + std::to_string(::getpid());
   if (faults != nullptr && faults->shouldFail("io.open", fault_key)) {
     throw StatusError(
-        Status::ioError(op + " " + tmp_path + ": injected io.open fault"));
+        Status::ioError(op + " " + path + ": injected io.open fault"));
   }
   std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
   if (!os) {
-    throw StatusError(ioErrorFor(op + ": cannot open", tmp_path, errno));
+    throw StatusError(ioErrorFor(op + ": cannot open", path, errno));
   }
   try {
     {
@@ -260,12 +260,11 @@ void writeFileAtomic(const std::string& path, std::string_view who,
     }
     os.close();  // flushes; a full disk fails here at the latest
     if (!os) {
-      throw StatusError(
-          ioErrorFor(op + ": write failed for", tmp_path, errno));
+      throw StatusError(ioErrorFor(op + ": write failed for", path, errno));
     }
     if (faults != nullptr && faults->shouldFail("io.write", fault_key)) {
-      throw StatusError(Status::ioError(op + " " + tmp_path +
-                                        ": injected io.write fault"));
+      throw StatusError(
+          Status::ioError(op + " " + path + ": injected io.write fault"));
     }
     if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
       throw StatusError(ioErrorFor(op + ": cannot rename", path, errno));

@@ -264,9 +264,9 @@ std::string readFile(const std::string& path, std::string_view who);
 /// concurrent writers never share one), which is flushed and renamed
 /// onto `path`. When `faults` is armed, the io.open and io.write fault
 /// points fire with `fault_key`. Throws util::StatusError (kIoError,
-/// prefixed by `who`; errno text when the system failed) on failure,
-/// and then `path` keeps its previous contents and no temp file is
-/// left behind.
+/// prefixed by `who`, naming `path` and never the temp file; errno
+/// text when the system failed) on failure, and then `path` keeps its
+/// previous contents and no temp file is left behind.
 void writeFileAtomic(const std::string& path, std::string_view who,
                      const std::function<void(TextWriter&)>& write,
                      FaultInjector* faults = nullptr,

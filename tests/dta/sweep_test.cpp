@@ -1,13 +1,14 @@
-// runSweep tests: the retry/deadline/resume matrix the fault-tolerant
-// sweep engine must satisfy — transient faults recover within
-// --max-retries with bit-identical traces, permanent faults are
-// isolated to their job, deadline overruns are classified, fail-fast
-// cancels later jobs, and kill-and-resume reruns only the corners
-// that never completed (counted via the on_attempt hook).
+// runSweep tests: the isolation/resume matrix the fault-tolerant sweep
+// engine must satisfy — each job executes at most once, a failing job
+// is isolated with its typed status while its siblings stay
+// bit-identical, a stop request cancels jobs not yet started, and
+// kill-and-resume reruns only the corners that never completed
+// (counted via the on_attempt hook).
 #include "dta/sweep.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -84,26 +85,8 @@ TEST_F(SweepTest, CleanRunMatchesSerialReferenceAtAnyThreadCount) {
     for (std::size_t i = 0; i < 4; ++i) {
       ASSERT_TRUE(result.traces[i].has_value());
       EXPECT_TRUE(tracesBitIdentical(*result.traces[i], reference_[i]));
-      EXPECT_EQ(result.report.outcomes[i].attempts, 1);
       EXPECT_EQ(result.report.outcomes[i].state, JobState::kSucceeded);
     }
-  }
-}
-
-TEST_F(SweepTest, TransientFaultsRecoverWithinMaxRetries) {
-  util::FaultInjector faults;
-  faults.arm(allFaulty("job.exception"));  // every job fails once
-  util::ThreadPool pool(2);
-  SweepOptions options;
-  options.faults = &faults;
-  options.max_retries = 2;
-  options.backoff_ms = 0.1;
-  const SweepResult result = runSweep(jobs_, pool, options);
-  EXPECT_TRUE(result.report.allOk()) << result.report.toText();
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(result.report.outcomes[i].attempts, 2) << "job " << i;
-    ASSERT_TRUE(result.traces[i].has_value());
-    EXPECT_TRUE(tracesBitIdentical(*result.traces[i], reference_[i]));
   }
 }
 
@@ -113,7 +96,7 @@ TEST_F(SweepTest, PermanentFaultIsIsolatedToItsJob) {
   util::FaultPlan plan;
   plan.rate = 0.5;
   plan.points = {"job.exception"};
-  plan.fail_attempts = 1000;  // permanent at any realistic retry budget
+  plan.fail_attempts = 1000;
   util::FaultInjector faults;
   bool mixed = false;
   for (std::uint64_t seed = 1; seed <= 64 && !mixed; ++seed) {
@@ -128,17 +111,18 @@ TEST_F(SweepTest, PermanentFaultIsIsolatedToItsJob) {
   ASSERT_TRUE(mixed) << "no seed in 1..64 split 4 sites at rate 0.5";
 
   util::ThreadPool pool(3);
+  std::array<std::atomic<int>, 4> executions{};
   SweepOptions options;
   options.faults = &faults;
-  options.max_retries = 1;
-  options.backoff_ms = 0.1;
+  options.on_attempt = [&executions](std::size_t job) { ++executions[job]; };
   const SweepResult result = runSweep(jobs_, pool, options);
   EXPECT_FALSE(result.report.allOk());
   for (std::size_t i = 0; i < 4; ++i) {
+    // Failing or not, every job executes exactly once.
+    EXPECT_EQ(executions[i].load(), 1) << "job " << i;
     const JobOutcome& outcome = result.report.outcomes[i];
     if (faults.siteIsFaulty("job.exception", jobs_[i].name)) {
       EXPECT_EQ(outcome.state, JobState::kFailed) << "job " << i;
-      EXPECT_EQ(outcome.attempts, 2) << "job " << i;  // retries exhausted
       EXPECT_EQ(outcome.status.code, StatusCode::kFaultInjected);
       EXPECT_FALSE(result.traces[i].has_value());
     } else {
@@ -148,77 +132,6 @@ TEST_F(SweepTest, PermanentFaultIsIsolatedToItsJob) {
       EXPECT_TRUE(tracesBitIdentical(*result.traces[i], reference_[i]));
     }
   }
-}
-
-TEST_F(SweepTest, InjectedSlownessTripsDeadlineThenRecovers) {
-  // First attempt sleeps 60 ms against a 30 ms deadline; the fault is
-  // transient so the retry runs at full speed and succeeds.
-  util::FaultPlan plan = allFaulty("job.slow");
-  plan.slow_ms = 60.0;
-  util::FaultInjector faults;
-  faults.arm(plan);
-  util::ThreadPool pool(2);
-  SweepOptions options;
-  options.faults = &faults;
-  options.max_retries = 1;
-  options.backoff_ms = 0.0;
-  options.job_deadline_ms = 30.0;
-  const SweepResult result = runSweep(jobs_, pool, options);
-  EXPECT_TRUE(result.report.allOk()) << result.report.toText();
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(result.report.outcomes[i].attempts, 2) << "job " << i;
-    ASSERT_TRUE(result.traces[i].has_value());
-    EXPECT_TRUE(tracesBitIdentical(*result.traces[i], reference_[i]));
-  }
-}
-
-TEST_F(SweepTest, ExhaustedDeadlineIsClassifiedDeadlineExceeded) {
-  // Permanent slowness: every attempt overruns, so the job ends in
-  // kDeadlineExceeded (not plain kFailed) with the full attempt count.
-  util::FaultPlan plan = allFaulty("job.slow");
-  plan.slow_ms = 40.0;
-  plan.fail_attempts = 1000;
-  util::FaultInjector faults;
-  faults.arm(plan);
-  util::ThreadPool pool(4);
-  SweepOptions options;
-  options.faults = &faults;
-  options.max_retries = 1;
-  options.backoff_ms = 0.0;
-  options.job_deadline_ms = 20.0;
-  const SweepResult result = runSweep(jobs_, pool, options);
-  EXPECT_FALSE(result.report.allOk());
-  for (std::size_t i = 0; i < 4; ++i) {
-    const JobOutcome& outcome = result.report.outcomes[i];
-    EXPECT_EQ(outcome.state, JobState::kDeadlineExceeded) << "job " << i;
-    EXPECT_EQ(outcome.status.code, StatusCode::kDeadlineExceeded);
-    EXPECT_EQ(outcome.attempts, 2) << "job " << i;
-    EXPECT_FALSE(result.traces[i].has_value());
-  }
-}
-
-TEST_F(SweepTest, FailFastCancelsJobsNotYetStarted) {
-  // pool(1) claims indices in order, so job 0's final failure aborts
-  // the sweep before jobs 1..3 start.
-  util::FaultPlan plan = allFaulty("job.exception");
-  plan.fail_attempts = 1000;
-  util::FaultInjector faults;
-  faults.arm(plan);
-  util::ThreadPool pool(1);
-  SweepOptions options;
-  options.faults = &faults;
-  options.max_retries = 0;
-  options.fail_fast = true;
-  const SweepResult result = runSweep(jobs_, pool, options);
-  EXPECT_EQ(result.report.outcomes[0].state, JobState::kFailed);
-  for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(result.report.outcomes[i].state, JobState::kCancelled)
-        << "job " << i;
-    EXPECT_EQ(result.report.outcomes[i].status.code, StatusCode::kCancelled);
-    EXPECT_EQ(result.report.outcomes[i].attempts, 0);
-    EXPECT_FALSE(result.traces[i].has_value());
-  }
-  EXPECT_EQ(result.report.count(JobState::kCancelled), 3u);
 }
 
 TEST_F(SweepTest, ResumeRerunsOnlyIncompleteCorners) {
@@ -249,7 +162,6 @@ TEST_F(SweepTest, ResumeRerunsOnlyIncompleteCorners) {
   util::ThreadPool pool(2);
   SweepOptions options;
   options.faults = &faults;
-  options.max_retries = 0;
   options.checkpoint_dir = dir;
   const SweepResult first = runSweep(jobs_, pool, options);
   EXPECT_EQ(first.report.count(JobState::kFailed), faulty.size());
@@ -268,7 +180,7 @@ TEST_F(SweepTest, ResumeRerunsOnlyIncompleteCorners) {
   resume_options.faults = &no_faults;
   resume_options.checkpoint_dir = dir;
   resume_options.resume = true;
-  resume_options.on_attempt = [&](std::size_t job, int) {
+  resume_options.on_attempt = [&](std::size_t job) {
     ++executions;
     std::lock_guard<std::mutex> lock(executed_mutex);
     executed_jobs.insert(job);
@@ -279,13 +191,9 @@ TEST_F(SweepTest, ResumeRerunsOnlyIncompleteCorners) {
   EXPECT_EQ(executed_jobs, faulty);
   for (std::size_t i = 0; i < 4; ++i) {
     const JobOutcome& outcome = second.report.outcomes[i];
-    if (faulty.count(i) != 0) {
-      EXPECT_EQ(outcome.state, JobState::kSucceeded) << "job " << i;
-      EXPECT_EQ(outcome.attempts, 1);
-    } else {
-      EXPECT_EQ(outcome.state, JobState::kRestored) << "job " << i;
-      EXPECT_EQ(outcome.attempts, 0);
-    }
+    EXPECT_EQ(outcome.state, faulty.count(i) != 0 ? JobState::kSucceeded
+                                                  : JobState::kRestored)
+        << "job " << i;
     ASSERT_TRUE(second.traces[i].has_value());
     EXPECT_TRUE(tracesBitIdentical(*second.traces[i], reference_[i]));
     EXPECT_TRUE(
@@ -318,7 +226,7 @@ TEST_F(SweepTest, CorruptCheckpointIsRecomputedOnResume) {
   resume_options.faults = &no_faults;
   resume_options.checkpoint_dir = dir;
   resume_options.resume = true;
-  resume_options.on_attempt = [&](std::size_t, int) { ++executions; };
+  resume_options.on_attempt = [&](std::size_t) { ++executions; };
   const SweepResult result = runSweep(jobs_, pool, resume_options);
   EXPECT_TRUE(result.report.allOk()) << result.report.toText();
   EXPECT_EQ(executions.load(), 2);  // only the two damaged corners
@@ -365,7 +273,7 @@ TEST_F(SweepTest, OutOfRangeOperandCheckpointIsRecomputedOnResume) {
   resume_options.faults = &no_faults;
   resume_options.checkpoint_dir = dir;
   resume_options.resume = true;
-  resume_options.on_attempt = [&](std::size_t, int) { ++executions; };
+  resume_options.on_attempt = [&](std::size_t) { ++executions; };
   const SweepResult result = runSweep(jobs_, pool, resume_options);
   EXPECT_TRUE(result.report.allOk()) << result.report.toText();
   EXPECT_EQ(executions.load(), 1);
@@ -416,23 +324,37 @@ TEST_F(SweepTest, ResumeWithAnotherOperandStreamRecomputes) {
 }
 
 TEST_F(SweepTest, CheckpointDirHoldsOnlyFinalTraceFiles) {
+  // Every checkpoint write fails once: the first run fails every job
+  // and leaves no file (no temp file either); the resume run writes
+  // exactly the four final traces.
   const std::string dir = scratchDir("atomic");
   util::ThreadPool pool(2);
   util::FaultInjector faults;
-  faults.arm(allFaulty("io.write"));  // every first checkpoint write fails
+  faults.arm(allFaulty("io.write"));
   SweepOptions options;
   options.faults = &faults;
-  options.max_retries = 2;
-  options.backoff_ms = 0.1;
   options.checkpoint_dir = dir;
-  const SweepResult result = runSweep(jobs_, pool, options);
-  EXPECT_TRUE(result.report.allOk()) << result.report.toText();
+  const SweepResult first = runSweep(jobs_, pool, options);
+  EXPECT_EQ(first.report.count(JobState::kFailed), 4u)
+      << first.report.toText();
+  for (const JobOutcome& outcome : first.report.outcomes) {
+    EXPECT_EQ(outcome.status.code, StatusCode::kIoError) << outcome.key;
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+
+  options.resume = true;
+  const SweepResult resumed = runSweep(jobs_, pool, options);
+  EXPECT_TRUE(resumed.report.allOk()) << resumed.report.toText();
   std::size_t files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     EXPECT_EQ(entry.path().extension(), ".trace") << entry.path();
     ++files;
   }
   EXPECT_EQ(files, 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(resumed.traces[i].has_value());
+    EXPECT_TRUE(tracesBitIdentical(*resumed.traces[i], reference_[i]));
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -473,7 +395,7 @@ TEST_F(SweepTest, StopRequestedCancelsRemainingJobsButFlushesStarted) {
   options.faults = &no_faults;
   options.checkpoint_dir = dir;
   options.stop_requested = [&attempts] { return attempts.load() >= 1; };
-  options.on_attempt = [&attempts](std::size_t, int) { ++attempts; };
+  options.on_attempt = [&attempts](std::size_t) { ++attempts; };
   const SweepResult result = runSweep(jobs_, pool, options);
 
   EXPECT_FALSE(result.report.allOk());
@@ -483,7 +405,6 @@ TEST_F(SweepTest, StopRequestedCancelsRemainingJobsButFlushesStarted) {
   for (std::size_t i = 1; i < 4; ++i) {
     EXPECT_EQ(result.report.outcomes[i].state, JobState::kCancelled)
         << "job " << i;
-    EXPECT_EQ(result.report.outcomes[i].attempts, 0) << "job " << i;
     EXPECT_EQ(result.report.outcomes[i].status.code, StatusCode::kCancelled)
         << "job " << i;
     EXPECT_FALSE(result.traces[i].has_value());
@@ -506,33 +427,6 @@ TEST_F(SweepTest, StopRequestedCancelsRemainingJobsButFlushesStarted) {
     EXPECT_TRUE(tracesBitIdentical(*resumed.traces[i], reference_[i]));
   }
   std::filesystem::remove_all(dir);
-}
-
-TEST_F(SweepTest, StopBetweenRetriesCancelsTheJob) {
-  // Every attempt of every job throws; the stop flag flips after two
-  // attempts, so job 0 is cancelled between retries rather than
-  // exhausting its budget, and later jobs never start.
-  util::FaultInjector faults;
-  util::FaultPlan plan = allFaulty("job.exception");
-  plan.fail_attempts = 1000;
-  faults.arm(plan);
-  std::atomic<int> attempts{0};
-  util::ThreadPool pool(1);
-  SweepOptions options;
-  options.faults = &faults;
-  options.max_retries = 5;
-  options.backoff_ms = 0.1;
-  options.stop_requested = [&attempts] { return attempts.load() >= 2; };
-  options.on_attempt = [&attempts](std::size_t, int) { ++attempts; };
-  const SweepResult result = runSweep(jobs_, pool, options);
-
-  EXPECT_EQ(result.report.outcomes[0].state, JobState::kCancelled);
-  EXPECT_EQ(result.report.outcomes[0].attempts, 2);  // not 6
-  for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(result.report.outcomes[i].state, JobState::kCancelled);
-    EXPECT_EQ(result.report.outcomes[i].attempts, 0);
-  }
-  EXPECT_EQ(attempts.load(), 2);
 }
 
 }  // namespace

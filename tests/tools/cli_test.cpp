@@ -80,7 +80,7 @@ TEST(CliTest, BadFuNameIsUsageError) {
 
 TEST(CliTest, SweepFlagValidationIsUsageError) {
   EXPECT_EQ(runCli("sweep int_add 20 --grid nonsense").exit_code, 2);
-  EXPECT_EQ(runCli("sweep int_add 20 --max-retries -3").exit_code, 2);
+  EXPECT_EQ(runCli("sweep int_add 20 --seed -3").exit_code, 2);
   const RunResult resume = runCli("sweep int_add 20 --resume");
   EXPECT_EQ(resume.exit_code, 2);
   EXPECT_NE(resume.output.find("--resume requires --out"),
@@ -129,7 +129,7 @@ TEST(CliTest, MalformedNumericArgumentsAreUsageErrors) {
            std::string("check 1 --seed x"),
            std::string("sweep int_add 20x"),
            std::string("sweep int_add 20 --grid 3x3junk"),
-           std::string("sweep int_add 20 --backoff-ms nan"),
+           std::string("sweep int_add 20 --seed nan"),
            std::string("sweep int_add 20 --seed -1"),
            std::string("lint int_add --budget nan"),
            "verify-model '" + model + "' --tclk inf",
@@ -184,19 +184,26 @@ TEST(CliTest, SweepWritesCheckpointsAndResumeRestores) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(CliTest, FaultInjectedSweepRecoversViaRetries) {
-  // Every job fails its first attempt (rate=1, transient); with two
-  // retries the sweep must converge and exit 0, reporting the retries.
+TEST(CliTest, FaultInjectedSweepRecoversOnResume) {
+  // Every job fails its one execution (rate=1): the sweep reports the
+  // failures and exits 1. A --resume run without faults recomputes
+  // the four corners and exits 0.
   const std::string dir = scratchDir("faults");
-  const RunResult result = runCli(
-      "sweep int_add 20 --grid 2x2 --out '" + dir +
-          "' --max-retries 2 --backoff-ms 0.1",
-      "TEVOT_FAULTS='points=job.exception;rate=1.0;seed=5;attempts=1'");
-  EXPECT_EQ(result.exit_code, 0) << result.output;
-  EXPECT_NE(result.output.find("faults armed:"), std::string::npos)
-      << result.output;
-  EXPECT_NE(result.output.find("4 retried"), std::string::npos)
-      << result.output;
+  const std::string base =
+      "sweep int_add 20 --grid 2x2 --out '" + dir + "'";
+  const RunResult failed = runCli(
+      base, "TEVOT_FAULTS='points=job.exception;rate=1.0;seed=5;attempts=1'");
+  EXPECT_EQ(failed.exit_code, 1) << failed.output;
+  EXPECT_NE(failed.output.find("faults armed:"), std::string::npos)
+      << failed.output;
+  EXPECT_NE(failed.output.find("4 failed"), std::string::npos)
+      << failed.output;
+  EXPECT_EQ(countTraceFiles(dir), 0u);
+
+  const RunResult resumed = runCli(base + " --resume");
+  EXPECT_EQ(resumed.exit_code, 0) << resumed.output;
+  EXPECT_NE(resumed.output.find("4 ok"), std::string::npos)
+      << resumed.output;
   EXPECT_EQ(countTraceFiles(dir), 4u);
   std::filesystem::remove_all(dir);
 }
@@ -205,8 +212,7 @@ TEST(CliTest, PermanentFaultsFailTheSweepWithReport) {
   const std::string report = testing::TempDir() + "tevot_cli_report.txt";
   std::filesystem::remove(report);
   const RunResult result = runCli(
-      "sweep int_add 20 --grid 2x2 --max-retries 1 --backoff-ms 0.1 "
-      "--report '" + report + "'",
+      "sweep int_add 20 --grid 2x2 --report '" + report + "'",
       "TEVOT_FAULTS='points=job.exception;rate=1.0;seed=5;attempts=99'");
   EXPECT_EQ(result.exit_code, 1) << result.output;
   EXPECT_NE(result.output.find("4 failed"), std::string::npos)

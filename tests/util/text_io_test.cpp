@@ -3,21 +3,25 @@
 // exactly printf's "%.9g" and a written double exactly printf's "%a"
 // (the bytes the files have always held), and both must parse back to
 // the same bits; the reader must accept only whole, finite, in-range
-// numbers and say where it stopped.
+// numbers and say where it stopped. writeFileAtomic's errors name the
+// file asked for, never its temp file, and leave no temp file behind.
 #include "util/text_io.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 
@@ -318,6 +322,59 @@ TEST(TextIoTest, ReaderErrorsNameWhatAndWhere) {
       });
   EXPECT_EQ(trailing.message,
             "trailing bytes after the model ('junk') at byte 3");
+}
+
+/// The Status writeFileAtomic throws for `path` (ok() if it wrote).
+Status atomicWriteFailure(const std::string& path,
+                          FaultInjector* faults = nullptr) {
+  try {
+    writeFileAtomic(
+        path, "save", [](TextWriter& out) { out.text("payload\n"); },
+        faults, "key");
+  } catch (const StatusError& error) {
+    return error.status();
+  }
+  return Status::okStatus();
+}
+
+TEST(TextIoTest, AtomicWriteErrorsNameTheDestinationNotTheTempFile) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "tevot_text_io_atomic";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "out.txt").string();
+  const auto expectNamesPath = [&](const Status& status,
+                                   const std::string& path_named) {
+    EXPECT_EQ(status.code, StatusCode::kIoError) << status.toString();
+    EXPECT_NE(status.message.find(path_named), std::string::npos)
+        << status.message;
+    EXPECT_EQ(status.message.find(".tmp."), std::string::npos)
+        << status.message;
+    EXPECT_TRUE(std::filesystem::is_empty(dir)) << status.message;
+  };
+
+  const std::string missing = (dir / "no_such_dir" / "out.txt").string();
+  const Status no_dir = atomicWriteFailure(missing);
+  expectNamesPath(no_dir, missing);
+  EXPECT_NE(no_dir.message.find(errnoText(ENOENT)), std::string::npos)
+      << no_dir.message;
+
+  for (const char* point : {"io.open", "io.write"}) {
+    FaultPlan plan;
+    plan.rate = 1.0;
+    plan.points = {point};
+    FaultInjector faults;
+    faults.arm(plan);
+    const Status injected = atomicWriteFailure(path, &faults);
+    expectNamesPath(injected, path);
+    EXPECT_NE(injected.message.find(point), std::string::npos)
+        << injected.message;
+  }
+
+  // Without faults the same call writes the file.
+  EXPECT_TRUE(atomicWriteFailure(path).ok());
+  EXPECT_EQ(readFile(path, "test"), "payload\n");
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -13,8 +13,7 @@
 //                     [tclk_ps]
 //   tevot_cli check [n-seeds] [--seed S]
 //   tevot_cli sweep <fu> <cycles-per-corner> [--out DIR] [--grid NVxNT]
-//             [--seed S] [--resume] [--max-retries N] [--backoff-ms MS]
-//             [--job-deadline MS] [--fail-fast] [--report FILE]
+//             [--seed S] [--resume] [--report FILE]
 //   tevot_cli lint <fu>|--all [--grid NVxNT] [--budget PS]
 //             [--waivers FILE] [--sdf FILE] [--json FILE]
 //   tevot_cli serve-check <port> <model-file> <fu> [--clients N]
@@ -40,11 +39,13 @@
 // waived.
 //
 // `sweep` runs the resilient corner-sweep engine (dta::runSweep) over
-// an NVxNT (V,T) grid: failing corners are recorded in the sweep
-// report instead of killing the run, each completed corner is
-// checkpointed atomically into --out, and --resume restores completed
-// corners from disk. The TEVOT_FAULTS environment spec arms
-// deterministic fault injection (see util/fault_injection.hpp).
+// an NVxNT (V,T) grid: each corner runs once, a failing corner is
+// recorded in the sweep report instead of killing the run, each
+// completed corner is checkpointed atomically into --out, and --resume
+// restores completed corners from disk and recomputes the rest, which
+// is how failed corners are recovered. The TEVOT_FAULTS environment
+// spec arms deterministic fault injection (see
+// util/fault_injection.hpp).
 // SIGINT/SIGTERM stop a sweep cooperatively: the in-flight corner
 // finishes and flushes its checkpoint, the report is printed, and the
 // process exits 130 — a subsequent --resume run picks up cleanly.
@@ -158,9 +159,7 @@ int usage() {
                "[tclk_ps]\n"
                "  check [n-seeds] [--seed S]\n"
                "  sweep <fu> <cycles-per-corner> [--out DIR] [--grid NVxNT]\n"
-               "        [--seed S] [--resume] [--max-retries N] "
-               "[--backoff-ms MS]\n"
-               "        [--job-deadline MS] [--fail-fast] [--report FILE]\n"
+               "        [--seed S] [--resume] [--report FILE]\n"
                "  lint <fu>|--all [--grid NVxNT] [--budget PS] "
                "[--waivers FILE]\n"
                "       [--sdf FILE] [--json FILE]\n"
@@ -563,14 +562,6 @@ int cmdSweep(int argc, char** argv, util::ThreadPool& pool) {
       if (!flags.number(0, util::kMaxExactInteger, &seed)) return usage();
     } else if (arg == "--resume") {
       options.resume = true;
-    } else if (arg == "--max-retries") {
-      if (!flags.number(0, 1000, &options.max_retries)) return usage();
-    } else if (arg == "--backoff-ms") {
-      if (!flags.number(0, 1e7, &options.backoff_ms)) return usage();
-    } else if (arg == "--job-deadline") {
-      if (!flags.number(0, 1e9, &options.job_deadline_ms)) return usage();
-    } else if (arg == "--fail-fast") {
-      options.fail_fast = true;
     } else if (arg == "--report") {
       const char* v = flags.value();
       if (v == nullptr) return usage();
