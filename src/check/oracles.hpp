@@ -12,9 +12,9 @@
 //     word-level references (circuits::fuReference) bit for bit, and
 //     a register bank clocked generously past the critical path
 //     latches exactly the settled word.
-//  3. model round-trip: serialize -> deserialize -> serialize is
-//     byte-identical and deserialized models predict bit-identically,
-//     for forests, single trees, k-NN, and the linear classifiers;
+//  3. model round-trip: serialize -> deserialize -> serialize of a
+//     forest regressor (the format TevotModel files carry) is
+//     byte-identical and the reloaded forest predicts bit-identically;
 //     serial vs pooled forest training stays bit-identical.
 //
 // Every oracle draws all randomness from the Rng handed to it, so it

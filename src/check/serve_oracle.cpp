@@ -1,6 +1,6 @@
 #include "check/serve_oracle.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -19,17 +19,9 @@ namespace tevot::check {
 
 namespace {
 
-/// Hexfloat-prints the full request line so the server parses the
-/// client's doubles bit-for-bit (the precondition of the OK
-/// bit-identity check).
-std::string predictLine(const std::string& fu, double v, double t,
-                        double tclk_ps, std::uint32_t a, std::uint32_t b,
-                        std::uint32_t prev_a, std::uint32_t prev_b) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "predict %s %a %a %a %u %u %u %u",
-                fu.c_str(), v, t, tclk_ps, a, b, prev_a, prev_b);
-  return buf;
-}
+/// SO_RCVTIMEO of every driver connection, so a short answer is a
+/// reported violation instead of a hang.
+constexpr double kReplyTimeoutMs = 10000.0;
 
 struct DriveViolations {
   std::mutex mutex;
@@ -41,33 +33,26 @@ struct DriveViolations {
   }
 };
 
-/// One request over a possibly fault-dropped connection: reconnect
-/// and resend until a full response line arrives or the budget is
-/// exhausted (empty optional).
-std::optional<std::string> sendWithRetry(serve::LineClient& client,
-                                         int port, const std::string& line,
-                                         int budget) {
-  for (int attempt = 0; attempt <= budget; ++attempt) {
-    if (!client.connected()) {
-      bool connected = false;
-      for (int c = 0; c < 100; ++c) {
-        if (client.connectTo(port).ok()) {
-          connected = true;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+/// Sends `line` and reads up to `lines` answer lines. A connection
+/// that answers nothing (an injected accept fault) is redialed and the
+/// idempotent request resent, at most `budget` times. Returns the lines
+/// that arrived: fewer than `lines` when the answer was cut short.
+std::vector<std::string> exchange(serve::LineClient& client,
+                                  const std::string& line,
+                                  std::size_t lines, int budget) {
+  std::vector<std::string> replies;
+  for (int attempt = 0; attempt <= budget && replies.empty(); ++attempt) {
+    if (!client.connected() && !client.reconnect().ok()) break;
+    if (client.sendLine(line)) {
+      while (replies.size() < lines) {
+        std::optional<std::string> reply = client.readLine();
+        if (!reply.has_value()) break;
+        replies.push_back(std::move(*reply));
       }
-      if (!connected) return std::nullopt;
     }
-    if (!client.sendLine(line)) {
-      client.close();
-      continue;
-    }
-    std::optional<std::string> response = client.readLine();
-    if (response.has_value()) return response;
-    client.close();  // EOF (e.g. injected accept fault) — retry
+    if (replies.size() < lines) client.close();  // EOF, timeout, cut
   }
-  return std::nullopt;
+  return replies;
 }
 
 struct GarbageCase {
@@ -98,85 +83,91 @@ void clientRoutine(const core::TevotModel& reference, const std::string& fu,
                    DriveViolations* violations) {
   util::Rng rng(seed ^ (0x9e3779b97f4a7c15ull *
                         static_cast<std::uint64_t>(client_index + 1)));
+  const std::string who = "client " + std::to_string(client_index);
   serve::LineClient client;
+  if (const util::Status dialed = client.connectTo(port, kReplyTimeoutMs);
+      !dialed.ok()) {
+    return violations->add(who + ": " + dialed.message);
+  }
   const std::vector<GarbageCase> garbage = garbageCases(fu);
   for (int i = 0; i < options.requests_per_client; ++i) {
-    const std::string tag = "client " + std::to_string(client_index) +
-                            " request " + std::to_string(i);
-    enum class Kind { kPredict, kGarbage, kControl } kind = Kind::kPredict;
-    if (rng.nextDouble() < options.garbage_fraction) {
-      kind = Kind::kGarbage;
-    } else if (options.exercise_control && i % 10 == 7) {
-      kind = Kind::kControl;
-    }
-
+    const std::string tag = who + " request " + std::to_string(i);
+    // Every tenth line is a control verb. Of the predicts, every third
+    // is a predictN of 2-16 tuples, the rest a single predict (which
+    // is a batch of one).
     std::string line;
     const GarbageCase* garbage_case = nullptr;
-    double v = 0.0, t = 0.0, tclk = 0.0;
-    std::uint32_t a = 0, b = 0, prev_a = 0, prev_b = 0;
-    switch (kind) {
-      case Kind::kPredict: {
-        v = rng.nextDouble(0.80, 1.00);
-        t = rng.nextDouble(0.0, 100.0);
-        tclk = rng.nextDouble(50.0, 2000.0);
-        a = rng.nextU32();
-        b = rng.nextU32();
-        prev_a = rng.nextU32();
-        prev_b = rng.nextU32();
-        line = predictLine(fu, v, t, tclk, a, b, prev_a, prev_b);
-        break;
+    std::vector<serve::BatchOperand> tuples;
+    liberty::Corner corner;
+    double tclk = 0.0;
+    if (rng.nextDouble() < options.garbage_fraction) {
+      garbage_case = &garbage[static_cast<std::size_t>(rng.nextInRange(
+          0, static_cast<std::int64_t>(garbage.size()) - 1))];
+      line = garbage_case->line;
+    } else if (i % 10 == 7) {
+      const char* const verbs[] = {"health", "stats", "reload"};
+      line = verbs[rng.nextInRange(0, 2)];
+    } else {
+      corner = {rng.nextDouble(0.80, 1.00), rng.nextDouble(0.0, 100.0)};
+      tclk = rng.nextDouble(50.0, 2000.0);
+      tuples.resize(
+          i % 3 == 1 ? static_cast<std::size_t>(rng.nextInRange(2, 16)) : 1);
+      for (serve::BatchOperand& tuple : tuples) {
+        tuple = {rng.nextU32(), rng.nextU32(), rng.nextU32(),
+                 rng.nextU32()};
       }
-      case Kind::kGarbage:
-        garbage_case = &garbage[static_cast<std::size_t>(
-            rng.nextInRange(0, static_cast<std::int64_t>(garbage.size()) -
-                                   1))];
-        line = garbage_case->line;
-        break;
-      case Kind::kControl: {
-        const int which = static_cast<int>(rng.nextInRange(0, 2));
-        line = which == 0 ? "health" : which == 1 ? "stats" : "reload";
-        break;
-      }
+      line = tuples.size() == 1
+                 ? serve::formatPredictRequest(fu, corner.voltage,
+                                               corner.temperature, tclk,
+                                               tuples[0])
+                 : serve::formatBatchRequest(fu, corner.voltage,
+                                             corner.temperature, tclk,
+                                             tuples);
     }
 
-    const std::optional<std::string> raw =
-        sendWithRetry(client, port, line, options.reconnect_budget);
-    if (!raw.has_value()) {
-      violations->add(tag + ": no response within the reconnect budget");
+    // A parsed predict is answered with one line per tuple, any other
+    // line with one.
+    const std::size_t expected = std::max<std::size_t>(tuples.size(), 1);
+    const std::vector<std::string> raw =
+        exchange(client, line, expected, options.reconnect_budget);
+    if (raw.size() != expected) {
+      violations->add(tag + (raw.empty()
+                                 ? ": no response within the reconnect budget"
+                                 : ": " + std::to_string(raw.size()) +
+                                       " of " + std::to_string(expected) +
+                                       " response lines"));
       continue;
     }
-    serve::Response response;
-    if (!serve::parseResponse(*raw, &response)) {
-      violations->add(tag + ": malformed response line '" + *raw + "'");
-      continue;
+    std::vector<core::DelayQuery> queries;
+    queries.reserve(tuples.size());
+    for (const serve::BatchOperand& tuple : tuples) {
+      queries.push_back({tuple.a, tuple.b, tuple.prev_a, tuple.prev_b, corner});
     }
-    switch (kind) {
-      case Kind::kGarbage:
+    std::vector<double> offline(queries.size());
+    reference.predictDelayBatch(queries, offline);
+    for (std::size_t k = 0; k < raw.size(); ++k) {
+      serve::Response response;
+      if (!serve::parseResponse(raw[k], &response)) {
+        violations->add(tag + ": malformed response line '" + raw[k] + "'");
+        continue;
+      }
+      if (response.status != serve::ResponseStatus::kOk) continue;
+      if (garbage_case != nullptr) {
         // Malformed input must never be ACCEPTED.
-        if (response.status == serve::ResponseStatus::kOk) {
-          violations->add(tag + " (" + garbage_case->what +
-                          "): got OK for malformed input: '" + *raw + "'");
-        }
-        break;
-      case Kind::kControl:
-        break;  // well-formed is the whole contract here
-      case Kind::kPredict: {
-        if (response.status != serve::ResponseStatus::kOk) break;
-        // ACCEPTED => bit-identical to the offline model.
-        const double expected =
-            reference.predictDelay(a, b, prev_a, prev_b, {v, t});
-        if (std::memcmp(&expected, &response.delay_ps, sizeof(double)) !=
-            0) {
-          char msg[160];
-          std::snprintf(msg, sizeof(msg),
-                        ": OK delay %a differs from offline %a",
-                        response.delay_ps, expected);
-          violations->add(tag + msg);
-        }
-        if (response.timing_error != (expected > tclk)) {
-          violations->add(tag + ": err bit disagrees with delay > tclk");
-        }
-        break;
+        violations->add(tag + " (" + garbage_case->what +
+                        "): got OK for malformed input: '" + raw[k] + "'");
+      }
+      if (tuples.empty()) continue;  // a well-formed answer is the contract
+      // ACCEPTED => bit-identical to the offline model.
+      if (std::memcmp(&offline[k], &response.delay_ps, sizeof(double)) != 0) {
+        char msg[160];
+        std::snprintf(msg, sizeof(msg),
+                      ": tuple %zu OK delay %a differs from offline %a", k,
+                      response.delay_ps, offline[k]);
+        violations->add(tag + msg);
+      }
+      if (response.timing_error != (offline[k] > tclk)) {
+        violations->add(tag + ": err bit disagrees with delay > tclk");
       }
     }
   }
@@ -209,15 +200,15 @@ namespace {
 
 /// Tiny int_add model trained once per process and saved as a model
 /// directory for the in-process server; the in-memory copy is the
-/// offline reference for the bit-identity check.
+/// offline reference for the bit-identity check. The directory is
+/// removed when the process exits.
 struct OracleFixture {
   core::TevotModel model;
   std::string model_dir;
-};
 
-const OracleFixture& oracleFixture() {
-  static const OracleFixture* fixture = [] {
-    auto* f = new OracleFixture;
+  OracleFixture(const OracleFixture&) = delete;
+  OracleFixture& operator=(const OracleFixture&) = delete;
+  OracleFixture() {
     core::FuContext context(circuits::FuKind::kIntAdd);
     util::Rng rng(20260805);
     std::vector<dta::DtaTrace> traces;
@@ -228,17 +219,24 @@ const OracleFixture& oracleFixture() {
     }
     core::TevotConfig config;
     config.forest.n_trees = 4;  // tiny but real; speed over accuracy
-    f->model = core::TevotModel(config);
-    f->model.train(traces, rng);
+    model = core::TevotModel(config);
+    model.train(traces, rng);
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() /
         ("tevot_serve_oracle_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir);
-    f->model_dir = dir.string();
-    f->model.save(f->model_dir + "/int_add.model");
-    return f;
-  }();
-  return *fixture;
+    model_dir = dir.string();
+    model.save(model_dir + "/int_add.model");
+  }
+  ~OracleFixture() {
+    std::error_code ignored;
+    std::filesystem::remove_all(model_dir, ignored);
+  }
+};
+
+const OracleFixture& oracleFixture() {
+  static const OracleFixture fixture;
+  return fixture;
 }
 
 }  // namespace

@@ -3,21 +3,24 @@
 // Contract being checked, under deterministic fault injection at
 // serve.accept / serve.parse / serve.predict / serve.reload:
 //
-//   1. Every request line receives exactly one well-formed response
-//      from the documented taxonomy — faults degrade answers into
-//      typed SHED/DEADLINE/ERROR lines, never into silence, a hung
-//      connection, or a dead worker.
+//   1. Every request line receives exactly its answer count (n for a
+//      predictN of n tuples, else one) of well-formed responses from
+//      the documented taxonomy — faults degrade answers into typed
+//      SHED/DEADLINE/ERROR lines, never into silence, a short answer,
+//      a hung connection, or a dead worker.
 //   2. Every ACCEPTED answer is still correct: an OK response's delay
 //      is bit-identical (hexfloat round-trip) to offline
-//      TevotModel::predictDelay on the same operands, and its err bit
-//      equals delay > tclk. Degraded mode may refuse work, it may
+//      TevotModel::predictDelayBatch on the same operands, and its err
+//      bit equals delay > tclk. Degraded mode may refuse work, it may
 //      never serve wrong numbers.
 //   3. Malformed input (garbage verbs, NaN operands, oversized lines)
 //      always yields a non-OK response.
 //
 // driveAndVerifyServer is the reusable client-side driver: the
 // in-process property, the serve tests and `tevot_cli serve-check`
-// (the CI smoke job) all run the same verification.
+// (the CI smoke job) all run the same verification. Each client mixes
+// single predicts, predictN batches of 2-16 tuples, control verbs
+// (every tenth request) and malformed lines.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +35,9 @@ struct ServeDriveOptions {
   int clients = 4;              ///< concurrent client threads
   int requests_per_client = 30;
   double garbage_fraction = 0.1;  ///< malformed-line probability
-  bool exercise_control = true;   ///< mix in health/stats/reload
   /// Reconnect-and-resend budget per request; injected accept faults
-  /// drop whole connections, so clients retry (requests are
-  /// idempotent). Exhausting the budget is a violation.
+  /// drop whole connections, so clients redial (LineClient::
+  /// reconnect()) and resend. Exhausting the budget is a violation.
   int reconnect_budget = 8;
 };
 

@@ -38,6 +38,13 @@ std::string_view fuSlug(FuKind kind) {
   throw std::invalid_argument("fuSlug: bad kind");
 }
 
+std::optional<FuKind> fuFromSlug(std::string_view slug) {
+  for (const FuKind kind : kAllFus) {
+    if (fuSlug(kind) == slug) return kind;
+  }
+  return std::nullopt;
+}
+
 netlist::Netlist buildFu(FuKind kind) {
   switch (kind) {
     case FuKind::kIntAdd:

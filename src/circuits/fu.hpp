@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -25,6 +26,10 @@ std::string_view fuName(FuKind kind);
 /// matching the tevot_cli FU arguments and the "<slug>.model" files a
 /// model directory holds.
 std::string_view fuSlug(FuKind kind);
+
+/// The FU whose fuSlug() is `slug`; nullopt for any other text. The
+/// one reader of FU names (tool arguments, the wire protocol).
+std::optional<FuKind> fuFromSlug(std::string_view slug);
 
 /// Builds the gate-level netlist of a functional unit: inputs a[32]
 /// then b[32] (64 primary inputs), outputs are the 32 result bits.

@@ -56,13 +56,12 @@ WindowPrediction ServeBackend::attemptWindow(const WindowedStream& stream,
                                              const Window& w) {
   WindowPrediction out;
   out.delays_ps.reserve(w.cycles());
-  // The first degraded line decides the window. The client cannot
-  // know how many more lines follow it — a batch-level outcome from
-  // the worker is replicated per tuple, but a parse-path failure
-  // (injected serve.parse fault, malformed/oversized line) answers
-  // the whole predictN with ONE line — so blocking for the remainder
-  // could deadlock. Instead the connection is closed, which safely
-  // discards any replicated tail, and the next window redials.
+  // The first degraded line decides the window. A conforming server
+  // answers every line this backend writes with exactly n lines (a
+  // batch-level outcome is replicated per tuple), but a peer that
+  // breaks the rule could answer the batch with fewer, and blocking
+  // for the remainder would deadlock. So the connection is closed,
+  // which discards any replicated tail, and the next window redials.
   for (std::size_t first = w.first; first < w.last;
        first += serve::kMaxBatchTuples) {
     const std::size_t last =

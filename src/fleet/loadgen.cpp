@@ -53,22 +53,6 @@ double gateIntoBurst(double at_ms, double phase_ms) {
   return at_ms + (kBurstCycleMs - cycle_pos);
 }
 
-std::string predictLine(const std::string& fu, util::Rng& rng,
-                        double deadline_ms) {
-  char buf[256];
-  const double v = rng.nextDouble(0.81, 1.00);
-  const double t = rng.nextDouble(0.0, 100.0);
-  const double tclk = rng.nextDouble(50.0, 2000.0);
-  int n = std::snprintf(buf, sizeof(buf), "predict %s %a %a %a %u %u %u %u",
-                        fu.c_str(), v, t, tclk, rng.nextU32(),
-                        rng.nextU32(), rng.nextU32(), rng.nextU32());
-  if (deadline_ms > 0.0) {
-    std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
-                  " %a", deadline_ms);
-  }
-  return buf;
-}
-
 std::string malformedLine(const std::string& fu, util::Rng& rng) {
   switch (rng.nextBelow(5)) {
     case 0: return "bogus verb here";
@@ -99,11 +83,16 @@ void connectionRoutine(const LoadgenOptions& options, int index,
     return options.stop && options.stop();
   };
 
-  double next_ms = nextGapMs(options.arrival, per_conn_rate_ms, rng);
-  if (options.arrival == Arrival::kBursty) {
-    next_ms = gateIntoBurst(next_ms, phase_ms);
-  }
-  while (next_ms < end_ms) {
+  // The next scheduled arrival after `from_ms`.
+  const auto arrival_after = [&](double from_ms) {
+    const double at_ms =
+        from_ms + nextGapMs(options.arrival, per_conn_rate_ms, rng);
+    return options.arrival == Arrival::kBursty
+               ? gateIntoBurst(at_ms, phase_ms)
+               : at_ms;
+  };
+  for (double next_ms = arrival_after(0.0); next_ms < end_ms;
+       next_ms = arrival_after(next_ms)) {
     if (stopped()) {
       report.interrupted = true;
       break;
@@ -142,49 +131,38 @@ void connectionRoutine(const LoadgenOptions& options, int index,
       line = malformedLine(options.fu, rng);
       malformed = true;
       ++report.malformed_sent;
-    } else if (mix < options.malformed_fraction + options.batch_fraction &&
-               options.batch_tuples > 0) {
-      for (serve::BatchOperand& tuple : tuples) {
-        tuple = {rng.nextU32(), rng.nextU32(), rng.nextU32(),
-                 rng.nextU32()};
-      }
-      line = serve::formatBatchRequest(
-          options.fu, rng.nextDouble(0.81, 1.00),
-          rng.nextDouble(0.0, 100.0), rng.nextDouble(50.0, 2000.0), tuples,
-          options.deadline_ms);
-      expected = tuples.size();
     } else {
-      line = predictLine(options.fu, rng, options.deadline_ms);
+      const double v = rng.nextDouble(0.81, 1.00);
+      const double t = rng.nextDouble(0.0, 100.0);
+      const double tclk = rng.nextDouble(50.0, 2000.0);
+      if (mix < options.malformed_fraction + options.batch_fraction &&
+          options.batch_tuples > 0) {
+        for (serve::BatchOperand& tuple : tuples) {
+          tuple = {rng.nextU32(), rng.nextU32(), rng.nextU32(),
+                   rng.nextU32()};
+        }
+        line = serve::formatBatchRequest(options.fu, v, t, tclk, tuples,
+                                         options.deadline_ms);
+        expected = tuples.size();
+      } else {
+        line = serve::formatPredictRequest(
+            options.fu, v, t, tclk,
+            {rng.nextU32(), rng.nextU32(), rng.nextU32(), rng.nextU32()},
+            options.deadline_ms);
+      }
     }
 
-    if (!client.connected()) {
-      if (client.connectTo(options.port).ok()) {
-        ++report.reconnects;
-      } else {
-        report.no_response += expected;
-        report.lines_sent += 1;
-        report.responses_expected += expected;
-        next_ms += nextGapMs(options.arrival, per_conn_rate_ms, rng);
-        if (options.arrival == Arrival::kBursty) {
-          next_ms = gateIntoBurst(next_ms, phase_ms);
-        }
-        continue;
-      }
-    }
     report.lines_sent += 1;
     report.responses_expected += expected;
+    if (!client.connected() && client.connectTo(options.port).ok()) {
+      ++report.reconnects;
+    }
     const Clock::time_point sent_at = Clock::now();
-    if (!client.sendLine(line)) {
-      client.close();
-      report.no_response += expected;
-    } else {
-      std::size_t received = 0;
+    std::size_t received = 0;
+    if (client.sendLine(line)) {  // false while not connected
       for (; received < expected; ++received) {
         const std::optional<std::string> raw = client.readLine();
-        if (!raw.has_value()) {
-          client.close();
-          break;
-        }
+        if (!raw.has_value()) break;
         serve::Response response;
         if (!serve::parseResponse(*raw, &response)) {
           ++report.unparseable;
@@ -202,15 +180,12 @@ void connectionRoutine(const LoadgenOptions& options, int index,
           case serve::ResponseStatus::kError: ++report.errors; break;
         }
       }
-      report.no_response += expected - received;
-      if (received == expected) {
-        report.latency.add(msSince(sent_at));
-      }
     }
-
-    next_ms += nextGapMs(options.arrival, per_conn_rate_ms, rng);
-    if (options.arrival == Arrival::kBursty) {
-      next_ms = gateIntoBurst(next_ms, phase_ms);
+    report.no_response += expected - received;
+    if (received == expected) {
+      report.latency.add(msSince(sent_at));
+    } else {
+      client.close();
     }
   }
   out->mergeFrom(report);

@@ -37,8 +37,7 @@ bool parseShardPolicy(std::string_view text, ShardPolicy* out) {
 
 Router::Router(RouterOptions options, std::vector<ShardEndpoint> shards)
     : options_(std::move(options)),
-      core_({options_.port, options_.max_connections,
-             options_.drain_deadline_ms},
+      core_({options_.port, options_.max_connections, kDrainDeadlineMs},
             [this](std::uint64_t) -> serve::LineServer::LineHandler {
               auto backends = std::make_shared<Backends>();
               return [this, backends](std::string_view line,
@@ -308,9 +307,11 @@ void Router::routePredict(const serve::Request& request,
     if (!responses.empty()) {
       for (const std::string& response : responses) out.relay(response);
       if (responses.size() < lines) {
-        // The shard died mid-batch: the relayed prefix cannot be
-        // retried (duplicates), so the remainder degrades to typed
-        // errors and the batch still answers with exactly n lines.
+        // A conforming shard answers every parsed line with exactly n
+        // lines, so a short answer means it died (or broke the rule)
+        // mid-batch. The relayed prefix cannot be retried
+        // (duplicates), so the remainder degrades to typed errors and
+        // the batch still answers with exactly n lines.
         backend.client.close();
         markShardDown(index);
         out.add(serve::Response::error(serve::ErrorCode::kInternal,
@@ -339,7 +340,7 @@ util::Status Router::rollingReload() {
     shard.admin_down.store(true);
     const auto drain_start = std::chrono::steady_clock::now();
     while (shard.in_flight.load() > 0 &&
-           serve::msSince(drain_start) < options_.reload_drain_ms) {
+           serve::msSince(drain_start) < kReloadDrainMs) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     serve::LineClient admin;

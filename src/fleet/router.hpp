@@ -93,14 +93,15 @@ struct RouterOptions {
   /// wedged shard can stall a relay before it degrades to a typed
   /// response. 0 disables the timeout.
   double backend_timeout_ms = 5000.0;
-  /// Budget for drainAndStop() to finish relaying admitted work.
-  double drain_deadline_ms = 2000.0;
-  /// Budget for the per-shard in-flight drain during rollingReload().
-  double reload_drain_ms = 1000.0;
 };
 
 class Router {
  public:
+  /// Budget for drainAndStop() to finish relaying admitted work.
+  static constexpr double kDrainDeadlineMs = 2000.0;
+  /// Budget for the per-shard in-flight drain during rollingReload().
+  static constexpr double kReloadDrainMs = 1000.0;
+
   Router(RouterOptions options, std::vector<ShardEndpoint> shards);
   ~Router();
 
@@ -143,7 +144,7 @@ class Router {
   void setShardPort(std::size_t shard, int port);
 
   /// Graceful drain: stop accepting, let in-flight relays finish
-  /// within drain_deadline_ms, join everything. Idempotent. Returns
+  /// within kDrainDeadlineMs, join everything. Idempotent. Returns
   /// the final router-side stats.
   serve::MetricsSnapshot drainAndStop();
 

@@ -94,10 +94,6 @@ std::optional<std::string> LineClient::readLine() {
   }
 }
 
-void LineClient::closeSend() {
-  if (fd_.valid()) ::shutdown(fd_.get(), SHUT_WR);
-}
-
 void LineClient::close() {
   fd_.reset();
   buffer_.clear();

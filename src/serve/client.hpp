@@ -57,8 +57,6 @@ class LineClient {
   /// (mid-line state is unrecoverable), so connected() turns false.
   std::optional<std::string> readLine();
 
-  /// Half-close: no more requests, responses still readable.
-  void closeSend();
   void close();
 
  private:

@@ -199,16 +199,19 @@ util::Status parseRequest(std::string_view line, Request* out) {
   return util::Status::okStatus();
 }
 
-std::string formatBatchRequest(const std::string& fu, double voltage,
-                               double temperature, double tclk_ps,
-                               std::span<const BatchOperand> operands,
-                               double deadline_ms) {
+namespace {
+
+std::string formatPredictLine(bool batch, const std::string& fu,
+                              double voltage, double temperature,
+                              double tclk_ps,
+                              std::span<const BatchOperand> operands,
+                              double deadline_ms) {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), " %a %a %a %zu", voltage, temperature,
-                tclk_ps, operands.size());
-  std::string line = "predictN ";
-  line += fu;  // appended, not printed: a NUL in it reaches the server
-  line += buf;
+  std::snprintf(buf, sizeof(buf), " %a %a %a", voltage, temperature,
+                tclk_ps);
+  // fu is appended, not printed: a NUL in it reaches the server.
+  std::string line = (batch ? "predictN " : "predict ") + fu + buf;
+  if (batch) line += " " + std::to_string(operands.size());
   for (const BatchOperand& operand : operands) {
     std::snprintf(buf, sizeof(buf), " %u %u %u %u", operand.a, operand.b,
                   operand.prev_a, operand.prev_b);
@@ -219,6 +222,24 @@ std::string formatBatchRequest(const std::string& fu, double voltage,
     line += buf;
   }
   return line;
+}
+
+}  // namespace
+
+std::string formatPredictRequest(const std::string& fu, double voltage,
+                                 double temperature, double tclk_ps,
+                                 const BatchOperand& operand,
+                                 double deadline_ms) {
+  return formatPredictLine(false, fu, voltage, temperature, tclk_ps,
+                           {&operand, 1}, deadline_ms);
+}
+
+std::string formatBatchRequest(const std::string& fu, double voltage,
+                               double temperature, double tclk_ps,
+                               std::span<const BatchOperand> operands,
+                               double deadline_ms) {
+  return formatPredictLine(true, fu, voltage, temperature, tclk_ps,
+                           operands, deadline_ms);
 }
 
 Response responseForParseFailure(const util::Status& status) {

@@ -25,14 +25,16 @@
 //   - tclk must be > 0 and the deadline >= 0 (0 = server default).
 //
 // predictN is the batch form: n operand tuples sharing one corner,
-// clock, and deadline, answered with exactly n typed response lines
-// in tuple order (a shed or expired batch yields n SHED/DEADLINE
-// lines, never silence). n must be in [1, kMaxBatchTuples]; n = 0,
+// clock, and deadline. n must be in [1, kMaxBatchTuples]; n = 0,
 // oversized n, and a malformed tuple anywhere in the batch are one
-// BAD_REQUEST for the whole line (parse failures are per-line, tuple
-// responses are per-tuple). A single predict parses to the same
-// Request as predictN with n = 1, so both verbs take one path from
-// parse to response: TevotModel::predictDelayBatch over the tuples.
+// BAD_REQUEST for the whole line. Request::responseCount() alone
+// decides how many lines answer a line: a line that does not parse
+// gets one line, and a line that parses gets exactly responseCount()
+// lines in tuple order whatever happens to it afterwards (a shed,
+// expired or fault-injected batch yields n SHED/DEADLINE/ERROR lines,
+// never silence). A single predict parses to the same Request as
+// predictN with n = 1, so both verbs take one path from parse to
+// response: TevotModel::predictDelayBatch over the tuples.
 //
 // Response grammar (always a single line; the first token is the
 // response status, the full taxonomy a client must handle):
@@ -61,13 +63,13 @@
 
 namespace tevot::serve {
 
-/// Hard cap on one request line (bytes, newline excluded). Longer
-/// lines get one ERROR OVERSIZED response and are discarded.
-inline constexpr std::size_t kMaxLineBytes = 4096;
+/// Hard cap on one request line (bytes, newline excluded); longer
+/// lines get one ERROR OVERSIZED and are discarded. It holds the
+/// longest line formatBatchRequest writes for a served fu: 11,383
+/// bytes, with kMaxBatchTuples tuples of 10-digit operands.
+inline constexpr std::size_t kMaxLineBytes = 12 * 1024;
 
-/// Cap on predictN tuples per line. (The line-byte cap applies on top
-/// of this: a batch that still fits kMaxBatchTuples but overflows
-/// kMaxLineBytes is OVERSIZED.)
+/// Cap on predictN tuples per line.
 inline constexpr std::size_t kMaxBatchTuples = 256;
 
 enum class RequestKind { kPredict, kHealth, kStats, kReload };
@@ -139,9 +141,14 @@ struct Response {
 /// `out` unspecified. Blank lines must be filtered by the caller.
 util::Status parseRequest(std::string_view line, Request* out);
 
-/// Formats a predictN request line (no trailing newline). V/T/tclk
-/// are printed as hexfloats so the server parses back the caller's
-/// doubles bit for bit. deadline_ms <= 0 omits the trailing deadline.
+/// The request writers: a predict / predictN line, no trailing newline.
+/// V/T/tclk and the deadline are printed as hexfloats so the server
+/// parses back the caller's doubles bit for bit. deadline_ms <= 0
+/// omits the trailing deadline.
+std::string formatPredictRequest(const std::string& fu, double voltage,
+                                 double temperature, double tclk_ps,
+                                 const BatchOperand& operand,
+                                 double deadline_ms = 0.0);
 std::string formatBatchRequest(const std::string& fu, double voltage,
                                double temperature, double tclk_ps,
                                std::span<const BatchOperand> operands,

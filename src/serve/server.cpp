@@ -70,15 +70,21 @@ MetricsSnapshot Server::stats() const {
 void Server::handleLine(std::string_view line, Replies& out) {
   const std::uint64_t id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  if (faultAt("serve.parse", id)) {
-    out.add(Response::error(ErrorCode::kFaultInjected,
-                            "injected fault at serve.parse"));
+  // serve.parse fires on a line that parsed, so a faulted line still
+  // gets its responseCount() lines: one for a control verb, n for a
+  // predictN.
+  const auto parse_fault = [] {
+    return Response::error(ErrorCode::kFaultInjected,
+                           "injected fault at serve.parse");
+  };
+  Request request;
+  if (!core_.parsePredict(line, &request, out, [&](const Request& r) {
+        return faultAt("serve.parse", id) ? parse_fault() : handleControl(r);
+      })) {
     return;
   }
-  Request request;
-  if (!core_.parsePredict(line, &request, out, [this](const Request& r) {
-        return handleControl(r);
-      })) {
+  if (faultAt("serve.parse", id)) {
+    out.add(parse_fault(), request.responseCount());
     return;
   }
   const auto arrival = std::chrono::steady_clock::now();
@@ -136,14 +142,11 @@ void Server::predict(const Request& request, std::uint64_t id,
   const std::shared_ptr<const ModelSet> models = registry_.snapshot();
   const core::TevotModel* model = models->find(request.fu);
   if (model == nullptr) {
-    const bool known =
-        std::ranges::any_of(circuits::kAllFus, [&](circuits::FuKind kind) {
-          return circuits::fuSlug(kind) == request.fu;
-        });
-    return known ? fail(ErrorCode::kModelUnavailable,
-                        "no model loaded for '" + request.fu + "'")
-                 : fail(ErrorCode::kUnknownFu,
-                        "unknown fu '" + request.fu + "'");
+    return circuits::fuFromSlug(request.fu)
+               ? fail(ErrorCode::kModelUnavailable,
+                      "no model loaded for '" + request.fu + "'")
+               : fail(ErrorCode::kUnknownFu,
+                      "unknown fu '" + request.fu + "'");
   }
   std::vector<double> delays(lines, 0.0);
   try {

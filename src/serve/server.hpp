@@ -3,16 +3,17 @@
 // Thread model: the request handler over serve::LineServer (one
 // acceptor, one thread per live connection, bounded by
 // max_connections). Each connection thread answers its own requests
-// inline, one line at a time, so responses are trivially ordered and
-// every request gets exactly one; a predictN batch is answered with
-// exactly n typed lines in tuple order (a shed/expired batch yields n
-// SHED/DEADLINE lines; the metrics invariant
+// inline, one line at a time, so responses are trivially ordered. A
+// line that parses is answered with exactly Request::responseCount()
+// typed lines in tuple order (a shed, expired or fault-injected
+// predictN yields n SHED/DEADLINE/ERROR lines; the metrics invariant
 // requests == ok+shed+deadline+errors counts each tuple as a
-// request). A connection thread runs at most one predict at a time,
-// so the predicts in flight (the `in_flight` gauge) never exceed
-// max_connections, its capacity. A predict takes the immutable model
-// snapshot current when it starts (reload atomicity) and is checked
-// against its end-to-end deadline once, after compute.
+// request), a line that does not parse with one. A connection thread
+// runs at most one predict at a time, so the predicts in flight (the
+// `in_flight` gauge) never exceed max_connections, its capacity. A
+// predict takes the immutable model snapshot current when it starts
+// (reload atomicity) and is checked against its end-to-end deadline
+// once, after compute.
 //
 // Robustness surface:
 //  * load shedding   connection cap + drain, SHED responses

@@ -21,7 +21,8 @@
 //   io.write       util::writeFileAtomic: fail after writing, before
 //                  the rename
 //   serve.accept   Server: drop a just-accepted connection
-//   serve.parse    Server: fail one request line with FAULT_INJECTED
+//   serve.parse    Server: answer a parsed request line with FAULT_INJECTED,
+//                  one line per tuple (one for a control verb)
 //   serve.predict  Server: throw inside the model-backend call
 //   serve.slow     Server: sleep slow_ms inside the backend call
 //   serve.reload   ModelRegistry: fail a model hot-reload attempt

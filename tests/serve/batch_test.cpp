@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,33 @@ TEST(BatchServeTest, BatchMatchesOfflineBatchEngineBitExactly) {
           << "tuple " << i;
       EXPECT_EQ(responses[i].timing_error, expected[i] > tclk) << i;
     }
+  }
+}
+
+TEST(BatchServeTest, WorstCaseBatchLineFitsTheCapAndIsAnsweredInFull) {
+  // Every number at its longest spelling: 10-digit operands and
+  // 24-character %a doubles (the sign is what the server accepts).
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<BatchOperand> tuples(
+      kMaxBatchTuples, {4294967295u, 4294967295u, 4294967295u, 4294967295u});
+  EXPECT_LE(formatBatchRequest("int_add", -kMax, -kTiny, -kMax, tuples, kMax)
+                .size(),
+            kMaxLineBytes);
+  const std::string line =
+      formatBatchRequest("int_add", -kMax, -kTiny, kTiny, tuples, kMax);
+  ASSERT_LE(line.size(), kMaxLineBytes);
+
+  Server server(baseOptions());
+  ASSERT_TRUE(server.start().ok());
+  LineClient client;
+  ASSERT_TRUE(client.connectTo(server.port(), 5000.0).ok());
+  const std::vector<Response> responses =
+      batchRoundTrip(client, line, kMaxBatchTuples);
+  ASSERT_EQ(responses.size(), kMaxBatchTuples);
+  for (const Response& response : responses) {
+    EXPECT_EQ(response.status, ResponseStatus::kOk)
+        << errorCodeName(response.code) << " " << response.detail;
   }
 }
 

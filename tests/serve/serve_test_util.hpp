@@ -20,12 +20,9 @@ struct ServeTestModels {
   core::TevotModel model_b;
   std::string dir;  ///< holds int_add.model == model_a initially
 
-  std::string modelPath() const { return dir + "/int_add.model"; }
-};
-
-inline const ServeTestModels& serveTestModels() {
-  static const ServeTestModels* models = [] {
-    auto* m = new ServeTestModels;
+  ServeTestModels(const ServeTestModels&) = delete;
+  ServeTestModels& operator=(const ServeTestModels&) = delete;
+  ServeTestModels() {
     core::FuContext context(circuits::FuKind::kIntAdd);
     util::Rng rng(4242);
     std::vector<dta::DtaTrace> traces;
@@ -38,19 +35,29 @@ inline const ServeTestModels& serveTestModels() {
     config.forest.n_trees = 4;
     util::Rng rng_a(1);
     util::Rng rng_b(2);
-    m->model_a = core::TevotModel(config);
-    m->model_a.train(traces, rng_a);
-    m->model_b = core::TevotModel(config);
-    m->model_b.train(traces, rng_b);
-    const std::filesystem::path dir =
+    model_a = core::TevotModel(config);
+    model_a.train(traces, rng_a);
+    model_b = core::TevotModel(config);
+    model_b.train(traces, rng_b);
+    const std::filesystem::path path =
         std::filesystem::path(testing::TempDir()) /
         ("tevot_serve_models_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir);
-    m->dir = dir.string();
-    m->model_a.save(m->modelPath());
-    return m;
-  }();
-  return *models;
+    std::filesystem::create_directories(path);
+    dir = path.string();
+    model_a.save(modelPath());
+  }
+  /// The model directory goes when the test binary exits.
+  ~ServeTestModels() {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir, ignored);
+  }
+
+  std::string modelPath() const { return dir + "/int_add.model"; }
+};
+
+inline const ServeTestModels& serveTestModels() {
+  static const ServeTestModels models;
+  return models;
 }
 
 }  // namespace tevot::serve_test

@@ -222,6 +222,43 @@ TEST(ServerTest, InjectedPredictFailuresTripNothing) {
   EXPECT_EQ(std::memcmp(&response.delay_ps, &expected, sizeof(double)), 0);
 }
 
+TEST(ServerTest, ParseFaultAnswersEveryTupleOfAParsedLine) {
+  util::FaultInjector faults;
+  util::FaultPlan plan;
+  plan.seed = 1;
+  plan.rate = 1.0;  // every parsed line faults
+  plan.points = {"serve.parse"};
+  plan.fail_attempts = 1000;
+  faults.arm(plan);
+
+  ServerOptions options = baseOptions();
+  options.faults = &faults;
+  Server server(options);
+  ASSERT_TRUE(server.start().ok());
+  LineClient client;
+  // A receive timeout turns a short answer into a failure, not a hang.
+  ASSERT_TRUE(client.connectTo(server.port(), 5000.0).ok());
+  const std::vector<BatchOperand> tuples = {
+      {1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}, {13, 14, 15, 16}};
+  ASSERT_TRUE(client.sendLine(
+      formatBatchRequest("int_add", 0.9, 25.0, 300.0, tuples)));
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    const std::optional<std::string> raw = client.readLine();
+    ASSERT_TRUE(raw.has_value()) << "line " << i << " of 4 never arrived";
+    Response response;
+    ASSERT_TRUE(parseResponse(*raw, &response)) << *raw;
+    EXPECT_EQ(response.code, ErrorCode::kFaultInjected) << *raw;
+  }
+  // A control verb is one line; a line that does not parse never
+  // reaches the fault and keeps its own error.
+  EXPECT_EQ(roundTrip(client, "health").code, ErrorCode::kFaultInjected);
+  EXPECT_EQ(roundTrip(client, "bogus verb").code, ErrorCode::kParse);
+
+  const MetricsSnapshot stats = server.drainAndStop();
+  EXPECT_EQ(stats.requests, 6u);
+  EXPECT_EQ(stats.errors, 6u);
+}
+
 TEST(ServerTest, InFlightGaugeNeverLeaksAcrossOutcomes) {
   util::FaultInjector faults;
   ServerOptions options = baseOptions();

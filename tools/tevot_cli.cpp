@@ -186,15 +186,6 @@ void writeTextFile(const std::string& path, std::string_view who,
                         [&](util::TextWriter& out) { out.text(text); });
 }
 
-bool fuFromName(const std::string& name, circuits::FuKind& kind) {
-  if (name == "int_add") kind = circuits::FuKind::kIntAdd;
-  else if (name == "int_mul") kind = circuits::FuKind::kIntMul;
-  else if (name == "fp_add") kind = circuits::FuKind::kFpAdd;
-  else if (name == "fp_mul") kind = circuits::FuKind::kFpMul;
-  else return false;
-  return true;
-}
-
 int cmdFuList() {
   std::printf("%-8s %8s %8s %7s\n", "fu", "gates", "nets", "depth");
   for (const circuits::FuKind kind : circuits::kAllFus) {
@@ -207,9 +198,9 @@ int cmdFuList() {
 }
 
 int cmdExportVerilog(const std::string& fu, const std::string& path) {
-  circuits::FuKind kind;
-  if (!fuFromName(fu, kind)) return usage();
-  netlist::writeVerilogFile(path, circuits::buildFu(kind));
+  const std::optional<circuits::FuKind> kind = circuits::fuFromSlug(fu);
+  if (!kind) return usage();
+  netlist::writeVerilogFile(path, circuits::buildFu(*kind));
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }
@@ -224,9 +215,9 @@ int cmdExportLib(const std::string& path) {
 
 int cmdSdf(const std::string& fu, double v, double t,
            const std::string& path) {
-  circuits::FuKind kind;
-  if (!fuFromName(fu, kind)) return usage();
-  core::FuContext context(kind);
+  const std::optional<circuits::FuKind> kind = circuits::fuFromSlug(fu);
+  if (!kind) return usage();
+  core::FuContext context(*kind);
   sdf::writeSdfFile(path, context.netlist(),
                     context.delaysAt({v, t}));
   std::printf("wrote %s\n", path.c_str());
@@ -234,27 +225,27 @@ int cmdSdf(const std::string& fu, double v, double t,
 }
 
 int cmdSta(const std::string& fu, double v, double t) {
-  circuits::FuKind kind;
-  if (!fuFromName(fu, kind)) return usage();
-  core::FuContext context(kind);
+  const std::optional<circuits::FuKind> kind = circuits::fuFromSlug(fu);
+  if (!kind) return usage();
+  core::FuContext context(*kind);
   std::printf("%s @ (%.2f V, %.0f C): critical path %.1f ps\n",
-              std::string(circuits::fuName(kind)).c_str(), v, t,
+              std::string(circuits::fuName(*kind)).c_str(), v, t,
               context.staCriticalPathPs({v, t}));
   return 0;
 }
 
 int cmdCharacterize(const std::string& fu, double v, double t,
                     long cycles, const char* csv_path) {
-  circuits::FuKind kind;
-  if (!fuFromName(fu, kind)) return usage();
-  core::FuContext context(kind);
+  const std::optional<circuits::FuKind> kind = circuits::fuFromSlug(fu);
+  if (!kind) return usage();
+  core::FuContext context(*kind);
   util::Rng rng(1);
   const auto workload = dta::randomWorkloadFor(
-      kind, static_cast<std::size_t>(cycles), rng);
+      *kind, static_cast<std::size_t>(cycles), rng);
   const dta::DtaTrace trace = context.characterize({v, t}, workload);
   const auto stats = trace.delayStats();
   std::printf("%s @ (%.2f V, %.0f C), %zu cycles:\n",
-              std::string(circuits::fuName(kind)).c_str(), v, t,
+              std::string(circuits::fuName(*kind)).c_str(), v, t,
               trace.samples.size());
   std::printf("  dynamic delay: mean %.1f ps, stddev %.1f ps, max %.1f "
               "ps\n",
@@ -285,9 +276,9 @@ int cmdCharacterize(const std::string& fu, double v, double t,
 
 int cmdTrain(const std::string& fu, const std::string& model_path,
              long cycles, util::ThreadPool& pool) {
-  circuits::FuKind kind;
-  if (!fuFromName(fu, kind)) return usage();
-  core::FuContext context(kind);
+  const std::optional<circuits::FuKind> kind = circuits::fuFromSlug(fu);
+  if (!kind) return usage();
+  core::FuContext context(*kind);
   util::Rng rng(7);
   // Draw every workload sequentially first, so the training data is
   // identical for any --jobs value, then characterize on the pool.
@@ -297,7 +288,7 @@ int cmdTrain(const std::string& fu, const std::string& model_path,
   workloads.reserve(corners.size());
   for (std::size_t c = 0; c < corners.size(); ++c) {
     workloads.push_back(dta::randomWorkloadFor(
-        kind, static_cast<std::size_t>(cycles), rng));
+        *kind, static_cast<std::size_t>(cycles), rng));
   }
   for (std::size_t c = 0; c < corners.size(); ++c) {
     jobs.push_back(context.characterizeJob(corners[c], workloads[c]));
@@ -442,9 +433,9 @@ int cmdLint(int argc, char** argv, util::ThreadPool& pool) {
       const char* v = flags.value();
       if (v == nullptr || !gridArg(v, &grid_v, &grid_t)) return usage();
     } else {
-      circuits::FuKind kind;
-      if (!fuFromName(arg, kind)) return usage();
-      kinds.push_back(kind);
+      const std::optional<circuits::FuKind> kind = circuits::fuFromSlug(arg);
+      if (!kind) return usage();
+      kinds.push_back(*kind);
     }
   }
   if (all) {
@@ -577,8 +568,8 @@ int cmdSweep(int argc, char** argv, util::ThreadPool& pool) {
       return usage();
     }
   }
-  circuits::FuKind kind;
-  if (fu.empty() || cycles < 2 || !fuFromName(fu, kind)) return usage();
+  const std::optional<circuits::FuKind> kind = circuits::fuFromSlug(fu);
+  if (cycles < 2 || !kind) return usage();
   if (options.resume && options.checkpoint_dir.empty()) {
     std::fprintf(stderr, "sweep: --resume requires --out\n");
     return usage();
@@ -595,7 +586,7 @@ int cmdSweep(int argc, char** argv, util::ThreadPool& pool) {
   util::SignalFlag stop{SIGINT, SIGTERM};
   options.stop_requested = [&stop] { return stop.raised(); };
 
-  core::FuContext context(kind);
+  core::FuContext context(*kind);
   const auto corners =
       core::OperatingGrid::paper().subsampled(grid_v, grid_t);
   // Workloads are drawn sequentially from one seed, so the job set is
@@ -605,7 +596,7 @@ int cmdSweep(int argc, char** argv, util::ThreadPool& pool) {
   workloads.reserve(corners.size());
   for (std::size_t c = 0; c < corners.size(); ++c) {
     workloads.push_back(dta::randomWorkloadFor(
-        kind, static_cast<std::size_t>(cycles), rng));
+        *kind, static_cast<std::size_t>(cycles), rng));
   }
   std::vector<dta::CharacterizeJob> jobs;
   jobs.reserve(corners.size());
@@ -742,9 +733,8 @@ int cmdServeCheck(int argc, char** argv) {
       return usage();
     }
   }
-  circuits::FuKind kind;
-  if (port <= 0 || port > 65535 || model_path.empty() || fu.empty() ||
-      !fuFromName(fu, kind) || options.clients < 1 ||
+  if (port <= 0 || port > 65535 || model_path.empty() ||
+      !circuits::fuFromSlug(fu) || options.clients < 1 ||
       options.requests_per_client < 1) {
     return usage();
   }

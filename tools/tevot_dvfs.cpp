@@ -70,16 +70,6 @@ int usage() {
   return kExitUsage;
 }
 
-bool fuFromSlug(const std::string& slug, circuits::FuKind* out) {
-  for (const circuits::FuKind kind : circuits::kAllFus) {
-    if (slug == circuits::fuSlug(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<std::string> splitList(const std::string& csv) {
   std::vector<std::string> out;
   std::size_t start = 0;
@@ -185,11 +175,13 @@ int main(int argc, char** argv) {
   std::vector<dvfs::FuSetup> fus;
   std::vector<std::unique_ptr<core::TevotModel>> models;
   for (const std::string& slug : fu_slugs) {
-    dvfs::FuSetup setup;
-    if (!fuFromSlug(slug, &setup.kind)) {
+    const std::optional<circuits::FuKind> kind = circuits::fuFromSlug(slug);
+    if (!kind) {
       std::fprintf(stderr, "tevot_dvfs: unknown fu '%s'\n", slug.c_str());
       return usage();
     }
+    dvfs::FuSetup setup;
+    setup.kind = *kind;
     setup.cert_status = verify::loadCertificateFile(
         cert_dir + "/" + slug + ".cert.json", &setup.cert);
     if (options.serve_port == 0) {
