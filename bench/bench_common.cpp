@@ -31,22 +31,13 @@ BenchScale BenchScale::fromEnvironment(int argc, char** argv) {
     scale.image_count = 6;
     scale.image_size = 48;
   }
-  const int nv = static_cast<int>(util::envInt("TEVOT_GRID_V", 0));
-  const int nt = static_cast<int>(util::envInt("TEVOT_GRID_T", 0));
-  if (nv > 0 && nt > 0) scale.corners = grid.subsampled(nv, nt);
-  scale.train_cycles_per_corner = static_cast<std::size_t>(util::envInt(
-      "TEVOT_TRAIN_CYCLES",
-      static_cast<long>(scale.train_cycles_per_corner)));
-  scale.test_cycles_per_corner = static_cast<std::size_t>(util::envInt(
-      "TEVOT_TEST_CYCLES", static_cast<long>(scale.test_cycles_per_corner)));
-  scale.app_train_cycles = static_cast<std::size_t>(util::envInt(
-      "TEVOT_APP_TRAIN_CYCLES", static_cast<long>(scale.app_train_cycles)));
-  scale.app_test_cycles = static_cast<std::size_t>(util::envInt(
-      "TEVOT_APP_TEST_CYCLES", static_cast<long>(scale.app_test_cycles)));
-  scale.image_count = static_cast<std::size_t>(util::envInt(
-      "TEVOT_IMAGES", static_cast<long>(scale.image_count)));
-  scale.image_size = static_cast<int>(util::envInt(
-      "TEVOT_IMAGE_SIZE", scale.image_size));
+  std::string bad;
+  if (!scale.applyOverrides([](const char* name) { return std::getenv(name); },
+                            &bad)) {
+    std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "bench",
+                 bad.c_str());
+    std::exit(2);
+  }
   if (!parseJobs(argc, argv, std::getenv("TEVOT_JOBS"), &scale.jobs)) {
     std::fprintf(stderr,
                  "%s: --jobs / TEVOT_JOBS must be a whole number in "
@@ -56,6 +47,43 @@ BenchScale BenchScale::fromEnvironment(int argc, char** argv) {
   }
   if (scale.jobs == 0) scale.jobs = util::ThreadPool::hardwareThreads();
   return scale;
+}
+
+bool BenchScale::applyOverrides(
+    const std::function<const char*(const char*)>& env, std::string* bad) {
+  // Reads knob `name` into `*value` when it is set and non-empty.
+  const auto knob = [&](const char* name, double lo, double hi,
+                        auto* value) {
+    const char* text = env(name);
+    if (text == nullptr || *text == '\0' ||
+        util::parseNumber(text, lo, hi, value)) {
+      return true;
+    }
+    char message[160];
+    std::snprintf(message, sizeof(message),
+                  "%s must be a whole number in [%g, %g], not '%s'", name,
+                  lo, hi, text);
+    *bad = message;
+    return false;
+  };
+  const core::OperatingGrid grid = core::OperatingGrid::paper();
+  int nv = 0;
+  int nt = 0;
+  if (!knob("TEVOT_GRID_V", 1, grid.voltagePoints(), &nv) ||
+      !knob("TEVOT_GRID_T", 1, grid.temperaturePoints(), &nt) ||
+      !knob("TEVOT_TRAIN_CYCLES", 1, kMaxScaleCycles,
+            &train_cycles_per_corner) ||
+      !knob("TEVOT_TEST_CYCLES", 1, kMaxScaleCycles,
+            &test_cycles_per_corner) ||
+      !knob("TEVOT_APP_TRAIN_CYCLES", 1, kMaxScaleCycles, &app_train_cycles) ||
+      !knob("TEVOT_APP_TEST_CYCLES", 1, kMaxScaleCycles, &app_test_cycles) ||
+      !knob("TEVOT_IMAGES", 1, kMaxScaleImages, &image_count) ||
+      !knob("TEVOT_IMAGE_SIZE", 1, kMaxScaleImageSize, &image_size)) {
+    return false;
+  }
+  // A subsampled grid needs both counts.
+  if (nv > 0 && nt > 0) corners = grid.subsampled(nv, nt);
+  return true;
 }
 
 bool BenchScale::parseJobs(int argc, char** argv, const char* env,

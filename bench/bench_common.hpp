@@ -15,6 +15,7 @@
 // TEVOT_* variables below override individual knobs.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -31,6 +32,13 @@
 
 namespace tevot::bench {
 
+/// Upper bounds of the scale knobs: far above paper scale (2000 cycles
+/// per corner, 12 images of 64x64), low enough that a typo cannot ask
+/// for an unbounded allocation.
+inline constexpr double kMaxScaleCycles = 1e6;
+inline constexpr double kMaxScaleImages = 1000;
+inline constexpr double kMaxScaleImageSize = 4096;
+
 struct BenchScale {
   std::vector<liberty::Corner> corners;  ///< evaluation conditions
   std::size_t train_cycles_per_corner;   ///< random training ops/corner
@@ -43,10 +51,21 @@ struct BenchScale {
   /// the main thread). Default 1; 0 selects the hardware count.
   std::size_t jobs = 1;
 
-  /// Reads the default or TEVOT_FULL-scaled configuration, then
-  /// applies a `--jobs N` command-line flag (also TEVOT_JOBS) when
-  /// argv is given. A bad jobs value exits with status 2 (usage).
+  /// Reads the default or TEVOT_FULL-scaled configuration, applies
+  /// the environment overrides (applyOverrides), then a `--jobs N`
+  /// command-line flag (also TEVOT_JOBS) when argv is given. A bad
+  /// override or jobs value exits with status 2 (usage).
   static BenchScale fromEnvironment(int argc = 0, char** argv = nullptr);
+
+  /// Applies the TEVOT_GRID_V/T, TEVOT_{TRAIN,TEST,APP_TRAIN,
+  /// APP_TEST}_CYCLES, TEVOT_IMAGES and TEVOT_IMAGE_SIZE overrides,
+  /// each read through `env` (null or empty = unset). False, with the
+  /// offending knob and value in `*bad`, when a value is not a whole
+  /// number in its range: [1, grid points] for the grid counts (a
+  /// subsampled grid needs both), [1, kMaxScaleCycles] for cycles,
+  /// [1, kMaxScaleImages] images and [1, kMaxScaleImageSize] pixels.
+  bool applyOverrides(const std::function<const char*(const char*)>& env,
+                      std::string* bad);
 
   /// Sets `*jobs` from `env` (TEVOT_JOBS; null or empty = unset), then
   /// from each `--jobs N` / `--jobs=N` in argv. False, before any

@@ -11,12 +11,9 @@
 //  * BENCH_dvfs_closed_loop.json in the current directory — run from
 //    the repo root so the committed copy tracks gain across PRs.
 //
-// Knobs:
-//   TEVOT_DVFS_TRAIN_CYCLES  training ops per corner   (default 300)
-//   TEVOT_DVFS_CYCLES        stream ops per FU         (default 1025)
-//   TEVOT_DVFS_WINDOW        transitions per decision  (default 16)
-//   TEVOT_DVFS_GUARDBAND     guardband x100 (percent)  (default 25)
-//   TEVOT_DVFS_SEED          stream seed               (default 1)
+// The scale is fixed (kTrainCycles, kStreamCycles, kWindow, kGuardband
+// and kSeed below); of the shared bench knobs only --jobs / TEVOT_JOBS
+// applies.
 //
 // Window size and guardband trade throughput against replay cost: a
 // violating window replays whole at the certified clock, so the
@@ -43,6 +40,12 @@ namespace {
 
 using namespace tevot;
 using Clock = std::chrono::steady_clock;
+
+constexpr std::size_t kTrainCycles = 300;    ///< training ops per corner
+constexpr std::size_t kStreamCycles = 1025;  ///< stream ops per FU
+constexpr std::size_t kWindow = 16;          ///< transitions per decision
+constexpr double kGuardband = 0.25;
+constexpr std::uint64_t kSeed = 1;  ///< stream seed
 
 core::TevotModel trainModel(core::FuContext& context, std::size_t cycles,
                             std::uint64_t seed) {
@@ -82,17 +85,6 @@ verify::SafeTclkCertificate makeCertificate(core::FuContext& context) {
 int main(int argc, char** argv) {
   const bench::BenchScale scale =
       bench::BenchScale::fromEnvironment(argc, argv);
-  const auto train_cycles = static_cast<std::size_t>(
-      util::envInt("TEVOT_DVFS_TRAIN_CYCLES", 300));
-  const auto stream_cycles =
-      static_cast<std::size_t>(util::envInt("TEVOT_DVFS_CYCLES", 1025));
-  const auto window =
-      static_cast<std::size_t>(util::envInt("TEVOT_DVFS_WINDOW", 16));
-  const double guardband =
-      static_cast<double>(util::envInt("TEVOT_DVFS_GUARDBAND", 25)) / 100.0;
-  const auto seed =
-      static_cast<std::uint64_t>(util::envInt("TEVOT_DVFS_SEED", 1));
-
   const auto start = Clock::now();
   const std::vector<circuits::FuKind> kinds = {circuits::FuKind::kIntAdd,
                                                circuits::FuKind::kIntMul};
@@ -103,7 +95,7 @@ int main(int argc, char** argv) {
   for (const circuits::FuKind kind : kinds) {
     contexts.push_back(std::make_unique<core::FuContext>(kind));
     models.push_back(std::make_unique<core::TevotModel>(
-        trainModel(*contexts.back(), train_cycles, seed + 17)));
+        trainModel(*contexts.back(), kTrainCycles, kSeed + 17)));
     dvfs::FuSetup setup;
     setup.kind = kind;
     setup.model = models.back().get();
@@ -113,10 +105,10 @@ int main(int argc, char** argv) {
 
   util::FaultInjector quiet;  // clean run: gain without induced faults
   dvfs::RunOptions options;
-  options.stream.cycles = stream_cycles;
-  options.stream.window = window;
-  options.stream.seed = seed;
-  options.controller.guardband = guardband;
+  options.stream.cycles = kStreamCycles;
+  options.stream.window = kWindow;
+  options.stream.seed = kSeed;
+  options.controller.guardband = kGuardband;
   options.faults = &quiet;
 
   util::ThreadPool pool(scale.jobs);
@@ -125,9 +117,9 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(Clock::now() - start).count();
 
   std::vector<std::pair<std::string, double>> metrics = {
-      {"train_cycles", static_cast<double>(train_cycles)},
-      {"stream_cycles", static_cast<double>(stream_cycles)},
-      {"window", static_cast<double>(window)},
+      {"train_cycles", static_cast<double>(kTrainCycles)},
+      {"stream_cycles", static_cast<double>(kStreamCycles)},
+      {"window", static_cast<double>(kWindow)},
   };
   bool all_ok = true;
   for (const dvfs::DvfsReport& report : run.fus) {

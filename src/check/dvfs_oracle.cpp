@@ -73,7 +73,6 @@ dvfs::RunReport runOnce(const std::string& model_dir,
   options.stream.window = 16;
   options.stream.seed = seed;
   options.serve_port = server.port();
-  options.deadline_ms = 0.0;
 
   util::ThreadPool pool(1);
   dvfs::RunReport run = dvfs::runDvfs(fus, options, pool);

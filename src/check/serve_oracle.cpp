@@ -100,7 +100,7 @@ void clientRoutine(const core::TevotModel& reference, const std::string& fu,
     std::vector<serve::BatchOperand> tuples;
     liberty::Corner corner;
     double tclk = 0.0;
-    if (rng.nextDouble() < options.garbage_fraction) {
+    if (rng.nextDouble() < kGarbageFraction) {
       garbage_case = &garbage[static_cast<std::size_t>(rng.nextInRange(
           0, static_cast<std::int64_t>(garbage.size()) - 1))];
       line = garbage_case->line;

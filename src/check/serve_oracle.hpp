@@ -31,10 +31,12 @@
 
 namespace tevot::check {
 
+/// Probability that a client's next line is a malformed one.
+inline constexpr double kGarbageFraction = 0.1;
+
 struct ServeDriveOptions {
   int clients = 4;              ///< concurrent client threads
   int requests_per_client = 30;
-  double garbage_fraction = 0.1;  ///< malformed-line probability
   /// Reconnect-and-resend budget per request; injected accept faults
   /// drop whole connections, so clients redial (LineClient::
   /// reconnect()) and resend. Exhausting the budget is a violation.

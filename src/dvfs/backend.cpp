@@ -75,7 +75,7 @@ WindowPrediction ServeBackend::attemptWindow(const WindowedStream& stream,
     }
     const std::string line = serve::formatBatchRequest(
         fu_slug_, w.corner.voltage, w.corner.temperature,
-        options_.tclk_hint_ps, tuples, options_.deadline_ms);
+        options_.tclk_hint_ps, tuples);
     if (!client_.sendLine(line)) {
       out = WindowPrediction{};
       out.outcome = WindowOutcome::kDisconnect;

@@ -91,7 +91,6 @@ class ServeBackend : public DelayBackend {
     /// controller only consumes the delay, so any positive value
     /// works — the certified clock is the natural choice.
     double tclk_hint_ps = 1000.0;
-    double deadline_ms = 0.0;  ///< 0 = server default
   };
 
   ServeBackend(std::string fu_slug, Options options);

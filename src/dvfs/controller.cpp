@@ -67,11 +67,11 @@ DvfsReport runController(const WindowedStream& stream, DelayBackend& backend,
     if (adaptive) {
       ++report.adaptive_windows;
       for (const double d : pred.delays_ps) pred_max = std::max(pred_max, d);
-      double target = std::clamp(pred_max * (1.0 + guardband),
-                                 options.min_tclk_ps, cert.tclk_ps);
+      double target = std::clamp(pred_max * (1.0 + guardband), kMinTclkPs,
+                                 cert.tclk_ps);
       if (!has_last || target >= last_chosen) {
         chosen = target;  // slowing down (or first window): act now
-      } else if (last_chosen - target >= options.hysteresis * last_chosen) {
+      } else if (last_chosen - target >= kHysteresis * last_chosen) {
         chosen = target;  // speed-up beyond the deadband
       } else {
         chosen = last_chosen;  // damped: hold the current clock
@@ -122,10 +122,8 @@ DvfsReport runController(const WindowedStream& stream, DelayBackend& backend,
     // violations ARE escapes — there is no slower clock to replay at.
 
     escapes_since_widen += window_escapes;
-    if (escapes_since_widen > options.escape_budget &&
-        guardband < options.guardband_max) {
-      guardband = std::min(guardband + options.guardband_step,
-                           options.guardband_max);
+    if (escapes_since_widen > kEscapeBudget && guardband < kGuardbandMax) {
+      guardband = std::min(guardband + kGuardbandStep, kGuardbandMax);
       ++report.widenings;
       escapes_since_widen = 0;
     }

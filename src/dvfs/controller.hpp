@@ -31,23 +31,25 @@
 
 namespace tevot::dvfs {
 
+/// Watchdog widening: guardband += kGuardbandStep once escapes exceed
+/// kEscapeBudget, saturating at kGuardbandMax.
+inline constexpr double kGuardbandStep = 0.05;
+inline constexpr double kGuardbandMax = 0.50;
+/// Unrecovered violations (escapes) tolerated before the watchdog
+/// widens the guardband: 0 widens on the first escape.
+inline constexpr std::uint64_t kEscapeBudget = 0;
+/// Speed-up deadband: a faster target clock is adopted only when it
+/// undercuts the current clock by this relative fraction. Slowing down
+/// (raising the period) is never damped — that is the safe direction
+/// and must act immediately.
+inline constexpr double kHysteresis = 0.02;
+/// Floor on the chosen period [ps]; keeps a quiet window (all
+/// predicted delays ~0) from requesting an unphysical clock.
+inline constexpr double kMinTclkPs = 1.0;
+
 struct ControllerOptions {
   /// Safety margin over the predicted worst delay of the window.
   double guardband = 0.10;
-  /// Watchdog widening: guardband += step, saturating at max.
-  double guardband_step = 0.05;
-  double guardband_max = 0.50;
-  /// Unrecovered violations (escapes) tolerated before the watchdog
-  /// widens the guardband. 0 = widen on the first escape.
-  std::uint64_t escape_budget = 0;
-  /// Speed-up deadband: a faster target clock is adopted only when it
-  /// undercuts the current clock by this relative fraction. Slowing
-  /// down (raising the period) is never damped — that is the safe
-  /// direction and must act immediately.
-  double hysteresis = 0.02;
-  /// Floor on the chosen period [ps]; keeps a quiet window (all
-  /// predicted delays ~0) from requesting an unphysical clock.
-  double min_tclk_ps = 1.0;
 };
 
 /// Why a window left the adaptive path. Mirrors WindowOutcome minus

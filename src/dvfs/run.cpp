@@ -22,12 +22,6 @@ std::size_t RunReport::ranCount() const {
   return n;
 }
 
-std::uint64_t RunReport::totalEscapes() const {
-  std::uint64_t n = 0;
-  for (const DvfsReport& r : fus) n += r.escapes;
-  return n;
-}
-
 std::string RunReport::toJson(const std::string& label) const {
   util::json::Writer json;
   json.beginObject().field("bench", "dvfs_closed_loop").field("label", label);
@@ -97,7 +91,6 @@ RunReport runDvfs(std::span<const FuSetup> fus, const RunOptions& options,
       ServeBackend::Options serve_options;
       serve_options.port = options.serve_port;
       serve_options.tclk_hint_ps = fu.cert.tclk_ps;
-      serve_options.deadline_ms = options.deadline_ms;
       backend = std::make_unique<ServeBackend>(slug, serve_options);
     } else {
       backend =

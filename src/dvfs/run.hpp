@@ -47,7 +47,6 @@ struct RunOptions {
   /// > 0 switches every FU to a ServeBackend against this (shared)
   /// port; 0 runs in-process and requires FuSetup::model.
   int serve_port = 0;
-  double deadline_ms = 0.0;
   /// In-process fault injector for the dvfs.predict point; nullptr
   /// uses the process-global (TEVOT_FAULTS) injector.
   util::FaultInjector* faults = nullptr;
@@ -58,7 +57,6 @@ struct RunReport {
 
   /// FUs that actually ran adaptively (status ok).
   std::size_t ranCount() const;
-  std::uint64_t totalEscapes() const;
 
   /// {"bench":"dvfs_closed_loop","label":...,"fus":[...]} — the
   /// payload tevot_dvfs --json prints and the bench writes to

@@ -7,11 +7,11 @@ namespace tevot::dvfs {
 namespace {
 
 /// Clamped random-walk step over [0, points): uniform in
-/// [-max_step, +max_step], reflected into range.
-int walkIndex(int index, int points, int max_step, util::Rng& rng) {
+/// [-kMaxCornerStep, +kMaxCornerStep], clamped into range.
+int walkIndex(int index, int points, util::Rng& rng) {
   if (points <= 1) return 0;
-  const int step = static_cast<int>(
-      rng.nextInRange(-max_step, max_step));
+  const int step =
+      static_cast<int>(rng.nextInRange(-kMaxCornerStep, kMaxCornerStep));
   return std::clamp(index + step, 0, points - 1);
 }
 
@@ -46,8 +46,8 @@ WindowedStream WindowedStream::generate(const StreamOptions& options) {
         options.grid.t_start +
             options.grid.t_step * static_cast<double>(t_index)};
     stream.windows_.push_back(w);
-    v_index = walkIndex(v_index, v_points, options.max_corner_step, rng);
-    t_index = walkIndex(t_index, t_points, options.max_corner_step, rng);
+    v_index = walkIndex(v_index, v_points, rng);
+    t_index = walkIndex(t_index, t_points, rng);
   }
   return stream;
 }

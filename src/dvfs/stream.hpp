@@ -28,6 +28,10 @@
 
 namespace tevot::dvfs {
 
+/// Largest per-window move of the corner walk along each grid axis,
+/// in grid steps.
+inline constexpr int kMaxCornerStep = 2;
+
 struct StreamOptions {
   circuits::FuKind kind = circuits::FuKind::kIntAdd;
   /// Total operands drawn; the first only initializes circuit state,
@@ -39,8 +43,6 @@ struct StreamOptions {
   std::uint64_t seed = 1;
   /// Grid the corner walk is quantized to.
   core::OperatingGrid grid;
-  /// Largest per-window move along each grid axis, in grid steps.
-  int max_corner_step = 2;
 };
 
 /// One decision window: `ops[first..last)` of the stream run at

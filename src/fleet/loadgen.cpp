@@ -22,6 +22,11 @@ using Clock = std::chrono::steady_clock;
 
 constexpr double kBurstCycleMs = 500.0;
 constexpr double kBurstOnFraction = 0.2;
+/// SO_RCVTIMEO on every connection: an answer line that does not
+/// arrive within this long counts as missing and the connection is
+/// redialed, so a peer that never answers holds a connection (and its
+/// stop hook) for at most this long.
+constexpr double kRecvTimeoutMs = 1000.0;
 
 using serve::msSince;
 
@@ -154,7 +159,8 @@ void connectionRoutine(const LoadgenOptions& options, int index,
 
     report.lines_sent += 1;
     report.responses_expected += expected;
-    if (!client.connected() && client.connectTo(options.port).ok()) {
+    if (!client.connected() &&
+        client.connectTo(options.port, kRecvTimeoutMs).ok()) {
       ++report.reconnects;
     }
     const Clock::time_point sent_at = Clock::now();

@@ -58,8 +58,10 @@ struct LoadgenOptions {
   /// within ~50 ms). When it returns true every connection finishes
   /// its in-flight request — the exactly-one-response classification
   /// stays intact — and the partial report is still valid and marked
-  /// interrupted. Null = run to duration_s. tevot_loadgen wires
-  /// SIGINT/SIGTERM through this.
+  /// interrupted. An answer line waits at most one second (then it
+  /// counts as no_response), so a peer that never answers delays the
+  /// stop by at most that long. Null = run to duration_s.
+  /// tevot_loadgen wires SIGINT/SIGTERM through this.
   std::function<bool()> stop;
 };
 

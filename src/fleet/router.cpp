@@ -37,7 +37,7 @@ bool parseShardPolicy(std::string_view text, ShardPolicy* out) {
 
 Router::Router(RouterOptions options, std::vector<ShardEndpoint> shards)
     : options_(std::move(options)),
-      core_({options_.port, options_.max_connections, kDrainDeadlineMs},
+      core_({options_.port, options_.max_connections},
             [this](std::uint64_t) -> serve::LineServer::LineHandler {
               auto backends = std::make_shared<Backends>();
               return [this, backends](std::string_view line,
@@ -242,8 +242,7 @@ std::size_t Router::pickShard(const serve::Request& request,
   const auto admissible = [&](std::size_t i) {
     return shardEligible(i) && !exclude[i] &&
            shards_[i]->load_permille.load() <
-               static_cast<std::uint32_t>(options_.shed_queue_fraction *
-                                          1024.0);
+               static_cast<std::uint32_t>(kShedQueueFraction * 1024.0);
   };
   if (options_.policy == ShardPolicy::kPerFu) {
     const auto owner = fu_owner_.find(request.fu);

@@ -29,7 +29,7 @@
 // administratively down (rolling reload / supervisor restart window),
 // (c) its last probe succeeded, and (d) its load — in_flight/
 // max_connections from the last polled worker stats line — is below
-// shed_queue_fraction. The health thread probes every shard's in-band
+// kShedQueueFraction. The health thread probes every shard's in-band
 // `stats` every health_interval_ms: a failed probe takes the shard out
 // of rotation, the next successful one puts it back, and the parsed
 // worker snapshot is cached for fleet-wide aggregation (exact
@@ -86,9 +86,6 @@ struct RouterOptions {
   std::size_t max_connections = 64;
   /// Health probe (worker stats poll) cadence.
   double health_interval_ms = 50.0;
-  /// Shed new requests for a shard whose polled in_flight /
-  /// max_connections is at or above this fraction.
-  double shed_queue_fraction = 0.9;
   /// SO_RCVTIMEO on backend connections: bounds how long a dead or
   /// wedged shard can stall a relay before it degrades to a typed
   /// response. 0 disables the timeout.
@@ -97,8 +94,9 @@ struct RouterOptions {
 
 class Router {
  public:
-  /// Budget for drainAndStop() to finish relaying admitted work.
-  static constexpr double kDrainDeadlineMs = 2000.0;
+  /// Shed new requests for a shard whose polled in_flight /
+  /// max_connections is at or above this fraction.
+  static constexpr double kShedQueueFraction = 0.9;
   /// Budget for the per-shard in-flight drain during rollingReload().
   static constexpr double kReloadDrainMs = 1000.0;
 
@@ -144,8 +142,8 @@ class Router {
   void setShardPort(std::size_t shard, int port);
 
   /// Graceful drain: stop accepting, let in-flight relays finish
-  /// within kDrainDeadlineMs, join everything. Idempotent. Returns
-  /// the final router-side stats.
+  /// within serve::LineServer::kDrainDeadlineMs, join everything.
+  /// Idempotent. Returns the final router-side stats.
   serve::MetricsSnapshot drainAndStop();
 
  private:

@@ -82,8 +82,6 @@ util::Status Supervisor::spawnShard(std::size_t shard) {
     return util::Status::ioError(std::string("pipe: ") +
                                  std::strerror(errno));
   }
-  const std::string deadline_arg =
-      std::to_string(options_.default_deadline_ms);
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(out_pipe[0]);
@@ -97,21 +95,19 @@ util::Status Supervisor::spawnShard(std::size_t shard) {
     ::close(out_pipe[1]);
     // stderr is inherited: worker logs and final drain stats land on
     // the supervisor's stderr stream.
-    std::vector<const char*> argv = {
-        options_.serve_binary.c_str(), "--model-dir",
-        options_.model_dir.c_str(), "--port", "0"};
-    if (options_.default_deadline_ms > 0.0) {
-      argv.push_back("--deadline-ms");
-      argv.push_back(deadline_arg.c_str());
-    }
-    argv.push_back(nullptr);
-    ::execv(argv[0], const_cast<char* const*>(argv.data()));
+    const char* const argv[] = {options_.serve_binary.c_str(),
+                                "--model-dir",
+                                options_.model_dir.c_str(),
+                                "--port",
+                                "0",
+                                nullptr};
+    ::execv(argv[0], const_cast<char* const*>(argv));
     std::fprintf(stderr, "fleet: execv %s: %s\n",
                  options_.serve_binary.c_str(), std::strerror(errno));
     ::_exit(127);
   }
   ::close(out_pipe[1]);
-  const int port = readAnnouncement(out_pipe[0], options_.announce_timeout_ms);
+  const int port = readAnnouncement(out_pipe[0], kAnnounceTimeoutMs);
   ::close(out_pipe[0]);
   if (port <= 0) {
     ::kill(pid, SIGKILL);
@@ -165,10 +161,10 @@ int Supervisor::poll() {
                     << ")";
     worker.pid = -1;
     if (router_ != nullptr) router_->markShardDown(i);
-    if (++worker.restarts > options_.max_restarts) {
+    if (++worker.restarts > kMaxRestarts) {
       worker.abandoned = true;
       util::logWarn() << "fleet: shard " << i << " abandoned after "
-                      << options_.max_restarts << " restarts";
+                      << kMaxRestarts << " restarts";
       continue;
     }
     const util::Status status_respawn = spawnShard(i);
@@ -183,16 +179,8 @@ int Supervisor::poll() {
   return respawned;
 }
 
-pid_t Supervisor::shardPid(std::size_t shard) const {
-  return shard < workers_.size() ? workers_[shard].pid : -1;
-}
-
 int Supervisor::shardPort(std::size_t shard) const {
   return shard < workers_.size() ? workers_[shard].port : 0;
-}
-
-int Supervisor::shardRestarts(std::size_t shard) const {
-  return shard < workers_.size() ? workers_[shard].restarts : 0;
 }
 
 void Supervisor::stopAll(double term_wait_ms) {

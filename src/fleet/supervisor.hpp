@@ -9,7 +9,7 @@
 // immediately (markShardDown) and to re-target it after the respawn
 // (setShardPort); the router's health probe re-admits the shard once
 // it answers. A shard that keeps dying is abandoned after
-// max_restarts (it stays down; the rest of the fleet keeps serving).
+// kMaxRestarts (it stays down; the rest of the fleet keeps serving).
 //
 // Worker stderr is inherited, so worker logs — including each
 // worker's final-stats drain line — land on the supervisor's stderr
@@ -30,11 +30,6 @@ struct SupervisorOptions {
   std::string serve_binary;  ///< path to the tevot_serve executable
   std::string model_dir;
   std::size_t shards = 3;
-  double default_deadline_ms = 0.0;
-  /// Give up on a shard after this many respawns.
-  int max_restarts = 20;
-  /// How long to wait for a child's port announcement.
-  double announce_timeout_ms = 10000.0;
   /// kPerFu only: fus[i] lists the FU names shard i owns. Sized to
   /// `shards` (unused entries empty). Ignored under kReplicated.
   std::vector<std::vector<std::string>> fus;
@@ -45,6 +40,11 @@ struct SupervisorOptions {
 
 class Supervisor {
  public:
+  /// Give up on a shard after this many respawns.
+  static constexpr int kMaxRestarts = 20;
+  /// How long to wait for a child's port announcement.
+  static constexpr double kAnnounceTimeoutMs = 10000.0;
+
   explicit Supervisor(SupervisorOptions options);
   ~Supervisor();
 
@@ -64,9 +64,7 @@ class Supervisor {
   /// the supervising loop. Returns the number of respawns performed.
   int poll();
 
-  pid_t shardPid(std::size_t shard) const;
   int shardPort(std::size_t shard) const;
-  int shardRestarts(std::size_t shard) const;
 
   /// SIGTERMs every live worker and waits up to term_wait_ms each for
   /// a clean drain; SIGKILLs stragglers. Idempotent.

@@ -126,10 +126,6 @@ void Netlist::markOutput(NetId net, std::string name) {
   outputs_.push_back(net);
 }
 
-void Netlist::setNetName(NetId net, std::string name) {
-  nets_.at(net).name = std::move(name);
-}
-
 void Netlist::rebuildFanout() const {
   fanout_offsets_.assign(nets_.size() + 1, 0);
   for (const Gate& gate : gates_) {

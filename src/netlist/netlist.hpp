@@ -78,9 +78,6 @@ class Netlist {
   /// word bit i is the i-th marked output).
   void markOutput(NetId net, std::string name = {});
 
-  /// Renames a net (for readable exports).
-  void setNetName(NetId net, std::string name);
-
   // -- inspection ---------------------------------------------------
 
   std::size_t netCount() const { return nets_.size(); }

@@ -225,8 +225,7 @@ bool LineServer::drainAndStop() {
                        [](const Connection& c) { return c.done.load(); });
   };
   const auto drain_start = std::chrono::steady_clock::now();
-  while (!all_done() && (options_.drain_deadline_ms <= 0.0 ||
-                         msSince(drain_start) <= options_.drain_deadline_ms)) {
+  while (!all_done() && msSince(drain_start) <= kDrainDeadlineMs) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   const std::lock_guard<std::mutex> lock(connections_mutex_);

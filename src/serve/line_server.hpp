@@ -67,8 +67,10 @@ class LineServer {
   struct Options {
     int port = 0;  ///< on 127.0.0.1; 0 binds an ephemeral port
     std::size_t max_connections = 64;
-    double drain_deadline_ms = 2000.0;
   };
+
+  /// Budget for drainAndStop() to finish the requests in hand.
+  static constexpr double kDrainDeadlineMs = 2000.0;
 
   LineServer(Options options, SessionFactory open_session);
   ~LineServer();
@@ -100,7 +102,7 @@ class LineServer {
 
   /// Stops accepting and half-closes every connection: its thread
   /// answers the lines it has already read (handlers shed predicts
-  /// while draining), then sees EOF. Waits up to drain_deadline_ms for
+  /// while draining), then sees EOF. Waits up to kDrainDeadlineMs for
   /// the connection threads, then joins them. False when the server
   /// was not running.
   bool drainAndStop();

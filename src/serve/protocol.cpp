@@ -5,15 +5,6 @@
 #include "util/text_io.hpp"
 
 namespace tevot::serve {
-const char* responseStatusName(ResponseStatus status) {
-  switch (status) {
-    case ResponseStatus::kOk: return "OK";
-    case ResponseStatus::kShed: return "SHED";
-    case ResponseStatus::kDeadline: return "DEADLINE";
-    case ResponseStatus::kError: return "ERROR";
-  }
-  return "?";
-}
 
 const char* errorCodeName(ErrorCode code) {
   switch (code) {
@@ -211,7 +202,12 @@ std::string formatPredictLine(bool batch, const std::string& fu,
                 tclk_ps);
   // fu is appended, not printed: a NUL in it reaches the server.
   std::string line = (batch ? "predictN " : "predict ") + fu + buf;
-  if (batch) line += " " + std::to_string(operands.size());
+  if (batch) {
+    // Appended in two steps: GCC 12 at -O2 misreads `" " + string` here
+    // as an overlapping memcpy (-Wrestrict), which -Werror builds reject.
+    line += ' ';
+    line += std::to_string(operands.size());
+  }
   for (const BatchOperand& operand : operands) {
     std::snprintf(buf, sizeof(buf), " %u %u %u %u", operand.a, operand.b,
                   operand.prev_a, operand.prev_b);

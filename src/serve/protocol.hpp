@@ -20,9 +20,9 @@
 //   - V, T, tclk and the deadline are finite decimals ("0.9", "25",
 //     "1e-3") or hexfloats in printf's "%a" spelling ("0x1.9p+4").
 //     NaN, infinity, overflow and underflow ("1e-400", which would
-//     read as 0, the server-default deadline) are BAD_REQUEST, never
-//     a crash or a silent wrong answer;
-//   - tclk must be > 0 and the deadline >= 0 (0 = server default).
+//     read as 0, no deadline) are BAD_REQUEST, never a crash or a
+//     silent wrong answer;
+//   - tclk must be > 0 and the deadline >= 0 (0 = no deadline).
 //
 // predictN is the batch form: n operand tuples sharing one corner,
 // clock, and deadline. n must be in [1, kMaxBatchTuples]; n = 0,
@@ -88,7 +88,7 @@ struct Request {
   double voltage = 0.0;      ///< [V]
   double temperature = 0.0;  ///< [deg C]
   double tclk_ps = 0.0;      ///< clock period to classify against
-  double deadline_ms = 0.0;  ///< 0 = server default
+  double deadline_ms = 0.0;  ///< 0 = no deadline
   /// Operand tuples (kPredict only), size in [1, kMaxBatchTuples]; a
   /// single predict is a batch of one.
   std::vector<BatchOperand> batch;
@@ -115,8 +115,7 @@ enum class ErrorCode {
   kInternal,          ///< unclassified backend exception
 };
 
-const char* responseStatusName(ResponseStatus status);  ///< "OK", "SHED"…
-const char* errorCodeName(ErrorCode code);              ///< "PARSE", …
+const char* errorCodeName(ErrorCode code);  ///< "PARSE", …
 
 struct Response {
   ResponseStatus status = ResponseStatus::kOk;

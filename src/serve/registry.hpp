@@ -72,8 +72,6 @@ class ModelRegistry {
     return set == nullptr ? 0 : set->generation;
   }
 
-  const std::string& modelDir() const { return model_dir_; }
-
  private:
   std::string model_dir_;
   bool strict_verify_ = false;

@@ -14,8 +14,7 @@ namespace tevot::serve {
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       registry_(options_.model_dir, options_.strict_verify),
-      core_({options_.port, options_.max_connections,
-             options_.drain_deadline_ms},
+      core_({options_.port, options_.max_connections},
             [this](std::uint64_t id) -> LineServer::LineHandler {
               // Injected accept fault: the connection is dropped
               // before any request is read.
@@ -175,13 +174,10 @@ void Server::predict(const Request& request, std::uint64_t id,
     return fail(ErrorCode::kInternal, error.what());
   }
   const double elapsed_ms = msSince(arrival);
-  const double deadline_ms = request.deadline_ms > 0.0
-                                 ? request.deadline_ms
-                                 : options_.default_deadline_ms;
-  if (deadline_ms > 0.0 && elapsed_ms > deadline_ms) {
+  if (request.deadline_ms > 0.0 && elapsed_ms > request.deadline_ms) {
     char buf[96];
     std::snprintf(buf, sizeof(buf), "served in %.3f ms > deadline %.3f ms",
-                  elapsed_ms, deadline_ms);
+                  elapsed_ms, request.deadline_ms);
     out.add(Response::deadline(buf), lines);
     return;
   }

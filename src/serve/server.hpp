@@ -17,13 +17,13 @@
 //
 // Robustness surface:
 //  * load shedding   connection cap + drain, SHED responses
-//  * deadlines       per-request (or server default), checked after
-//                    compute
+//  * deadlines       per-request (the request's own; 0 = none),
+//                    checked after compute
 //  * hot reload      ModelRegistry validate-then-swap (control
 //                    `reload` request; tevot_serve also maps SIGHUP)
 //  * graceful drain  drainAndStop(): stop accepting, finish the
 //                    requests in hand (buffered predicts are shed)
-//                    within the drain deadline, join all
+//                    within LineServer::kDrainDeadlineMs, join all
 //  * fault injection serve.accept / serve.parse / serve.predict /
 //                    serve.reload (failures) and serve.slow (delay)
 //                    sites, armed via TEVOT_FAULTS or a
@@ -51,15 +51,11 @@ struct ServerOptions {
   int port = 0;
   /// Connection cap; also the capacity of the `in_flight` gauge.
   std::size_t max_connections = 64;
-  /// Applied when a request carries no deadline; 0 = none.
-  double default_deadline_ms = 0.0;
   /// Gate loads/reloads through interval certification
   /// (verify::certifyModelForServing) on top of the point-canary
   /// validation; an uncertifiable model is refused and the previous
   /// set keeps serving.
   bool strict_verify = false;
-  /// Budget for drainAndStop() to finish the requests in hand.
-  double drain_deadline_ms = 2000.0;
   /// Fault injector for the serve.* points; nullptr uses
   /// util::FaultInjector::global() (armed via TEVOT_FAULTS).
   util::FaultInjector* faults = nullptr;
@@ -90,7 +86,8 @@ class Server {
   MetricsSnapshot stats() const;
 
   /// Graceful drain: stop accepting, finish the requests in hand
-  /// within drain_deadline_ms, join every thread. Idempotent.
+  /// within LineServer::kDrainDeadlineMs, join every thread.
+  /// Idempotent.
   /// Returns the final stats snapshot.
   MetricsSnapshot drainAndStop();
 

@@ -13,13 +13,6 @@ std::string envString(const char* name, const std::string& fallback) {
   return raw;
 }
 
-long envInt(const char* name, long fallback) {
-  const std::string raw = envString(name, "");
-  long value = fallback;
-  parseInteger(std::string_view(raw), &value);
-  return value;
-}
-
 bool envFlag(const char* name, bool fallback) {
   std::string raw = envString(name, "");
   if (raw.empty()) return fallback;

@@ -20,10 +20,6 @@ namespace tevot::util {
 /// unset or empty.
 std::string envString(const char* name, const std::string& fallback);
 
-/// Parses an integer environment variable (util::parseInteger);
-/// returns `fallback` on absence or parse failure.
-long envInt(const char* name, long fallback);
-
 /// True when the variable is set to 1/true/yes/on (case-insensitive).
 bool envFlag(const char* name, bool fallback = false);
 

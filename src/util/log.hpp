@@ -51,13 +51,7 @@ class LogLine {
 
 }  // namespace detail
 
-inline detail::LogLine logError() {
-  return detail::LogLine(LogLevel::kError);
-}
 inline detail::LogLine logWarn() { return detail::LogLine(LogLevel::kWarn); }
 inline detail::LogLine logInfo() { return detail::LogLine(LogLevel::kInfo); }
-inline detail::LogLine logDebug() {
-  return detail::LogLine(LogLevel::kDebug);
-}
 
 }  // namespace tevot::util

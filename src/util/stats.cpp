@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace tevot::util {
 
@@ -42,39 +41,6 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument("Histogram requires hi > lo and bins > 0");
-  }
-}
-
-void Histogram::add(double x) {
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double span = hi_ - lo_;
-  auto bin = static_cast<std::size_t>((x - lo_) / span *
-                                      static_cast<double>(counts_.size()));
-  // Floating-point rounding at the upper edge can land one past the
-  // last bin even though x < hi_.
-  if (bin >= counts_.size()) bin = counts_.size() - 1;
-  ++counts_[bin];
-  ++total_;
-}
-
-double Histogram::binLow(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::binHigh(std::size_t bin) const { return binLow(bin + 1); }
 
 std::size_t LatencyHistogram::bucketIndex(double ms) {
   if (!(ms > kMinMs)) return 0;
@@ -147,19 +113,6 @@ double LatencyHistogram::quantile(double q) const {
     }
   }
   return max_;
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::size_t>(
-      q * static_cast<double>(total_ - 1));
-  std::size_t seen = 0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    seen += counts_[b];
-    if (seen > target) return 0.5 * (binLow(b) + binHigh(b));
-  }
-  return 0.5 * (binLow(counts_.size() - 1) + binHigh(counts_.size() - 1));
 }
 
 }  // namespace tevot::util

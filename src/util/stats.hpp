@@ -35,40 +35,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Fixed-bin histogram over [lo, hi). Samples outside the range are
-/// counted as underflow/overflow instead of being clamped into the
-/// boundary bins, so the tail bins stay faithful to the data. Used
-/// for delay-distribution reporting.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t binCount(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t bins() const { return counts_.size(); }
-  /// In-range samples only (the sum of all bin counts).
-  std::size_t total() const { return total_; }
-  /// Samples below lo / at-or-above hi, excluded from every bin.
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  /// Every add() ever made, in range or not.
-  std::size_t sampleCount() const { return total_ + underflow_ + overflow_; }
-  double binLow(std::size_t bin) const;
-  double binHigh(std::size_t bin) const;
-
-  /// Approximate quantile (q in [0,1]) from bin midpoints, over the
-  /// in-range samples.
-  double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-};
-
 /// Streaming latency percentiles (p50/p95/p99) from a fixed set of
 /// geometric buckets — 8 buckets per decade from 1 µs to ~10⁴ s — so
 /// recording is O(1), memory is constant, and per-thread histograms

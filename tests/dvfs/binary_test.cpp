@@ -107,8 +107,7 @@ TEST(DvfsBinaryTest, MalformedNumericFlagIsUsageError) {
       {"--cycles", "1"},        {"--cycles", "nan"},
       {"--window", "0"},        {"--window", "8x"},
       {"--guardband", "-0.1"},  {"--guardband", "inf"},
-      {"--hysteresis", "nan"},  {"--deadline-ms", "-1"},
-      {"--seed", "abc"},        {"--escape-budget", "1.5"},
+      {"--seed", "abc"},        {"--seed", "1.5"},
       {"--serve-port", "70000"}, {"--jobs", "abc"},
       {"--jobs", "257"},
   };
@@ -119,6 +118,24 @@ TEST(DvfsBinaryTest, MalformedNumericFlagIsUsageError) {
     EXPECT_EQ(result.exit_code, 2) << flag << " '" << value << "'";
     EXPECT_NE(result.output.find("usage:"), std::string::npos)
         << flag << " '" << value << "'";
+  }
+}
+
+TEST(DvfsBinaryTest, RemovedFlagsAreUnknownOptions) {
+  // The hysteresis deadband and the escape budget are controller
+  // constants, and served predicts carry no deadline: these are
+  // unknown options even with a well-formed value. The certificate
+  // directory is never read: a run that got past the flags would
+  // refuse its FU and exit 1.
+  const std::string certs = testing::TempDir() + "tevot_dvfs_certs_none";
+  for (const std::string flag :
+       {"--hysteresis", "--escape-budget", "--deadline-ms"}) {
+    const RunResult result = runDvfsBinary(
+        "--cert-dir '" + certs + "' --serve-port 1 " + flag + " 1");
+    EXPECT_EQ(result.exit_code, 2) << flag;
+    EXPECT_NE(result.output.find("unknown option " + flag),
+              std::string::npos)
+        << flag << ": " << result.output;
   }
 }
 

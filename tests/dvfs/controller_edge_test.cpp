@@ -63,7 +63,6 @@ TEST(ControllerEdgeTest, DelayExactlyAtClockIsNotAViolation) {
   const verify::SafeTclkCertificate cert = testCertificate(1000.0);
   ControllerOptions options;
   options.guardband = 0.0;
-  options.hysteresis = 0.0;
   const DvfsReport report = runController(stream, backend, cert, options,
                                           constantGroundTruth(100.0));
   EXPECT_EQ(report.violations, 0u);
@@ -77,18 +76,16 @@ TEST(ControllerEdgeTest, ChosenClockClampsToCertAndFloor) {
   stream_options.window = 8;  // 2 windows
   const WindowedStream stream = WindowedStream::generate(stream_options);
   // Window 0 predicts far beyond the certified clock; window 1
-  // predicts zero. The chosen period must clamp to [min_tclk_ps,
-  // cert.tclk_ps] at both ends.
+  // predicts zero. The chosen period must clamp to [kMinTclkPs,
+  // cert.tclk_ps] at both ends (the speed-up to the floor is far
+  // beyond the hysteresis deadband).
   ScriptedBackend backend({{WindowOutcome::kOk, 1.0e9},
                            {WindowOutcome::kOk, 0.0}});
   const verify::SafeTclkCertificate cert = testCertificate(1000.0);
-  ControllerOptions options;
-  options.hysteresis = 0.0;
-  options.min_tclk_ps = 5.0;
-  const DvfsReport report = runController(stream, backend, cert, options,
-                                          constantGroundTruth(1.0));
+  const DvfsReport report = runController(stream, backend, cert, {},
+                                          constantGroundTruth(kMinTclkPs));
   // 8 cycles at the cert ceiling + 8 cycles at the floor.
-  EXPECT_DOUBLE_EQ(report.adaptive_ps, 8.0 * 1000.0 + 8.0 * 5.0);
+  EXPECT_DOUBLE_EQ(report.adaptive_ps, 8.0 * 1000.0 + 8.0 * kMinTclkPs);
   EXPECT_EQ(report.violations, 0u);
 }
 

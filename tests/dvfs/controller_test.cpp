@@ -26,7 +26,6 @@ WindowedStream fourWindowStream() {
 ControllerOptions plainOptions() {
   ControllerOptions options;
   options.guardband = 0.10;
-  options.hysteresis = 0.0;  // undamped unless a test opts in
   return options;
 }
 
@@ -107,12 +106,10 @@ TEST(ControllerTest, EscapesWidenGuardbandViaWatchdog) {
   ScriptedBackend backend({{WindowOutcome::kOk, 100.0}});
   // An artificially low certified clock (sim 200 > cert 150): replay
   // cannot absorb the violations, so they surface as escapes and the
-  // watchdog must widen the guardband.
+  // watchdog must widen the guardband (kEscapeBudget 0: on the first
+  // escape).
   const verify::SafeTclkCertificate cert = testCertificate(150.0);
-  ControllerOptions options = plainOptions();
-  options.escape_budget = 0;   // widen on the first escape
-  options.guardband_step = 0.05;
-  options.guardband_max = 0.50;
+  const ControllerOptions options = plainOptions();
   const DvfsReport report = runController(stream, backend, cert, options,
                                           constantGroundTruth(200.0));
 
@@ -121,7 +118,7 @@ TEST(ControllerTest, EscapesWidenGuardbandViaWatchdog) {
   EXPECT_EQ(report.recovered, 0u);
   EXPECT_GT(report.widenings, 0u);
   EXPECT_GT(report.guardband_final, options.guardband);
-  EXPECT_LE(report.guardband_final, options.guardband_max + 1e-12);
+  EXPECT_LE(report.guardband_final, kGuardbandMax + 1e-12);
 }
 
 TEST(ControllerTest, HysteresisDampsSpeedupsNotSlowdowns) {
@@ -138,11 +135,10 @@ TEST(ControllerTest, HysteresisDampsSpeedupsNotSlowdowns) {
   const verify::SafeTclkCertificate cert = testCertificate(1000.0);
   ControllerOptions options;
   options.guardband = 0.0;  // chosen == predicted, easier arithmetic
-  options.hysteresis = 0.05;
   const DvfsReport report = runController(stream, backend, cert, options,
                                           constantGroundTruth(10.0));
 
-  // Window 0: 100. Window 1: target 99, within the 5% deadband ->
+  // Window 0: 100. Window 1: target 99, within the 2% deadband ->
   // hold 100. Window 2: target 50 -> adopt. Window 3: 120 -> adopt
   // (slowing down is the safe direction, never damped).
   EXPECT_EQ(report.clock_changes, 2u);

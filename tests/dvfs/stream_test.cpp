@@ -75,7 +75,6 @@ TEST(WindowedStreamTest, CornerWalkStaysOnGridWithBoundedSteps) {
   StreamOptions options = smallOptions();
   options.cycles = 1025;
   options.window = 8;  // long walk: 128 windows
-  options.max_corner_step = 2;
   const WindowedStream stream = WindowedStream::generate(options);
   const core::OperatingGrid& grid = options.grid;
   const Window* prev = nullptr;
@@ -91,9 +90,9 @@ TEST(WindowedStreamTest, CornerWalkStaysOnGridWithBoundedSteps) {
     EXPECT_LE(w.corner.temperature, grid.t_end + 1e-9);
     if (prev != nullptr) {
       EXPECT_LE(std::abs(w.corner.voltage - prev->corner.voltage),
-                options.max_corner_step * grid.v_step + 1e-9);
+                kMaxCornerStep * grid.v_step + 1e-9);
       EXPECT_LE(std::abs(w.corner.temperature - prev->corner.temperature),
-                options.max_corner_step * grid.t_step + 1e-9);
+                kMaxCornerStep * grid.t_step + 1e-9);
     }
     prev = &w;
   }

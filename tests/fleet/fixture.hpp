@@ -48,6 +48,7 @@ class Process {
       shards_ = std::move(other.shards_);
       other.pid_ = -1;
       other.stdout_fd_ = -1;
+      other.stderr_path_.clear();
     }
     return *this;
   }
@@ -55,7 +56,8 @@ class Process {
   ~Process() { reset(); }
 
   /// fork/execs `binary` with `args`; stdout is piped back for
-  /// announcement parsing, stderr goes to a capture file.
+  /// announcement parsing, stderr goes to a capture file that is
+  /// removed with the Process.
   static Process spawn(const std::string& binary,
                        const std::vector<std::string>& args) {
     static int counter = 0;
@@ -158,6 +160,10 @@ class Process {
     if (stdout_fd_ >= 0) {
       ::close(stdout_fd_);
       stdout_fd_ = -1;
+    }
+    if (!stderr_path_.empty()) {
+      std::remove(stderr_path_.c_str());
+      stderr_path_.clear();
     }
   }
 

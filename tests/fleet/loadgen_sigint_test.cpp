@@ -3,10 +3,15 @@
 // classified summary, flush a valid --json payload marked
 // "interrupted": 1, and exit 130 — a cut-short run leaves data, not
 // wreckage. The server side runs in-process; only the loadgen is a
-// child process (it is the one being signalled). Also: a numeric flag
-// that is not a complete, finite, in-range number is a usage error.
+// child process (it is the one being signalled). Also: a peer that
+// never answers cannot hold the stop hook past one receive timeout,
+// and a numeric flag that is not a complete, finite, in-range number
+// is a usage error.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -18,7 +23,9 @@
 
 #include "check/serve_oracle.hpp"
 #include "fixture.hpp"
+#include "fleet/loadgen.hpp"
 #include "serve/server.hpp"
+#include "util/fd.hpp"
 #include "util/json.hpp"
 
 namespace tevot::fleet {
@@ -93,6 +100,7 @@ TEST(LoadgenSigintTest, SigtermMidStormFlushesPartialJsonAndExits130) {
   EXPECT_EQ(classified, expected);
 
   server.drainAndStop();
+  std::filesystem::remove(json_path);
 }
 
 TEST(LoadgenSigintTest, UninterruptedRunReportsInterruptedZero) {
@@ -115,6 +123,48 @@ TEST(LoadgenSigintTest, UninterruptedRunReportsInterruptedZero) {
   const std::string json = slurp(json_path);
   EXPECT_EQ(jsonNumber(json, "interrupted"), 0.0);
   server.drainAndStop();
+  std::filesystem::remove(json_path);
+}
+
+TEST(LoadgenStopTest, SilentPeerHoldsTheStopHookOneReceiveTimeoutAtMost) {
+  // A listener that completes handshakes (the kernel backlog) but never
+  // reads or answers: every request blocks in recv until the receive
+  // timeout.
+  util::UniqueFd listener(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_TRUE(listener.valid());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener.get(), reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener.get(), 16), 0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener.get(), reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len),
+            0);
+
+  LoadgenOptions options;
+  options.port = ntohs(addr.sin_port);
+  options.duration_s = 60.0;
+  options.rate_qps = 100.0;
+  options.connections = 1;
+  const auto begin = std::chrono::steady_clock::now();
+  options.stop = [begin] {
+    return std::chrono::steady_clock::now() - begin >
+           std::chrono::milliseconds(200);
+  };
+  const LoadgenReport report = runLoadgen(options);
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - begin)
+                               .count();
+  EXPECT_TRUE(report.interrupted);
+  EXPECT_GT(report.lines_sent, 0u);
+  EXPECT_EQ(report.responsesReceived(), 0u);
+  EXPECT_EQ(report.no_response, report.responses_expected);
+  // The stop at 0.2 s waits out one 1 s receive timeout, not the
+  // 60 s storm.
+  EXPECT_LT(elapsed_s, 3.0);
 }
 
 TEST(LoadgenBinaryTest, MalformedNumericFlagIsUsageError) {

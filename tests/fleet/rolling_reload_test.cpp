@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,14 +27,12 @@ using serve_test::serveTestModels;
 
 /// A private model dir per test so swapping model files can't leak
 /// into other suites sharing serveTestModels().dir.
-std::string privateModelDir(const std::string& tag) {
-  const std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) /
-      ("tevot_fleet_" + tag + "_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  serveTestModels().model_a.save((dir / "int_add.model").string());
-  return dir.string();
-}
+struct PrivateModelDir : serve_test::ScratchDir {
+  explicit PrivateModelDir(const std::string& tag)
+      : ScratchDir("tevot_fleet_" + tag + "_" + std::to_string(::getpid())) {
+    serveTestModels().model_a.save(path() + "/int_add.model");
+  }
+};
 
 std::unique_ptr<serve::Server> bootShard(const std::string& model_dir) {
   serve::ServerOptions options;
@@ -58,11 +55,11 @@ bool awaitAllEligible(const Router& router, double timeout_ms = 5000.0) {
 }
 
 TEST(RollingReloadTest, RollSwapsModelsWithoutDowntime) {
-  const std::string model_dir = privateModelDir("roll");
+  const PrivateModelDir model_dir("roll");
   std::vector<std::unique_ptr<serve::Server>> shards;
   std::vector<ShardEndpoint> endpoints;
   for (int i = 0; i < 3; ++i) {
-    shards.push_back(bootShard(model_dir));
+    shards.push_back(bootShard(model_dir.path()));
     endpoints.push_back({shards.back()->port(), {}});
   }
   RouterOptions options;
@@ -125,7 +122,7 @@ TEST(RollingReloadTest, RollSwapsModelsWithoutDowntime) {
   });
 
   // Swap the on-disk model and roll.
-  serveTestModels().model_b.save(model_dir + "/int_add.model");
+  serveTestModels().model_b.save(model_dir.path() + "/int_add.model");
   const util::Status rolled = router.rollingReload();
   EXPECT_TRUE(rolled.ok()) << rolled.message;
 
@@ -157,11 +154,11 @@ TEST(RollingReloadTest, RollSwapsModelsWithoutDowntime) {
 }
 
 TEST(RollingReloadTest, FailingShardAbortsRollAndKeepsServing) {
-  const std::string model_dir = privateModelDir("roll_abort");
+  const PrivateModelDir model_dir("roll_abort");
   std::vector<std::unique_ptr<serve::Server>> shards;
   std::vector<ShardEndpoint> endpoints;
   for (int i = 0; i < 2; ++i) {
-    shards.push_back(bootShard(model_dir));
+    shards.push_back(bootShard(model_dir.path()));
     endpoints.push_back({shards.back()->port(), {}});
   }
   RouterOptions options;
@@ -174,7 +171,7 @@ TEST(RollingReloadTest, FailingShardAbortsRollAndKeepsServing) {
   // and must keep its previous models serving.
   {
     std::FILE* f =
-        std::fopen((model_dir + "/int_add.model").c_str(), "wb");
+        std::fopen((model_dir.path() + "/int_add.model").c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("not a model", f);
     std::fclose(f);

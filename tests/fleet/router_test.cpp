@@ -338,9 +338,9 @@ TEST(RouterTest, NoEligibleShardIsTypedShedNeverSilence) {
 }
 
 TEST(RouterTest, ShedsWhilePolledShardLoadReachesTheFraction) {
-  // Slowed predicts hold the shard's connection threads; two of them
-  // are a quarter of its eight connections, the router's shed
-  // fraction.
+  // Slowed predicts hold the shard's connection threads; eighteen of
+  // them are nine tenths of its twenty connections, the router's shed
+  // fraction (the probe holds one more).
   util::FaultInjector faults;
   util::FaultPlan plan;
   plan.rate = 1.0;
@@ -349,12 +349,10 @@ TEST(RouterTest, ShedsWhilePolledShardLoadReachesTheFraction) {
   plan.slow_ms = 1000.0;
   faults.arm(plan);
   serve::ServerOptions shard_options;
-  shard_options.max_connections = 8;
+  shard_options.max_connections = 20;
   shard_options.faults = &faults;
   const std::unique_ptr<serve::Server> shard = bootShard(shard_options);
-  RouterOptions options = fastRouterOptions();
-  options.shed_queue_fraction = 0.25;
-  Router router(options, {{shard->port(), {}}});
+  Router router(fastRouterOptions(), {{shard->port(), {}}});
   ASSERT_TRUE(router.start().ok());
   ASSERT_TRUE(awaitAllEligible(router));
   const auto awaitPolledInFlight = [&](std::size_t in_flight) {
@@ -366,12 +364,12 @@ TEST(RouterTest, ShedsWhilePolledShardLoadReachesTheFraction) {
   };
 
   const std::string line = "predict int_add 0.9 25 300 1 2 3 4";
-  LineClient slow[2];
+  LineClient slow[18];
   for (LineClient& client : slow) {
     ASSERT_TRUE(client.connectTo(router.port()).ok());
     ASSERT_TRUE(client.sendLine(line));
   }
-  ASSERT_TRUE(awaitPolledInFlight(2));
+  ASSERT_TRUE(awaitPolledInFlight(18));
   LineClient client;
   ASSERT_TRUE(client.connectTo(router.port()).ok());
   const Response shed = request(client, line);

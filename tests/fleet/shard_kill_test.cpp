@@ -219,9 +219,8 @@ TEST(ShardKillStormTest, RouterBinaryRejectsBadUsage) {
 
 TEST(ShardKillStormTest, RouterBinaryRejectsMalformedNumericFlags) {
   const std::vector<std::pair<std::string, std::string>> cases = {
-      {"--shed-queue-fraction", "abc"}, {"--shed-queue-fraction", "0"},
-      {"--shed-queue-fraction", "1.5"}, {"--deadline-ms", "nan"},
-      {"--health-interval-ms", "0"},    {"--max-restarts", "-1"},
+      {"--health-interval-ms", "0"},   {"--health-interval-ms", "nan"},
+      {"--shards", "0"},               {"--shards", "257"},
       {"--port", "70000"},
   };
   for (const auto& [flag, value] : cases) {
@@ -235,6 +234,28 @@ TEST(ShardKillStormTest, RouterBinaryRejectsMalformedNumericFlags) {
     EXPECT_EQ(router.wait(), 2) << flag << " '" << value << "'";
     EXPECT_NE(router.readStderr().find("usage:"), std::string::npos)
         << flag << " '" << value << "'";
+  }
+}
+
+TEST(ShardKillStormTest, RouterBinaryRejectsRemovedFlags) {
+  // The shed fraction and the restart cap are constants, and a
+  // predict's only deadline is its own: these are unknown options even
+  // with a well-formed value.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--deadline-ms", "5"},
+      {"--shed-queue-fraction", "0.5"},
+      {"--max-restarts", "3"},
+  };
+  for (const auto& [flag, value] : cases) {
+    Process router = Process::spawn(
+        TEVOT_ROUTER_BINARY, {"--model-dir", serveTestModels().dir,
+                              "--serve-binary", TEVOT_SERVE_BINARY,
+                              "--shards", "1", flag, value});
+    if (router.awaitReady()) router.signal(SIGTERM);
+    EXPECT_EQ(router.wait(), 2) << flag;
+    EXPECT_NE(router.readStderr().find("unknown option " + flag),
+              std::string::npos)
+        << flag;
   }
 }
 

@@ -35,7 +35,6 @@ util::Status startOne(const std::string& port_text, int* port) {
   SupervisorOptions options;
   options.serve_binary = fakeWorker(port_text);
   options.shards = 1;
-  options.announce_timeout_ms = 5000.0;
   Supervisor supervisor(options);
   const util::Status status = supervisor.startAll();
   *port = supervisor.shardPort(0);

@@ -43,7 +43,6 @@ TEST(ServeOracleTest, WrongReferenceModelIsDetected) {
   ServeDriveOptions drive;
   drive.clients = 1;
   drive.requests_per_client = 10;
-  drive.garbage_fraction = 0.0;
   EXPECT_THROW(driveAndVerifyServer(serveTestModels().model_b, "int_add",
                                     server.port(), 7, drive),
                PropertyViolation);

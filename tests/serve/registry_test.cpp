@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 
 #include "serve_test_util.hpp"
@@ -17,15 +16,9 @@ namespace {
 
 using serve_test::serveTestModels;
 
-std::string freshDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "tevot_registry_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 TEST(RegistryTest, EmptyDirectoryFailsToLoad) {
-  ModelRegistry registry(freshDir("empty"));
+  const serve_test::ScratchDir dir("tevot_registry_empty");
+  ModelRegistry registry(dir.path());
   const util::Status status = registry.load();
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(registry.snapshot(), nullptr);
@@ -55,7 +48,8 @@ TEST(RegistryTest, LoadsAndBumpsGenerationOnReload) {
 }
 
 TEST(RegistryTest, InvalidModelFileKeepsPreviousGeneration) {
-  const std::string dir = freshDir("invalid");
+  const serve_test::ScratchDir scratch("tevot_registry_invalid");
+  const std::string& dir = scratch.path();
   serveTestModels().model_a.save(dir + "/int_add.model");
   ModelRegistry registry(dir);
   ASSERT_TRUE(registry.load().ok());

@@ -1,6 +1,7 @@
 // Shared fixture for the serve tests: a tiny-but-real int_add model
 // pair trained once per test binary (A is saved into the model
-// directory; B is a differently-seeded model for hot-reload tests).
+// directory; B is a differently-seeded model for hot-reload tests),
+// and a self-removing scratch directory.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -53,6 +54,28 @@ struct ServeTestModels {
   }
 
   std::string modelPath() const { return dir + "/int_add.model"; }
+};
+
+/// A fresh, empty directory under testing::TempDir(), removed with the
+/// object: declare it before anything that reads the directory.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : path_(testing::TempDir() + name) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
 };
 
 inline const ServeTestModels& serveTestModels() {

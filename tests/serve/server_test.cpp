@@ -332,10 +332,8 @@ TEST(ServerTest, InFlightGaugeNeverLeaksAcrossOutcomes) {
 
 TEST(ServerTest, HotReloadUnderLoadIsAtomic) {
   const serve_test::ServeTestModels& models = serveTestModels();
-  const std::string dir =
-      testing::TempDir() + "tevot_serve_hot_reload";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const serve_test::ScratchDir scratch("tevot_serve_hot_reload");
+  const std::string& dir = scratch.path();
   models.model_a.save(dir + "/int_add.model");
 
   ServerOptions options = baseOptions();

@@ -6,7 +6,6 @@
 // verification is off, which is exactly the gap being closed.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 
 #include "../verify/verify_test_util.hpp"
@@ -19,14 +18,6 @@ namespace tevot::serve {
 namespace {
 
 using serve_test::serveTestModels;
-
-std::string freshDir(const std::string& name) {
-  const std::string dir =
-      testing::TempDir() + "tevot_strict_verify_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 /// Writes the canary-fooling negative-tail fixture as int_add.model.
 void writeCorruptModel(const std::string& dir) {
@@ -45,7 +36,8 @@ TEST(StrictVerifyTest, StrictRegistryAcceptsTrainedModel) {
 }
 
 TEST(StrictVerifyTest, StrictRegistryRefusesUncertifiableLoad) {
-  const std::string dir = freshDir("load");
+  const serve_test::ScratchDir scratch("tevot_strict_verify_load");
+  const std::string& dir = scratch.path();
   writeCorruptModel(dir);
 
   // Without strict verification the canary-fooling model sails in.
@@ -62,7 +54,8 @@ TEST(StrictVerifyTest, StrictRegistryRefusesUncertifiableLoad) {
 }
 
 TEST(StrictVerifyTest, FailedStrictReloadKeepsPreviousGeneration) {
-  const std::string dir = freshDir("reload");
+  const serve_test::ScratchDir scratch("tevot_strict_verify_reload");
+  const std::string& dir = scratch.path();
   serveTestModels().model_a.save(dir + "/int_add.model");
   ModelRegistry registry(dir, /*strict_verify=*/true);
   ASSERT_TRUE(registry.load().ok());
@@ -78,7 +71,8 @@ TEST(StrictVerifyTest, FailedStrictReloadKeepsPreviousGeneration) {
 }
 
 TEST(StrictVerifyTest, ServerReloadRefusesCorruptModelAndKeepsServing) {
-  const std::string dir = freshDir("server");
+  const serve_test::ScratchDir scratch("tevot_strict_verify_server");
+  const std::string& dir = scratch.path();
   serveTestModels().model_a.save(dir + "/int_add.model");
 
   ServerOptions options;

@@ -25,24 +25,6 @@ TEST_F(EnvTest, StringFallbacks) {
   EXPECT_EQ(envString("TEVOT_TEST_VAR", "dflt"), "value");
 }
 
-TEST_F(EnvTest, IntParsing) {
-  ::unsetenv("TEVOT_TEST_VAR");
-  EXPECT_EQ(envInt("TEVOT_TEST_VAR", 42), 42);
-  SetVar("123");
-  EXPECT_EQ(envInt("TEVOT_TEST_VAR", 42), 123);
-  SetVar("-7");
-  EXPECT_EQ(envInt("TEVOT_TEST_VAR", 42), -7);
-  SetVar("12abc");
-  EXPECT_EQ(envInt("TEVOT_TEST_VAR", 42), 42);  // trailing junk rejected
-  SetVar("abc");
-  EXPECT_EQ(envInt("TEVOT_TEST_VAR", 42), 42);
-  // The number rule: the whole value, one spelling per integer.
-  for (const char* bad : {" 5", "5 ", "+5", "05", "0x10", "1e3"}) {
-    SetVar(bad);
-    EXPECT_EQ(envInt("TEVOT_TEST_VAR", 42), 42) << "'" << bad << "'";
-  }
-}
-
 TEST_F(EnvTest, FlagParsing) {
   ::unsetenv("TEVOT_TEST_VAR");
   EXPECT_FALSE(envFlag("TEVOT_TEST_VAR"));

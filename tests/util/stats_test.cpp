@@ -1,4 +1,4 @@
-// RunningStats (Welford), Histogram and LatencyHistogram tests,
+// RunningStats (Welford) and LatencyHistogram tests,
 // including the merge identities used when accumulating per-corner or
 // per-thread statistics in parallel.
 #include "util/stats.hpp"
@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -59,49 +58,6 @@ TEST(RunningStatsTest, MergeWithEmpty) {
   empty.merge(stats);
   EXPECT_EQ(empty.count(), 2u);
   EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(HistogramTest, BinningAndOutOfRangeCounters) {
-  Histogram histogram(0.0, 10.0, 5);
-  histogram.add(0.5);    // bin 0
-  histogram.add(3.0);    // bin 1
-  histogram.add(9.9);    // bin 4
-  histogram.add(-5.0);   // below range: counted as underflow
-  histogram.add(100.0);  // above range: counted as overflow
-  EXPECT_EQ(histogram.total(), 3u);  // in-range samples only
-  EXPECT_EQ(histogram.underflow(), 1u);
-  EXPECT_EQ(histogram.overflow(), 1u);
-  EXPECT_EQ(histogram.sampleCount(), 5u);
-  EXPECT_EQ(histogram.binCount(0), 1u);
-  EXPECT_EQ(histogram.binCount(1), 1u);
-  EXPECT_EQ(histogram.binCount(2), 0u);
-  EXPECT_EQ(histogram.binCount(4), 1u);
-  EXPECT_DOUBLE_EQ(histogram.binLow(1), 2.0);
-  EXPECT_DOUBLE_EQ(histogram.binHigh(1), 4.0);
-}
-
-TEST(HistogramTest, UpperEdgeIsExclusive) {
-  Histogram histogram(0.0, 10.0, 5);
-  histogram.add(0.0);   // lower edge is inclusive
-  histogram.add(10.0);  // upper edge is exclusive -> overflow
-  EXPECT_EQ(histogram.total(), 1u);
-  EXPECT_EQ(histogram.binCount(0), 1u);
-  EXPECT_EQ(histogram.underflow(), 0u);
-  EXPECT_EQ(histogram.overflow(), 1u);
-}
-
-TEST(HistogramTest, QuantileApproximation) {
-  Histogram histogram(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) histogram.add(i + 0.5);
-  EXPECT_NEAR(histogram.quantile(0.0), 0.5, 1.0);
-  EXPECT_NEAR(histogram.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(histogram.quantile(1.0), 99.5, 1.0);
 }
 
 TEST(LatencyHistogramTest, EmptyIsZeroed) {

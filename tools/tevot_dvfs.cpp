@@ -2,8 +2,7 @@
 //
 //   tevot_dvfs --cert-dir DIR (--model-dir DIR | --serve-port P)
 //              [--fus a,b,...|--all] [--cycles N] [--window N]
-//              [--seed N] [--guardband F] [--hysteresis F]
-//              [--escape-budget N] [--deadline-ms MS] [--jobs N]
+//              [--seed N] [--guardband F] [--jobs N]
 //              [--json PATH] [--trace-dir DIR] [--label TEXT]
 //
 // Runs the fault-tolerant DVFS controller over a seeded synthetic
@@ -14,7 +13,9 @@
 // certified safe clock loaded from <cert-dir>/<fu>.cert.json (the
 // `tevot_cli verify-model --cert` output). A missing or unusable
 // certificate refuses adaptive mode for that FU — reported, never a
-// crash.
+// crash. The hysteresis deadband, the escape budget and the watchdog
+// step are the controller's constants (src/dvfs/controller.hpp), and
+// served predicts carry no deadline.
 //
 // --json writes the machine-readable report (per-FU counters,
 // throughput gain vs the worst-case clock); --trace-dir writes the
@@ -26,8 +27,7 @@
 //
 // Numeric flags must be complete, finite numbers in range (--cycles
 // >= 2, --window >= 1, --jobs <= 256, integers up to 2^53, no
-// negative guardband, hysteresis or deadline); anything else is a
-// usage error.
+// negative guardband); anything else is a usage error.
 //
 // Exit codes: 0 adaptive clocking ran with zero unrecovered
 // violations, 1 runtime failure (no FU could run), 2 usage error,
@@ -63,9 +63,8 @@ int usage() {
       "usage: tevot_dvfs --cert-dir DIR (--model-dir DIR | "
       "--serve-port P)\n"
       "                  [--fus a,b,...|--all] [--cycles N] [--window N]\n"
-      "                  [--seed N] [--guardband F] [--hysteresis F]\n"
-      "                  [--escape-budget N] [--deadline-ms MS]\n"
-      "                  [--jobs N] [--json PATH] [--trace-dir DIR]\n"
+      "                  [--seed N] [--guardband F] [--jobs N]\n"
+      "                  [--json PATH] [--trace-dir DIR]\n"
       "                  [--label TEXT]\n");
   return kExitUsage;
 }
@@ -132,17 +131,6 @@ int main(int argc, char** argv) {
       if (!flags.number(0, kNoLimit, &options.controller.guardband)) {
         return usage();
       }
-    } else if (arg == "--hysteresis") {
-      if (!flags.number(0, kNoLimit, &options.controller.hysteresis)) {
-        return usage();
-      }
-    } else if (arg == "--escape-budget") {
-      if (!flags.number(0, util::kMaxExactInteger,
-                  &options.controller.escape_budget)) {
-        return usage();
-      }
-    } else if (arg == "--deadline-ms") {
-      if (!flags.number(0, kNoLimit, &options.deadline_ms)) return usage();
     } else if (arg == "--jobs") {
       if (!flags.number(0, util::kMaxJobs, &jobs)) return usage();
     } else if (arg == "--json") {

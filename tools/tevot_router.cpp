@@ -2,9 +2,7 @@
 //
 //   tevot_router --model-dir DIR --serve-binary PATH [--port P]
 //                [--shards N] [--policy replicated|per-fu]
-//                [--fus "a,b;c;d"] [--deadline-ms MS]
-//                [--max-restarts N] [--shed-queue-fraction F]
-//                [--health-interval-ms MS]
+//                [--fus "a,b;c;d"] [--health-interval-ms MS]
 //
 // Spawns N tevot_serve worker shards on ephemeral loopback ports and
 // serves the exact tevot_serve newline protocol on the front port
@@ -14,11 +12,12 @@
 //   tevot_router listening on 127.0.0.1:<port>
 //
 // --fus assigns FU ownership under per-fu policy: shard lists are
-// ';'-separated, FU names within a shard ','-separated. --deadline-ms
-// passes through to every shard's tevot_serve. A shard is shed once
-// its polled predicts in flight reach --shed-queue-fraction of its
-// connection cap. A numeric value that is not a complete, finite,
-// in-range number is a usage error.
+// ';'-separated, FU names within a shard ','-separated. A shard is
+// shed once its polled predicts in flight reach nine tenths of its
+// connection cap (fleet::Router::kShedQueueFraction), and a shard that
+// dies more than fleet::Supervisor::kMaxRestarts times stays down. A
+// numeric value that is not a complete, finite, in-range number is a
+// usage error.
 //
 // Signals:
 //   SIGHUP          rolling zero-downtime reload, one shard at a time
@@ -47,12 +46,10 @@ int usage() {
       "usage: tevot_router --model-dir DIR --serve-binary PATH\n"
       "                    [--port P] [--shards N]\n"
       "                    [--policy replicated|per-fu] [--fus LISTS]\n"
-      "                    [--deadline-ms MS] [--max-restarts N]\n"
-      "                    [--shed-queue-fraction F]\n"
       "                    [--health-interval-ms MS]\n"
       "LISTS: per-fu shard ownership, e.g. \"int_add,int_mul;alu\"\n"
-      "P: 0..65535 (0 = ephemeral); --shards: 1..256; F: 1/1024..1\n"
-      "--deadline-ms >= 0; --health-interval-ms >= 1; --max-restarts >= 0\n"
+      "P: 0..65535 (0 = ephemeral); --shards: 1..256\n"
+      "--health-interval-ms >= 1\n"
       "SIGHUP rolls a reload across the fleet; SIGTERM/SIGINT drains\n");
   return 2;
 }
@@ -105,19 +102,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--fus") {
       if ((v = flags.value()) == nullptr) return usage();
       fus_text = v;
-    } else if (arg == "--deadline-ms") {
-      if (!flags.number(0, kNoLimit, &supervisor_options.default_deadline_ms)) {
-        return usage();
-      }
-    } else if (arg == "--max-restarts") {
-      if (!flags.number(0, std::numeric_limits<int>::max(),
-                  &supervisor_options.max_restarts)) {
-        return usage();
-      }
-    } else if (arg == "--shed-queue-fraction") {
-      if (!flags.number(1.0 / 1024, 1, &router_options.shed_queue_fraction)) {
-        return usage();
-      }
     } else if (arg == "--health-interval-ms") {
       if (!flags.number(1, kNoLimit, &router_options.health_interval_ms)) {
         return usage();

@@ -1,13 +1,14 @@
 // tevot_serve — resilient TEVoT prediction server.
 //
 //   tevot_serve --model-dir DIR [--port P] [--max-conns N]
-//               [--deadline-ms MS] [--drain-ms MS] [--strict-verify]
+//               [--strict-verify]
 //
 // Each connection is served on its own thread and answers its own
 // predicts, one at a time; --max-conns caps the connections (one over
 // the cap is answered with a typed SHED), and so the predicts in
-// flight. A numeric value that is not a complete, finite, in-range
-// number is a usage error.
+// flight. A predict expires only by its own wire deadline (0 or none =
+// no deadline). A numeric value that is not a complete, finite,
+// in-range number is a usage error.
 //
 // Serves the newline-delimited protocol of src/serve/protocol.hpp on
 // 127.0.0.1 (port 0 = ephemeral; the bound port is printed on stdout
@@ -21,7 +22,8 @@
 //                   serving) — also available as the in-band `reload`
 //                   request
 //   SIGTERM/SIGINT  graceful drain: stop accepting, finish the
-//                   requests in hand within --drain-ms, print final
+//                   requests in hand within 2 s
+//                   (serve::LineServer::kDrainDeadlineMs), print final
 //                   stats to stderr, exit 0
 //
 // TEVOT_FAULTS arms the serve.accept / serve.parse / serve.predict /
@@ -33,7 +35,6 @@
 // failure), 2 usage error.
 #include <csignal>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <thread>
 
@@ -48,10 +49,9 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: tevot_serve --model-dir DIR [--port P] [--max-conns N]\n"
-      "                   [--deadline-ms MS] [--drain-ms MS]\n"
       "                   [--strict-verify]\n"
       "DIR: one <fu>.model per served unit (from `tevot_cli train`)\n"
-      "P: 0..65535 (0 = ephemeral); N: 1..65535; MS: >= 0\n"
+      "P: 0..65535 (0 = ephemeral); N: 1..65535\n"
       "--strict-verify: refuse models that fail interval certification\n"
       "  (tevot_cli verify-model) at load and at every reload\n"
       "SIGHUP reloads models; SIGTERM/SIGINT drains and exits 0\n");
@@ -63,7 +63,6 @@ int usage() {
 int main(int argc, char** argv) {
   using namespace tevot;
 
-  constexpr double kNoLimit = std::numeric_limits<double>::max();
   serve::ServerOptions options;
   util::FlagReader flags("tevot_serve", argc, argv);
   while (flags.next()) {
@@ -76,14 +75,6 @@ int main(int argc, char** argv) {
       if (!flags.number(0, 65535, &options.port)) return usage();
     } else if (arg == "--max-conns") {
       if (!flags.number(1, 65535, &options.max_connections)) return usage();
-    } else if (arg == "--deadline-ms") {
-      if (!flags.number(0, kNoLimit, &options.default_deadline_ms)) {
-        return usage();
-      }
-    } else if (arg == "--drain-ms") {
-      if (!flags.number(0, kNoLimit, &options.drain_deadline_ms)) {
-        return usage();
-      }
     } else if (arg == "--strict-verify") {
       options.strict_verify = true;
     } else {
